@@ -71,12 +71,10 @@ from .model import (
     relative_residual,
     residual,
     residual_range,
-    residual_scale,
 )
 from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile, spow, spow_inverse
 from .solver import (
     Provenance,
-    SeedWindow,
     Trajectory,
     forward_seed_span,
     inverse_seed_span,
@@ -95,7 +93,7 @@ __all__ = [
     "EXAMPLE_NAMES", "EquationSpec", "Geometric", "HypothesisViolation",
     "Nonlinearity", "NumericRangeError", "OddPowerMap", "OddRatio", "PivotError",
     "PowerLaw", "Provenance", "QuasidiffError", "QuickDecomposition", "QuickParity",
-    "SeedWindow", "SequenceDomainError", "SequenceSpec", "SeriesProbe", "SeriesStatus",
+    "SequenceDomainError", "SequenceSpec", "SeriesProbe", "SeriesStatus",
     "SignCase", "SignProfileReport", "SignedPower", "SignumMap", "Table",
     "ToleranceProfile", "Trajectory", "Verdict", "VerdictKind", "Window",
     "WindowIndexError", "build_equation", "build_sequence", "chain_windows",
@@ -105,7 +103,6 @@ __all__ = [
     "example_document", "example_equation", "example_summary", "forward_seed_span",
     "identity_map", "inverse_seed_span", "limit_from_companion",
     "max_relative_residual", "parse_equation_document", "quasidifference_chain",
-    "relative_residual", "residual", "residual_range", "residual_scale",
-    "sample_trajectory", "sign_conflict_certificate", "solve_forward",
-    "solve_inverse", "spow", "spow_inverse",
+    "relative_residual", "residual", "residual_range", "sample_trajectory",
+    "sign_conflict_certificate", "solve_forward", "solve_inverse", "spow", "spow_inverse",
 ]

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import EquationSpec, SequenceSpec, derive_coefficients
+from .model import CustomMap, EquationSpec, SequenceSpec, derive_coefficients, sign_break
 from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow
 from .solver import Trajectory
 from .windows import Window
@@ -223,25 +223,21 @@ def _scan_sequence(seq: SequenceSpec, start: int, count: int,
 
 
 def _d_sign_entry(eq: EquationSpec, horizon: int) -> tuple[ConditionEntry, int]:
-    sign = 0
-    for n in range(eq.n0, eq.n0 + horizon):
-        v = eq.d.at(n)
-        s = (v > 0.0) - (v < 0.0)
-        if s == 0 or (sign != 0 and s != sign):
-            return (
-                ConditionEntry("d-one-signed", CheckStatus.FAILS_AT_INDEX, False,
-                               f"d({n}) = {v!r} breaks one-signedness on sample "
-                               f"[{eq.n0}, {eq.n0 + horizon - 1}]", fail_index=n),
-                0,
-            )
-        sign = s
+    bad, sign = sign_break(eq.d, eq.n0, horizon)
+    if bad is not None:
+        return (
+            ConditionEntry("d-one-signed", CheckStatus.FAILS_AT_INDEX, False,
+                           f"d({bad}) = {eq.d.at(bad)!r} breaks one-signedness on sample "
+                           f"[{eq.n0}, {eq.n0 + horizon - 1}]", fail_index=bad),
+            0,
+        )
     detail = f"d of constant sign {'+' if sign > 0 else '-'} on sample [{eq.n0}, {eq.n0 + horizon - 1}]"
     return ConditionEntry("d-one-signed", CheckStatus.HOLDS_ON_SAMPLE, True, detail), sign
 
 
 def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
     holds = eq.f.sign_condition
-    structural = not hasattr(eq.f, "fn")
+    structural = not isinstance(eq.f, CustomMap)
     if holds:
         status = CheckStatus.HOLDS_ON_SAMPLE if structural else CheckStatus.HEURISTIC_EVIDENCE
         how = "structural for built-in nonlinearity" if structural else "sampled on a symmetric log grid"
@@ -372,19 +368,29 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
 _LIMIT_CHECKPOINTS = 16
 
 
+def p_tail(eq: EquationSpec, horizon: int) -> tuple[float, float, bool]:
+    """(tail value of p, spread of its last checkpoints, whether the tail has stabilized).
+
+    p is sampled at _LIMIT_CHECKPOINTS + 1 evenly spaced indices across the
+    horizon; a SequenceDomainError from p propagates.
+    """
+    points = [eq.p.at(eq.n0 + (horizon * k) // _LIMIT_CHECKPOINTS)
+              for k in range(_LIMIT_CHECKPOINTS + 1)]
+    p_hat = points[-1]
+    spread = max(abs(v - p_hat) for v in points[-5:])
+    return p_hat, spread, math.isfinite(p_hat) and not spread > 1e-5 * max(1.0, abs(p_hat))
+
+
 def _p_limit_entry(eq: EquationSpec, horizon: int) -> ConditionEntry:
     try:
-        points = [eq.p.at(eq.n0 + (horizon * k) // _LIMIT_CHECKPOINTS)
-                  for k in range(_LIMIT_CHECKPOINTS + 1)]
+        p_hat, spread, stable = p_tail(eq, horizon)
     except SequenceDomainError as exc:
         return ConditionEntry("p-limit", CheckStatus.NOT_CHECKABLE, None,
                               f"p not evaluable across the horizon: {exc}")
-    p_hat = points[-1]
     if not math.isfinite(p_hat):
         return ConditionEntry("p-limit", CheckStatus.FAILS_AT_INDEX, False,
                               f"p grows without bound (tail value {p_hat!r})")
-    spread = max(abs(v - p_hat) for v in points[-5:])
-    if spread > 1e-5 * max(1.0, abs(p_hat)):
+    if not stable:
         return ConditionEntry("p-limit", CheckStatus.NOT_CHECKABLE, None,
                               f"p tail not stabilized over horizon {horizon} (spread {spread:.3e})")
     ok = abs(p_hat) < 1.0

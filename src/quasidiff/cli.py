@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from typing import Callable
@@ -24,6 +23,7 @@ from .analysis import (
     classify,
     companion_bound_certificate,
     component_sign_profile,
+    p_tail,
     sign_conflict_certificate,
 )
 from .document import build_equation
@@ -224,6 +224,24 @@ def _write_report(path: str | None, report: dict) -> None:
             fh.write("\n")
 
 
+def _solve(args, eq: EquationSpec, name: str, tol: ToleranceProfile) -> Trajectory:
+    """Solve from --seed-values, or from the closed form of a bundled example."""
+    forward = eq.forward_mode
+    lo, hi = forward_seed_span(eq) if forward else inverse_seed_span(eq)
+    if args.seed_values is not None:
+        values = [float(v) for v in args.seed_values.split(",")]
+        if len(values) != hi - lo + 1:
+            raise ValueError(f"seed must supply {hi - lo + 1} values for indices [{lo}, {hi}], "
+                             f"got {len(values)}")
+        seed = Window(lo, tuple(values))
+    elif name in EXAMPLE_NAMES:
+        seed = Window.from_evaluator(example_closed_form(name), lo, hi)
+    else:
+        raise ValueError("--seed-values is required to solve a document equation")
+    return solve_forward(eq, seed, args.horizon, tol) if forward else \
+        solve_inverse(eq, seed, args.horizon, tol)
+
+
 def _sample_for_components(eq: EquationSpec, form, horizon: int) -> Trajectory:
     start = eq.n0 - max(eq.delta, 0)
     end = eq.n0 + horizon - 1 + max(-eq.delta, 0) + 4
@@ -239,21 +257,7 @@ def cmd_solve(args) -> int:
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
     tol = _tolerances(args)
-    forward = eq.forward_mode
-    lo, hi = forward_seed_span(eq) if forward else inverse_seed_span(eq)
-    if args.seed_values is not None:
-        values = [float(v) for v in args.seed_values.split(",")]
-        if len(values) != hi - lo + 1:
-            raise ValueError(f"seed must supply {hi - lo + 1} values for indices [{lo}, {hi}], "
-                             f"got {len(values)}")
-        seed = Window(lo, tuple(values))
-    elif name in EXAMPLE_NAMES:
-        form = example_closed_form(name)
-        seed = Window.from_evaluator(form, lo, hi)
-    else:
-        raise ValueError("--seed-values is required for a document equation")
-    traj = solve_forward(eq, seed, args.horizon, tol) if forward else \
-        solve_inverse(eq, seed, args.horizon, tol)
+    traj = _solve(args, eq, name, tol)
 
     print(f"solve {name} ({traj.provenance.value})")
     print(f"  x range: n = {traj.n_start} .. {traj.n_end}")
@@ -319,17 +323,7 @@ def cmd_classify(args) -> int:
     eq, name = _load_equation(args)
     tol = _tolerances(args)
     if args.solve:
-        forward = eq.forward_mode
-        lo, hi = forward_seed_span(eq) if forward else inverse_seed_span(eq)
-        if args.seed_values is not None:
-            values = [float(v) for v in args.seed_values.split(",")]
-            seed = Window(lo, tuple(values))
-        elif name in EXAMPLE_NAMES:
-            seed = Window.from_evaluator(example_closed_form(name), lo, hi)
-        else:
-            raise ValueError("--seed-values is required to solve a document equation")
-        traj = solve_forward(eq, seed, args.horizon, tol) if forward else \
-            solve_inverse(eq, seed, args.horizon, tol)
+        traj = _solve(args, eq, name, tol)
     else:
         traj = _sample_for_components(eq, _closed_form(args, name), args.horizon)
 
@@ -389,9 +383,8 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
 
 
 def _estimate_p_limit(eq: EquationSpec, horizon: int) -> float:
-    points = [eq.p.at(eq.n0 + (horizon * k) // 16) for k in range(17)]
-    p_hat = points[-1]
-    if not math.isfinite(p_hat) or max(abs(v - p_hat) for v in points[-5:]) > 1e-5 * max(1.0, abs(p_hat)):
+    p_hat, _, stable = p_tail(eq, horizon)
+    if not stable:
         raise HypothesisViolation(f"p does not stabilize over horizon {horizon}; "
                                   "cannot estimate its limit")
     return p_hat

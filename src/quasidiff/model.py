@@ -317,6 +317,23 @@ def identity_map() -> OddPowerMap:
 VALIDATION_SAMPLE = 256
 
 
+def sign_of(v: float) -> int:
+    """-1, 0 or +1; NaN counts as 0."""
+    return (v > 0.0) - (v < 0.0)
+
+
+def sign_break(seq: SequenceSpec, start: int, count: int) -> tuple[int | None, int]:
+    """(first index of [start, start+count) where seq is zero or leaves its sign at start,
+    or None; that sign, or 0 when there is such an index)."""
+    sign = 0
+    for n in range(start, start + count):
+        s = sign_of(seq.at(n))
+        if s == 0 or (sign != 0 and s != sign):
+            return n, 0
+        sign = s
+    return None, sign
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """Full description of one equation instance.
@@ -363,16 +380,12 @@ class EquationSpec:
             for n in range(self.n0, self.n0 + VALIDATION_SAMPLE):
                 if not seq.at(n) > 0.0:
                     raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
-        d_sign = 0
-        for n in range(self.n0, self.n0 + VALIDATION_SAMPLE):
-            v = self.d.at(n)
-            s = (v > 0.0) - (v < 0.0)
-            if s == 0:
-                raise ValueError(f"sequence d must be of one sign; d({n}) = {v!r}")
-            if d_sign == 0:
-                d_sign = s
-            elif s != d_sign:
-                raise ValueError(f"sequence d changes sign at n = {n}")
+        bad, _ = sign_break(self.d, self.n0, VALIDATION_SAMPLE)
+        if bad is not None:
+            v = self.d.at(bad)
+            if sign_of(v) == 0:
+                raise ValueError(f"sequence d must be of one sign; d({bad}) = {v!r}")
+            raise ValueError(f"sequence d changes sign at n = {bad}")
 
     @property
     def forward_mode(self) -> bool:
@@ -380,8 +393,7 @@ class EquationSpec:
         return self.tau > min(-4, self.delta - 4)
 
     def d_sign(self) -> int:
-        v = self.d.at(self.n0)
-        return (v > 0.0) - (v < 0.0)
+        return sign_of(self.d.at(self.n0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +454,6 @@ def _xpow(v: float, e: OddRatio) -> float:
     return v
 
 
-def quasidifference_chain(eq: EquationSpec, x: Evaluator, n: int) -> tuple[float, float, float, float]:
-    """The values (z_n, y_n, w_n, t_n) of the chain at index n.
-
-    Consumes z at n .. n+3, i.e. x at n - max(delta, 0) .. n + 3 (plus the
-    advanced side when delta < 0).  Missing window indices propagate as
-    window errors carrying the offending index.
-    """
-    z = [companion(x, eq.p, eq.delta, j) for j in range(n, n + 4)]
-    y = [eq.c.at(j) * _xpow(z[i + 1] - z[i], eq.gamma) for i, j in enumerate(range(n, n + 3))]
-    w = [eq.b.at(j) * _xpow(y[i + 1] - y[i], eq.beta) for i, j in enumerate(range(n, n + 2))]
-    t = eq.a.at(n) * _xpow(w[1] - w[0], eq.alpha)
-    return z[0], y[0], w[0], t
-
-
 def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
     if v == 0:
         return Decimal(0)
@@ -469,61 +467,98 @@ def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
     return power if v > 0 else -power
 
 
-def _residual_parts(eq: EquationSpec, x: Evaluator, n: int) -> tuple[float, float]:
-    """(residual, scale of the cancelled terms) at index n.
+def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
+              num: Callable = float, power: Callable = _xpow) -> tuple[list, list, list, list]:
+    """The chain columns z on [lo, hi], y on [lo, hi-1], w on [lo, hi-2], t on [lo, hi-3].
+
+    The one definition of the staircase z -> y -> w -> t.  xs[i] is x_{x0+i},
+    already of the number type `num`, which also converts the coefficient
+    values; `power` is the signed power of that type (the totalized `_xpow`
+    for float, `_dec_spow` for Decimal under the caller's context).
+    """
+    def difference_column(coeff: SequenceSpec, prev: list, e: OddRatio) -> list:
+        return [num(coeff.at(lo + i)) * power(prev[i + 1] - prev[i], e) for i in range(len(prev) - 1)]
+
+    p, delta = eq.p, eq.delta
+    z = [xs[j - x0] + num(p.at(j)) * xs[j - delta - x0] for j in range(lo, hi + 1)]
+    y = difference_column(eq.c, z, eq.gamma)
+    w = difference_column(eq.b, y, eq.beta)
+    return z, y, w, difference_column(eq.a, w, eq.alpha)
+
+
+def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -> tuple[list, int]:
+    """(x converted by num over the indices z on [lo, hi] reads, the first of those indices)."""
+    x0 = lo - max(eq.delta, 0)
+    return [num(float(x(m))) for m in range(x0, hi + max(-eq.delta, 0) + 1)], x0
+
+
+def quasidifference_chain(eq: EquationSpec, x: Evaluator, n: int) -> tuple[float, float, float, float]:
+    """The values (z_n, y_n, w_n, t_n) of the chain at index n.
+
+    Consumes z at n .. n+3, i.e. x at n - max(delta, 0) .. n + 3 (plus the
+    advanced side when delta < 0).  Missing window indices propagate as
+    window errors carrying the offending index.
+    """
+    xs, x0 = _sample_x(eq, x, n, n + 3, float)
+    z, y, w, t = staircase(eq, xs, x0, n, n + 3)
+    return z[0], y[0], w[0], t[0]
+
+
+RESIDUAL_BLOCK = 256
+
+
+def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tuple[float, float]]:
+    """(residual, scale of the cancelled terms) at each index of [lo, hi].
 
     The chain is evaluated in 40-digit decimal arithmetic: the residual
     subtracts nearly equal t values whose recomputation noise in doubles is
     amplified by the power exponents and by the chain's difference
     cancellations, which would drown the quantity being measured.  Inputs
     (the stored x values and coefficient values) are doubles and convert
-    exactly; only the result is rounded back.
+    exactly; only the results are rounded back.  Every index of the range
+    shares one decimal staircase, and each node is the same operation on the
+    same inputs as in a one-index call, so the results do not depend on the
+    range.
     """
-    forcing_f = eq.d.at(n) * eq.f.apply(x(n - eq.tau))
+    forcing_f = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in range(lo, hi + 1)]
     try:
         with localcontext() as ctx:
             ctx.prec = 40
-            delta = eq.delta
-            xs = {}
-            for j in range(n, n + 5):
-                for m in (j, j - delta):
-                    if m not in xs:
-                        xs[m] = Decimal(float(x(m)))
-            z = [xs[j] + Decimal(eq.p.at(j)) * xs[j - delta] for j in range(n, n + 5)]
-            y = [Decimal(eq.c.at(j)) * _dec_spow(z[i + 1] - z[i], eq.gamma)
-                 for i, j in enumerate(range(n, n + 4))]
-            w = [Decimal(eq.b.at(j)) * _dec_spow(y[i + 1] - y[i], eq.beta)
-                 for i, j in enumerate(range(n, n + 3))]
-            t = [Decimal(eq.a.at(j)) * _dec_spow(w[i + 1] - w[i], eq.alpha)
-                 for i, j in enumerate(range(n, n + 2))]
-            forcing = Decimal(forcing_f)
-            r = t[1] - t[0] + forcing
-            scale = max(abs(t[1]), abs(t[0]), abs(forcing))
-            return float(r), float(scale)
+            xs, x0 = _sample_x(eq, x, lo, hi + 4, Decimal)
+            t = staircase(eq, xs, x0, lo, hi + 4, Decimal, _dec_spow)[3]
+            parts = []
+            for i, f in enumerate(forcing_f):
+                forcing = Decimal(f)
+                r = t[i + 1] - t[i] + forcing
+                scale = max(abs(t[i + 1]), abs(t[i]), abs(forcing))
+                parts.append((float(r), float(scale)))
+            return parts
     except (InvalidOperation, DecimalOverflow, DecimalDivisionByZero):
         # Non-finite values in the window (possible past an overflow
-        # truncation): report through the totalized float chain instead.
-        t_n = quasidifference_chain(eq, x, n)[3]
-        t_next = quasidifference_chain(eq, x, n + 1)[3]
-        return (t_next - t_n) + forcing_f, max(abs(t_next), abs(t_n), abs(forcing_f))
+        # truncation): redo a range index by index, and report an index
+        # through the totalized float chain.
+        if lo < hi:
+            return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
+        xs, x0 = _sample_x(eq, x, lo, lo + 4, float)
+        t = staircase(eq, xs, x0, lo, lo + 4)[3]
+        f = forcing_f[0]
+        return [((t[1] - t[0]) + f, max(abs(t[1]), abs(t[0]), abs(f)))]
 
 
 def residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
     """D t_n + d_n * f(x_{n-tau}); zero exactly when x solves the equation at n."""
-    return _residual_parts(eq, x, n)[0]
+    return _residual_parts(eq, x, n, n)[0][0]
 
 
-def residual_scale(eq: EquationSpec, x: Evaluator, n: int) -> float:
-    """Largest magnitude among the three cancelled terms of the residual."""
-    return _residual_parts(eq, x, n)[1]
+def _relative(r: float, scale: float) -> float:
+    if scale == 0.0:
+        return 0.0 if r == 0.0 else math.inf
+    return abs(r) / scale
 
 
 def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
     """Residual scaled by the largest cancelled term; exact zero stays zero."""
-    r, scale = _residual_parts(eq, x, n)
-    if scale == 0.0:
-        return 0.0 if r == 0.0 else math.inf
-    return abs(r) / scale
+    return _relative(*_residual_parts(eq, x, n, n)[0])
 
 
 def chain_windows(eq: EquationSpec, x: Window) -> tuple[Window, Window, Window, Window]:
@@ -532,11 +567,8 @@ def chain_windows(eq: EquationSpec, x: Window) -> tuple[Window, Window, Window, 
     hi = x.end - max(-eq.delta, 0)
     if hi - lo < 3:
         raise ValueError(f"window too short to materialize the chain: z range [{lo}, {hi}]")
-    z = Window(lo, tuple(companion(x, eq.p, eq.delta, j) for j in range(lo, hi + 1)))
-    y = Window(lo, tuple(eq.c.at(j) * _xpow(z[j + 1] - z[j], eq.gamma) for j in range(lo, hi)))
-    w = Window(lo, tuple(eq.b.at(j) * _xpow(y[j + 1] - y[j], eq.beta) for j in range(lo, hi - 1)))
-    t = Window(lo, tuple(eq.a.at(j) * _xpow(w[j + 1] - w[j], eq.alpha) for j in range(lo, hi - 2)))
-    return z, y, w, t
+    z, y, w, t = staircase(eq, x.values, x.start, lo, hi)
+    return Window(lo, z), Window(lo, y), Window(lo, w), Window(lo, t)
 
 
 def residual_range(eq: EquationSpec, x: Window) -> range:
@@ -550,13 +582,18 @@ def max_relative_residual(eq: EquationSpec, x: Window) -> tuple[float, int | Non
     """Worst relative residual over the computable interior, with its index.
 
     Indices where the chain leaves the finite double range (possible only on
-    the trailing edge of an overflow-truncated window) are skipped.
+    the trailing edge of an overflow-truncated window) are skipped.  The
+    residuals are computed RESIDUAL_BLOCK indices at a time, which keeps
+    memory flat in the length of the window.
     """
     worst = 0.0
     worst_at: int | None = None
-    for n in residual_range(eq, x):
-        r = relative_residual(eq, x, n)
-        if math.isfinite(r) and r > worst:
-            worst = r
-            worst_at = n
+    indices = residual_range(eq, x)
+    for lo in indices[::RESIDUAL_BLOCK]:
+        hi = min(lo + RESIDUAL_BLOCK, indices.stop) - 1
+        for n, parts in enumerate(_residual_parts(eq, x, lo, hi), lo):
+            r = _relative(*parts)
+            if math.isfinite(r) and r > worst:
+                worst = r
+                worst_at = n
     return worst, worst_at

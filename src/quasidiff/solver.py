@@ -14,17 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NumericRangeError, PivotError
-from .model import (
-    EquationSpec,
-    chain_windows,
-    companion,
-    max_relative_residual,
-    quasidifference_chain,
-)
-from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow, spow_inverse
+from .model import EquationSpec, chain_windows, max_relative_residual, sign_of, staircase
+from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow
 from .windows import Window
-
-SeedWindow = Window
 
 
 class Provenance(str, Enum):
@@ -81,23 +73,25 @@ def inverse_seed_span(eq: EquationSpec) -> tuple[int, int]:
 
 
 def _check_seed(seed: Window, lo: int, hi: int, mode: str) -> None:
-    if not seed.covers(lo, hi):
+    # New x values are appended after the seed, so it must end exactly at hi.
+    if not seed.covers(lo, hi) or seed.end != hi:
         raise ValueError(
-            f"{mode} seed must cover indices [{lo}, {hi}], got [{seed.start}, {seed.end}]"
+            f"{mode} seed must cover indices [{lo}, {hi}] and end at {hi}, "
+            f"got [{seed.start}, {seed.end}]"
         )
     if not seed.all_finite():
         raise ValueError("seed values must all be finite")
 
 
 def _finalize(eq: EquationSpec, xs: list[float], start: int, provenance: Provenance,
-              truncated: bool, truncation_index: int | None, warnings: list[str]) -> Trajectory:
+              truncated: bool = False, truncation_index: int | None = None,
+              d_break: int | None = None) -> Trajectory:
+    """Wrap x with its chain and residual; d_break is where the solver saw d leave its sign."""
     x = Window(start, tuple(xs))
-    z = y = w = t = None
-    lo = x.start + max(eq.delta, 0)
-    hi = x.end - max(-eq.delta, 0)
-    if hi - lo >= 3:
-        z, y, w, t = chain_windows(eq, x)
+    # chain_windows needs z on at least four indices
+    z, y, w, t = chain_windows(eq, x) if len(x) >= 4 + abs(eq.delta) else (None,) * 4
     worst, _ = max_relative_residual(eq, x)
+    warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
     return Trajectory(
         x=x,
         provenance=provenance,
@@ -107,35 +101,12 @@ def _finalize(eq: EquationSpec, xs: list[float], start: int, provenance: Provena
         t=t,
         truncated=truncated,
         truncation_index=truncation_index,
-        warnings=tuple(warnings),
+        warnings=warnings,
         max_rel_residual=worst,
     )
 
 
-class _DSignMonitor:
-    """Re-checks the one-sign assumption on d along the realized horizon."""
-
-    def __init__(self, eq: EquationSpec):
-        self.eq = eq
-        self.sign = 0
-        self.violation: int | None = None
-
-    def observe(self, n: int, value: float) -> None:
-        if self.violation is not None:
-            return
-        s = (value > 0.0) - (value < 0.0)
-        if self.sign == 0:
-            self.sign = s
-        if s == 0 or s != self.sign:
-            self.violation = n
-
-    def warnings(self) -> list[str]:
-        if self.violation is None:
-            return []
-        return [f"one-sign assumption on d violated at n = {self.violation}"]
-
-
-def solve_forward(eq: EquationSpec, seed: SeedWindow, horizon: int,
+def solve_forward(eq: EquationSpec, seed: Window, horizon: int,
                   tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Trajectory:
     """March the recursion forward for `horizon` steps from a seeded x history.
 
@@ -162,17 +133,13 @@ def solve_forward(eq: EquationSpec, seed: SeedWindow, horizon: int,
 
     # Chain state at the frontier, derived from the seed rather than accepted
     # as independent inputs, so the staircase is consistent by construction.
-    try:
-        z = [companion(x_at, eq.p, eq.delta, j) for j in range(n0, n0 + 4)]
-        y = [eq.c.at(j) * spow(z[j - n0 + 1] - z[j - n0], eq.gamma) for j in range(n0, n0 + 3)]
-        w = [eq.b.at(j) * spow(y[j - n0 + 1] - y[j - n0], eq.beta) for j in range(n0, n0 + 2)]
-        t = [eq.a.at(n0) * spow(w[1] - w[0], eq.alpha)]
-    except (OverflowError, ValueError) as exc:
-        raise NumericRangeError(f"seed chain not finite: {exc}", index=n0) from None
+    z, y, w, t = staircase(eq, xs, start, n0, n0 + 3)
     if not all(map(math.isfinite, [*z, *y, *w, *t])):
         raise NumericRangeError("seed chain not finite", index=n0)
 
-    monitor = _DSignMonitor(eq)
+    inverse_exponents = (eq.alpha.reciprocal(), eq.beta.reciprocal(), eq.gamma.reciprocal())
+    d_sign = eq.d_sign()
+    d_break: int | None = None
     truncated = False
     truncation_index: int | None = None
 
@@ -180,8 +147,9 @@ def solve_forward(eq: EquationSpec, seed: SeedWindow, horizon: int,
     # n0+3, n0+2, n0+1, n0 respectively and advance in lockstep.
     for n in range(n0, n0 + horizon):
         d_n = eq.d.at(n)
-        monitor.observe(n, d_n)
-        step = _forward_step(eq, tol, n, x_at, d_n, t[n - n0], w[n + 1 - n0],
+        if d_break is None and sign_of(d_n) != d_sign:
+            d_break = n
+        step = _forward_step(eq, tol, inverse_exponents, n, x_at, d_n, t[n - n0], w[n + 1 - n0],
                              y[n + 2 - n0], z[n + 3 - n0])
         if step is None:
             truncated = True
@@ -194,8 +162,7 @@ def solve_forward(eq: EquationSpec, seed: SeedWindow, horizon: int,
         z.append(z_next)
         xs.append(x_next)
 
-    return _finalize(eq, xs, start, Provenance.FORWARD, truncated, truncation_index,
-                     monitor.warnings())
+    return _finalize(eq, xs, start, Provenance.FORWARD, truncated, truncation_index, d_break)
 
 
 def _safe_div(value: float, divisor: float, index: int) -> float:
@@ -205,27 +172,28 @@ def _safe_div(value: float, divisor: float, index: int) -> float:
         raise NumericRangeError(f"division by zero coefficient at n = {index}", index=index) from None
 
 
-def _unwind(value: float, coeff: float, e, index: int) -> float | None:
+def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float | None:
     ratio = _safe_div(value, coeff, index)
     if not math.isfinite(ratio):
         return None
-    return spow_inverse(ratio, e)
+    return spow(ratio, inverse_exponent)
 
 
-def _forward_step(eq: EquationSpec, tol: ToleranceProfile, n: int, x_at, d_n: float,
-                  t_n: float, w_n1: float, y_n2: float, z_n3: float):
+def _forward_step(eq: EquationSpec, tol: ToleranceProfile, inverse_exponents, n: int, x_at,
+                  d_n: float, t_n: float, w_n1: float, y_n2: float, z_n3: float):
     """One staircase advance; None signals a non-finite intermediate (truncate)."""
+    inv_alpha, inv_beta, inv_gamma = inverse_exponents
     forcing = d_n * eq.f.apply(x_at(n - eq.tau))
     t_next = t_n - forcing
     if not math.isfinite(t_next):
         return None
-    dw = _unwind(t_next, eq.a.at(n + 1), eq.alpha, n + 1)
+    dw = _unwind(t_next, eq.a.at(n + 1), inv_alpha, n + 1)
     if dw is None or not math.isfinite(w_next := w_n1 + dw):
         return None
-    dy = _unwind(w_next, eq.b.at(n + 2), eq.beta, n + 2)
+    dy = _unwind(w_next, eq.b.at(n + 2), inv_beta, n + 2)
     if dy is None or not math.isfinite(y_next := y_n2 + dy):
         return None
-    dz = _unwind(y_next, eq.c.at(n + 3), eq.gamma, n + 3)
+    dz = _unwind(y_next, eq.c.at(n + 3), inv_gamma, n + 3)
     if dz is None or not math.isfinite(z_next := z_n3 + dz):
         return None
     if eq.delta == 0:
@@ -240,7 +208,7 @@ def _forward_step(eq: EquationSpec, tol: ToleranceProfile, n: int, x_at, d_n: fl
     return t_next, w_next, y_next, z_next, x_next
 
 
-def solve_inverse(eq: EquationSpec, seed: SeedWindow, horizon: int,
+def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
                   tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Trajectory:
     """Recover far-ahead x values through the inverse of f.
 
@@ -260,23 +228,19 @@ def solve_inverse(eq: EquationSpec, seed: SeedWindow, horizon: int,
     n0 = eq.n0
     xs = list(seed.values)
     start = seed.start
-
-    def x_at(n: int) -> float:
-        return xs[n - start]
-
-    def t_at(n: int) -> float:
-        return quasidifference_chain(eq, x_at, n)[3]
-
-    monitor = _DSignMonitor(eq)
+    d_sign = eq.d_sign()
+    d_break: int | None = None
     truncated = False
     truncation_index: int | None = None
 
     for n in range(n0, n0 + horizon):
         d_n = eq.d.at(n)
-        monitor.observe(n, d_n)
+        if d_break is None and sign_of(d_n) != d_sign:
+            d_break = n
         if abs(d_n) <= tol.eps_sign:
             raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
-        dt = t_at(n + 1) - t_at(n)
+        t = staircase(eq, xs, start, n, n + 4)[3]
+        dt = t[1] - t[0]
         if not math.isfinite(dt):
             truncated = True
             truncation_index = n - eq.tau
@@ -288,8 +252,7 @@ def solve_inverse(eq: EquationSpec, seed: SeedWindow, horizon: int,
             break
         xs.append(x_new)
 
-    return _finalize(eq, xs, start, Provenance.INVERSE, truncated, truncation_index,
-                     monitor.warnings())
+    return _finalize(eq, xs, start, Provenance.INVERSE, truncated, truncation_index, d_break)
 
 
 def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
@@ -309,4 +272,4 @@ def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
         if not math.isfinite(v):
             raise NumericRangeError(f"evaluator returned non-finite value at n = {n}", index=n)
         values.append(v)
-    return _finalize(eq, values, start, Provenance.SAMPLED, False, None, [])
+    return _finalize(eq, values, start, Provenance.SAMPLED)

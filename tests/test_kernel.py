@@ -1,0 +1,105 @@
+"""The staircase kernel and the block-wise 40-digit residual built on it."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quasidiff as qd
+from quasidiff import model
+from quasidiff.model import RESIDUAL_BLOCK, staircase
+from support import plain_equation
+
+
+def per_index_max(eq, x):
+    """max_relative_residual's contract, one relative_residual call per index."""
+    worst, worst_at = 0.0, None
+    for n in qd.residual_range(eq, x):
+        r = qd.relative_residual(eq, x, n)
+        if math.isfinite(r) and r > worst:
+            worst, worst_at = r, n
+    return worst, worst_at
+
+
+@pytest.mark.parametrize("beta", ["1/1", "3/1", "3/5", "5/3"])
+@pytest.mark.parametrize("name", qd.EXAMPLE_NAMES)
+def test_block_residual_equals_per_index_maximum(name, beta):
+    eq = qd.example_equation(name, beta=beta)
+    start = eq.n0 - max(eq.delta, 0)
+    x = qd.Window.from_evaluator(qd.example_closed_form(name), start, start + 640)
+    assert len(qd.residual_range(eq, x)) > 2 * RESIDUAL_BLOCK
+    assert qd.max_relative_residual(eq, x) == per_index_max(eq, x)
+
+
+def test_block_residual_on_a_solved_window():
+    eq = qd.example_equation("example-4")
+    form = qd.example_closed_form("example-4")
+    lo, hi = qd.forward_seed_span(eq)
+    traj = qd.solve_forward(eq, qd.Window.from_evaluator(form, lo, hi), 700)
+    assert traj.max_rel_residual == per_index_max(eq, traj.x)[0]
+
+
+def test_block_falls_back_index_by_index(monkeypatch):
+    # a = 2^n is infinite from n = 1024; with a near-constant x the decimal
+    # chain meets inf * 0 there and raises InvalidOperation for the block.
+    eq = plain_equation(a=qd.Geometric(1.0, 2.0))
+    x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1300)
+    calls = []
+    original = model._residual_parts
+
+    def spy(eq_, x_, lo, hi):
+        calls.append((lo, hi))
+        return original(eq_, x_, lo, hi)
+
+    monkeypatch.setattr(model, "_residual_parts", spy)
+    got = qd.max_relative_residual(eq, x)
+    monkeypatch.undo()
+    blocks = [c for c in calls if c[1] > c[0]]
+    singles = {c[0] for c in calls if c[1] == c[0]}
+    assert len(blocks) == 3
+    # the first block is finite; the others are redone index by index
+    assert not singles & set(range(*blocks[0]))
+    assert set(range(blocks[1][0], blocks[2][1] + 1)) <= singles
+    assert got == per_index_max(eq, x)
+    assert got[1] is not None and got[1] < 1024
+
+
+def test_fallback_index_uses_float_chain():
+    # past n = 1024 the decimal chain of a single index raises too, and the
+    # residual is the totalized float chain's D t_n + d_n f(x_{n-tau})
+    eq = plain_equation(a=qd.Geometric(1.0, 2.0))
+    x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 1000, 1100)
+    for n in range(1024, 1034):
+        t = staircase(eq, list(x.values), x.start, n, n + 4)[3]
+        expected = (t[1] - t[0]) + eq.d.at(n) * eq.f.apply(x(n - eq.tau))
+        assert repr(qd.residual(eq, x, n)) == repr(expected)
+
+
+def test_kernel_columns_agree_with_one_index_chain():
+    eq = qd.example_equation("example-2", beta="5/3", lam=2)
+    x = qd.Window.from_evaluator(qd.example_closed_form("example-2"), 0, 40)
+    z, y, w, t = qd.chain_windows(eq, x)
+    for n, t_n in t.items():
+        assert qd.quasidifference_chain(eq, x, n) == (z[n], y[n], w[n], t_n)
+    assert (z.start, z.end, y.end, w.end, t.end) == (4, 40, 39, 38, 37)
+
+
+EXPONENTS = st.sampled_from([qd.OddRatio(1), qd.OddRatio(3), qd.OddRatio(3, 5), qd.OddRatio(5, 3)])
+
+
+@given(
+    values=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=12, max_size=300),
+    delta=st.integers(min_value=-3, max_value=4),
+    tau=st.integers(min_value=-3, max_value=3),
+    beta=EXPONENTS,
+    gamma=EXPONENTS,
+    p=st.floats(min_value=-2.0, max_value=2.0),
+    c=st.floats(min_value=0.1, max_value=10.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_residual_property(values, delta, tau, beta, gamma, p, c):
+    eq = plain_equation(delta=delta, tau=tau, beta=beta, gamma=gamma,
+                        p=qd.Constant(p), c=qd.Constant(c))
+    x = qd.Window(eq.n0, tuple(values))
+    assert qd.max_relative_residual(eq, x) == per_index_max(eq, x)
