@@ -2,10 +2,13 @@
 """Write the CLI's reports on a fixed corpus of runs into a directory.
 
 Each run of ``quasidiff.cli.main`` gets its own subdirectory holding
-``stdout.txt``, ``exit.txt`` (the exit code, or the exception that escaped
-``main``) and whatever ``--out`` / ``--csv`` wrote.  The corpus covers solve,
-verify, classify, classify --solve and the four check modes on the bundled
-examples and on an inverse-regime document whose exact solution is 2^-n.
+``stdout.txt``, ``stderr.txt``, ``exit.txt`` (the exit code, or the exception
+that escaped ``main``) and whatever ``--out`` / ``--csv`` wrote.  The corpus
+covers solve, verify, classify, classify --solve and the four check modes on
+the bundled examples and on an inverse-regime document whose exact solution
+is 2^-n, plus the solver's edge paths: an inverse march that truncates, one
+stopped by a near-zero d, one with fractional exponents, a forward march
+stopped by a zero pivot and one that warns that d left its sign.
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -44,6 +47,28 @@ INVERSE_DOCUMENT = {
 INVERSE_PATH = "inverse.json"
 INVERSE_SEED = ",".join(repr(2.0 ** -n) for n in range(1, 8))
 INVERSE_FORM = "geometric:1,0.5"
+# Alternating 1e300 values overflow the chain: at n = 164 on the
+# unit-exponent document, at the first step where gamma = 5/3.
+HUGE_SEED = ",".join(("1e300", "-1e300")[n % 2] for n in range(7))
+
+FRACTIONAL_DOCUMENT = {**INVERSE_DOCUMENT,
+                       "exponents": {"alpha": "1/1", "beta": "3/5", "gamma": "5/3"}}
+# |d_n| = 16 * 2^-n falls below eps_sign = 1e-12 at n = 44: exit 3.
+FADING_D_DOCUMENT = {**INVERSE_DOCUMENT, "d": {"kind": "geometric", "scale": -16.0, "ratio": 0.5}}
+# delta = 0 and p = -1 make the forward pivot 1 + p_n zero: exit 3 at n0 + 4.
+PIVOT_DOCUMENT = {**INVERSE_DOCUMENT, "tau": 1, "p": {"kind": "constant", "value": -1.0},
+                  "d": {"kind": "constant", "value": 1.0}}
+PIVOT_SEED = "1,1,1,1,1"
+# d_n = 0.2595 - 0.001 n is positive on the 256-index validation sample and
+# turns negative at n = 260, so the forward march warns.
+SIGN_BREAK_DOCUMENT = {**INVERSE_DOCUMENT, "tau": 1, "delta": 2, "n0": 2,
+                       "p": {"kind": "constant", "value": 0.0},
+                       "d": {"kind": "affine", "slope": -0.001, "intercept": 0.2595}}
+SIGN_BREAK_SEED = "0.5,0.6,0.7,0.8,0.9,1.0"
+
+DOCUMENTS = {INVERSE_PATH: INVERSE_DOCUMENT, "fractional.json": FRACTIONAL_DOCUMENT,
+             "fading-d.json": FADING_D_DOCUMENT, "pivot.json": PIVOT_DOCUMENT,
+             "sign-break.json": SIGN_BREAK_DOCUMENT}
 
 
 def corpus() -> list[list[str]]:
@@ -64,11 +89,21 @@ def corpus() -> list[list[str]]:
                  ["classify", *common, "--closed-form", INVERSE_FORM],
                  ["classify", "--solve", *common, "--seed-values", INVERSE_SEED]]
         runs += [["check", *common, mode] for mode in CHECKS]
+    for h in HORIZONS:
+        runs += [["solve", INVERSE_PATH, "--horizon", str(h), "--seed-values", HUGE_SEED],
+                 ["solve", "fractional.json", "--horizon", str(h), "--seed-values", INVERSE_SEED],
+                 ["classify", "--solve", "fractional.json", "--horizon", str(h),
+                  "--seed-values", INVERSE_SEED]]
+    runs += [["solve", "fractional.json", "--horizon", "200", "--seed-values", HUGE_SEED],
+             ["solve", "fading-d.json", "--horizon", "200", "--seed-values", INVERSE_SEED],
+             ["solve", "pivot.json", "--horizon", "200", "--seed-values", PIVOT_SEED],
+             ["solve", "sign-break.json", "--horizon", "300", "--seed-values", SIGN_BREAK_SEED]]
     return runs
 
 
 def run_name(index: int, argv: list[str]) -> str:
-    words = [w for w in argv if w not in ("--seed-values", INVERSE_SEED)]
+    words = [w for i, w in enumerate(argv)
+             if w != "--seed-values" and (i == 0 or argv[i - 1] != "--seed-values")]
     label = "_".join(w.lstrip("-").replace("/", "-").replace(":", "-").replace(".json", "")
                      for w in words)
     return f"{index:03d}_{label}"
@@ -76,15 +111,16 @@ def run_name(index: int, argv: list[str]) -> str:
 
 def run(argv: list[str], outdir: str) -> None:
     os.makedirs(outdir)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             status = str(main([*argv, "--out", os.path.join(outdir, "out.json"),
                                "--csv", os.path.join(outdir, "out.csv")]))
         except Exception as exc:  # an escaped exception is part of the observed behaviour
             status = f"exception {type(exc).__name__}"
-    with open(os.path.join(outdir, "stdout.txt"), "w", encoding="utf-8") as fh:
-        fh.write(stdout.getvalue())
+    for name, stream in (("stdout.txt", stdout), ("stderr.txt", stderr)):
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.write(stream.getvalue())
     with open(os.path.join(outdir, "exit.txt"), "w", encoding="utf-8") as fh:
         fh.write(status + "\n")
 
@@ -96,8 +132,9 @@ def main_corpus() -> int:
     os.makedirs(args.outdir)
     # Relative paths keep the reports independent of where OUTDIR lives.
     os.chdir(args.outdir)
-    with open(INVERSE_PATH, "w", encoding="utf-8") as fh:
-        json.dump(INVERSE_DOCUMENT, fh, indent=2)
+    for path, document in DOCUMENTS.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2)
     runs = corpus()
     for index, argv in enumerate(runs):
         run(argv, run_name(index, argv))

@@ -256,14 +256,19 @@ def check_quick_exclusion(eq: EquationSpec, horizon: int = 256) -> ConditionRepo
     """
     span = f"[{eq.n0}, {eq.n0 + horizon - 1}]"
     entries = []
-    bad = _scan_sequence(eq.p, eq.n0, horizon, lambda v: v >= 0.0)
-    if bad is None:
-        entries.append(ConditionEntry("p-nonnegative", CheckStatus.HOLDS_ON_SAMPLE, True,
-                                      f"p >= 0 on sample {span}"))
+    try:
+        bad = _scan_sequence(eq.p, eq.n0, horizon, lambda v: v >= 0.0)
+    except SequenceDomainError as exc:
+        entries.append(ConditionEntry("p-nonnegative", CheckStatus.NOT_CHECKABLE, None,
+                                      f"p not evaluable on sample {span}: {exc}"))
     else:
-        entries.append(ConditionEntry("p-nonnegative", CheckStatus.FAILS_AT_INDEX, False,
-                                      f"p({bad}) = {eq.p.at(bad)!r} < 0 on sample {span}",
-                                      fail_index=bad))
+        if bad is None:
+            entries.append(ConditionEntry("p-nonnegative", CheckStatus.HOLDS_ON_SAMPLE, True,
+                                          f"p >= 0 on sample {span}"))
+        else:
+            entries.append(ConditionEntry("p-nonnegative", CheckStatus.FAILS_AT_INDEX, False,
+                                          f"p({bad}) = {eq.p.at(bad)!r} < 0 on sample {span}",
+                                          fail_index=bad))
     d_entry, d_sign = _d_sign_entry(eq, horizon)
     entries.append(d_entry)
     delta_even = eq.delta % 2 == 0

@@ -26,7 +26,7 @@ from .analysis import (
     p_tail,
     sign_conflict_certificate,
 )
-from .document import build_equation
+from .document import build_equation, load_document
 from .errors import (
     DocumentError,
     HypothesisViolation,
@@ -135,13 +135,7 @@ def _load_document(args) -> tuple[dict, str]:
             text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {ref!r}: {exc}") from None
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}", "$") from None
-    if not isinstance(document, dict):
-        raise DocumentError("top level must be an object", "$")
-    return document, ref
+    return load_document(text), ref
 
 
 def _load_equation(args) -> tuple[EquationSpec, str]:

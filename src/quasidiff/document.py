@@ -142,12 +142,17 @@ def build_equation(document: dict) -> EquationSpec:
         raise DocumentError(f"invalid equation: {exc}", "$") from None
 
 
-def parse_equation_document(text: str) -> EquationSpec:
-    """Parse JSON text into a validated EquationSpec."""
+def load_document(text: str) -> dict:
+    """Decode JSON text into a document object, not yet validated as an equation."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}", "$") from None
     if not isinstance(document, dict):
         raise DocumentError("top level must be an object", "$")
-    return build_equation(document)
+    return document
+
+
+def parse_equation_document(text: str) -> EquationSpec:
+    """Parse JSON text into a validated EquationSpec."""
+    return build_equation(load_document(text))

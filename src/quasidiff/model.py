@@ -343,7 +343,8 @@ class EquationSpec:
     n0 >= max(1, delta, tau).  The excluded case tau == min(-4, delta - 4)
     (where the recursion defines nothing) is rejected here, so the solvers
     never see it.  Positivity of a, b, c and one-signedness of d are checked
-    on a sampled prefix, not proven.
+    on a sampled prefix, not proven; a sequence that cannot be evaluated on
+    that prefix is rejected.
     """
 
     alpha: OddRatio
@@ -375,12 +376,17 @@ class EquationSpec:
             lo = getattr(self, name).min_index
             if lo is not None and lo > self.n0:
                 raise ValueError(f"sequence {name} not evaluable from n0 = {self.n0} (starts at {lo})")
-        for name in ("a", "b", "c"):
-            seq = getattr(self, name)
-            for n in range(self.n0, self.n0 + VALIDATION_SAMPLE):
-                if not seq.at(n) > 0.0:
-                    raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
-        bad, _ = sign_break(self.d, self.n0, VALIDATION_SAMPLE)
+        try:
+            for name in ("a", "b", "c"):
+                seq = getattr(self, name)
+                for n in range(self.n0, self.n0 + VALIDATION_SAMPLE):
+                    if not seq.at(n) > 0.0:
+                        raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
+            name = "d"
+            bad, _ = sign_break(self.d, self.n0, VALIDATION_SAMPLE)
+        except SequenceDomainError as exc:
+            raise ValueError(f"sequence {name} not evaluable on the validation sample "
+                             f"[{self.n0}, {self.n0 + VALIDATION_SAMPLE - 1}]: {exc}") from None
         if bad is not None:
             v = self.d.at(bad)
             if sign_of(v) == 0:
@@ -467,6 +473,13 @@ def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
     return power if v > 0 else -power
 
 
+def difference_column(coeff: SequenceSpec, prev, e: OddRatio, lo: int,
+                      num: Callable = float, power: Callable = _xpow) -> list:
+    """The next staircase column after prev (which starts at index lo):
+    coeff_m * (prev_{m+1} - prev_m)**e for m = lo .. lo + len(prev) - 2."""
+    return [num(coeff.at(lo + i)) * power(prev[i + 1] - prev[i], e) for i in range(len(prev) - 1)]
+
+
 def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
               num: Callable = float, power: Callable = _xpow) -> tuple[list, list, list, list]:
     """The chain columns z on [lo, hi], y on [lo, hi-1], w on [lo, hi-2], t on [lo, hi-3].
@@ -476,14 +489,11 @@ def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
     values; `power` is the signed power of that type (the totalized `_xpow`
     for float, `_dec_spow` for Decimal under the caller's context).
     """
-    def difference_column(coeff: SequenceSpec, prev: list, e: OddRatio) -> list:
-        return [num(coeff.at(lo + i)) * power(prev[i + 1] - prev[i], e) for i in range(len(prev) - 1)]
-
     p, delta = eq.p, eq.delta
     z = [xs[j - x0] + num(p.at(j)) * xs[j - delta - x0] for j in range(lo, hi + 1)]
-    y = difference_column(eq.c, z, eq.gamma)
-    w = difference_column(eq.b, y, eq.beta)
-    return z, y, w, difference_column(eq.a, w, eq.alpha)
+    y = difference_column(eq.c, z, eq.gamma, lo, num, power)
+    w = difference_column(eq.b, y, eq.beta, lo, num, power)
+    return z, y, w, difference_column(eq.a, w, eq.alpha, lo, num, power)
 
 
 def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -> tuple[list, int]:

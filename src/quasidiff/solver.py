@@ -1,10 +1,11 @@
 """Trajectory production by exact recursion on the quasidifference system.
 
-The equation D t_n = -d_n * f(x_{n-tau}) is marched one index at a time.  In
-forward mode (tau > min(-4, delta - 4)) the new t is unwound through the
+The equation D t_n = -d_n * f(x_{n-tau}) is marched one index at a time by
+one loop, which carries the chain frontier (t_n, w_{n+1}, y_{n+2}, z_{n+3}).
+In forward mode (tau > min(-4, delta - 4)) the new t is unwound through the
 chain with inverse signed powers to reach the next x; in inverse mode
-(tau < min(-4, delta - 4)) the chain is computed directly from known x
-values and the far-ahead x_{n-tau} is read off through the inverse of f.
+(tau < min(-4, delta - 4)) the chain advances over known x values and the
+far-ahead x_{n-tau} is read off through the inverse of f.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import NumericRangeError, PivotError
-from .model import EquationSpec, chain_windows, max_relative_residual, sign_of, staircase
+from .model import (EquationSpec, chain_windows, difference_column, max_relative_residual,
+                    sign_of, staircase)
 from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow
 from .windows import Window
 
@@ -42,7 +45,6 @@ class Trajectory:
     w: Window | None = None
     t: Window | None = None
     truncated: bool = False
-    truncation_index: int | None = None
     warnings: tuple[str, ...] = ()
     max_rel_residual: float | None = None
 
@@ -53,6 +55,11 @@ class Trajectory:
     @property
     def n_end(self) -> int:
         return self.x.end
+
+    @property
+    def truncation_index(self) -> int | None:
+        """The first index a truncated march did not produce; None when not truncated."""
+        return self.x.end + 1 if self.truncated else None
 
     def __len__(self) -> int:
         return len(self.x)
@@ -84,107 +91,71 @@ def _check_seed(seed: Window, lo: int, hi: int, mode: str) -> None:
 
 
 def _finalize(eq: EquationSpec, xs: list[float], start: int, provenance: Provenance,
-              truncated: bool = False, truncation_index: int | None = None,
-              d_break: int | None = None) -> Trajectory:
+              truncated: bool = False, d_break: int | None = None) -> Trajectory:
     """Wrap x with its chain and residual; d_break is where the solver saw d leave its sign."""
     x = Window(start, tuple(xs))
     # chain_windows needs z on at least four indices
     z, y, w, t = chain_windows(eq, x) if len(x) >= 4 + abs(eq.delta) else (None,) * 4
     worst, _ = max_relative_residual(eq, x)
     warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
-    return Trajectory(
-        x=x,
-        provenance=provenance,
-        z=z,
-        y=y,
-        w=w,
-        t=t,
-        truncated=truncated,
-        truncation_index=truncation_index,
-        warnings=warnings,
-        max_rel_residual=worst,
-    )
+    return Trajectory(x=x, provenance=provenance, z=z, y=y, w=w, t=t, truncated=truncated,
+                      warnings=warnings, max_rel_residual=worst)
 
 
-def solve_forward(eq: EquationSpec, seed: Window, horizon: int,
-                  tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Trajectory:
-    """March the recursion forward for `horizon` steps from a seeded x history.
+def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) -> Trajectory:
+    """Run `horizon` steps of the regime's step rule from a seeded x history.
 
-    Each step advances the staircase t -> w -> y -> z -> x by one index:
-    t_{n+1} = t_n - d_n f(x_{n-tau}), then the chain is unwound with inverse
-    signed powers, then x_{n+4} = z_{n+4} - p_{n+4} x_{n+4-delta} (a division
-    by 1 + p when delta = 0, guarded against near-zero pivots).
+    The step at n moves the frontier (t_n, w_{n+1}, y_{n+2}, z_{n+3}) on by one
+    index and appends x_{n+4} (forward) or x_{n-tau} (inverse).  A non-finite
+    value ends the march, truncated at the index of the x it failed to produce.
     """
-    if not eq.forward_mode:
-        raise ValueError(f"tau = {eq.tau} is not in the forward regime for delta = {eq.delta}")
-    if eq.delta < 0:
-        raise ValueError("forward mode does not support advanced neutral terms (delta < 0)")
+    forward = eq.forward_mode
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    lo, hi = forward_seed_span(eq)
-    _check_seed(seed, lo, hi, "forward")
+    lo, hi = forward_seed_span(eq) if forward else inverse_seed_span(eq)
+    _check_seed(seed, lo, hi, "forward" if forward else "inverse")
 
-    n0 = eq.n0
+    n0, start = eq.n0, seed.start
     xs = list(seed.values)
-    start = seed.start
-
-    def x_at(n: int) -> float:
-        return xs[n - start]
-
     # Chain state at the frontier, derived from the seed rather than accepted
     # as independent inputs, so the staircase is consistent by construction.
     z, y, w, t = staircase(eq, xs, start, n0, n0 + 3)
-    if not all(map(math.isfinite, [*z, *y, *w, *t])):
+    if forward and not all(map(math.isfinite, [*z, *y, *w, *t])):
         raise NumericRangeError("seed chain not finite", index=n0)
-
-    inverse_exponents = (eq.alpha.reciprocal(), eq.beta.reciprocal(), eq.gamma.reciprocal())
+    frontier = (t[0], w[1], y[2], z[3])
+    step = (partial(_forward_step, (eq.alpha.reciprocal(), eq.beta.reciprocal(), eq.gamma.reciprocal()))
+            if forward else _inverse_step)
     d_sign = eq.d_sign()
     d_break: int | None = None
-    truncated = False
-    truncation_index: int | None = None
-
-    # z, y, w, t lists are indexed from n0; their frontiers sit at
-    # n0+3, n0+2, n0+1, n0 respectively and advance in lockstep.
     for n in range(n0, n0 + horizon):
         d_n = eq.d.at(n)
         if d_break is None and sign_of(d_n) != d_sign:
             d_break = n
-        step = _forward_step(eq, tol, inverse_exponents, n, x_at, d_n, t[n - n0], w[n + 1 - n0],
-                             y[n + 2 - n0], z[n + 3 - n0])
-        if step is None:
-            truncated = True
-            truncation_index = n + 4
+        advanced = step(eq, tol, n, d_n, xs, start, frontier)
+        if advanced is None:
             break
-        t_next, w_next, y_next, z_next, x_next = step
-        t.append(t_next)
-        w.append(w_next)
-        y.append(y_next)
-        z.append(z_next)
+        x_next, frontier = advanced
         xs.append(x_next)
-
-    return _finalize(eq, xs, start, Provenance.FORWARD, truncated, truncation_index, d_break)
-
-
-def _safe_div(value: float, divisor: float, index: int) -> float:
-    try:
-        return value / divisor
-    except ZeroDivisionError:
-        raise NumericRangeError(f"division by zero coefficient at n = {index}", index=index) from None
+    provenance = Provenance.FORWARD if forward else Provenance.INVERSE
+    return _finalize(eq, xs, start, provenance, advanced is None, d_break)
 
 
 def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float | None:
-    ratio = _safe_div(value, coeff, index)
+    try:
+        ratio = value / coeff
+    except ZeroDivisionError:
+        raise NumericRangeError(f"division by zero coefficient at n = {index}", index=index) from None
     if not math.isfinite(ratio):
         return None
     return spow(ratio, inverse_exponent)
 
 
-def _forward_step(eq: EquationSpec, tol: ToleranceProfile, inverse_exponents, n: int, x_at,
-                  d_n: float, t_n: float, w_n1: float, y_n2: float, z_n3: float):
-    """One staircase advance; None signals a non-finite intermediate (truncate)."""
+def _forward_step(inverse_exponents, eq: EquationSpec, tol: ToleranceProfile, n: int,
+                  d_n: float, xs: list[float], start: int, frontier):
+    """(x_{n+4}, the next frontier) as solve_forward describes; None at a non-finite value."""
+    t_n, w_n1, y_n2, z_n3 = frontier
     inv_alpha, inv_beta, inv_gamma = inverse_exponents
-    forcing = d_n * eq.f.apply(x_at(n - eq.tau))
-    t_next = t_n - forcing
+    t_next = t_n - d_n * eq.f.apply(xs[n - eq.tau - start])
     if not math.isfinite(t_next):
         return None
     dw = _unwind(t_next, eq.a.at(n + 1), inv_alpha, n + 1)
@@ -202,10 +173,46 @@ def _forward_step(eq: EquationSpec, tol: ToleranceProfile, inverse_exponents, n:
             raise PivotError(n + 4, pivot)
         x_next = z_next / pivot
     else:
-        x_next = z_next - eq.p.at(n + 4) * x_at(n + 4 - eq.delta)
+        x_next = z_next - eq.p.at(n + 4) * xs[n + 4 - eq.delta - start]
     if not math.isfinite(x_next):
         return None
-    return t_next, w_next, y_next, z_next, x_next
+    return x_next, (t_next, w_next, y_next, z_next)
+
+
+def _inverse_step(eq: EquationSpec, tol: ToleranceProfile, n: int,
+                  d_n: float, xs: list[float], start: int, frontier):
+    """(x_{n-tau}, the next frontier): z_{n+4}, y_{n+3}, w_{n+2} and t_{n+1} from known x,
+    then x_{n-tau} = f^{-1}(-D t_n / d_n).  None at a non-finite value."""
+    if abs(d_n) <= tol.eps_sign:
+        raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
+    t_n, w_n1, y_n2, z_n3 = frontier
+    z_next = xs[n + 4 - start] + eq.p.at(n + 4) * xs[n + 4 - eq.delta - start]
+    y_next, = difference_column(eq.c, (z_n3, z_next), eq.gamma, n + 3)
+    w_next, = difference_column(eq.b, (y_n2, y_next), eq.beta, n + 2)
+    t_next, = difference_column(eq.a, (w_n1, w_next), eq.alpha, n + 1)
+    dt = t_next - t_n
+    if not math.isfinite(dt):
+        return None
+    x_next = eq.f.invert(-dt / d_n)
+    if not math.isfinite(x_next):
+        return None
+    return x_next, (t_next, w_next, y_next, z_next)
+
+
+def solve_forward(eq: EquationSpec, seed: Window, horizon: int,
+                  tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Trajectory:
+    """March the recursion forward for `horizon` steps from a seeded x history.
+
+    Each step advances the staircase t -> w -> y -> z -> x by one index:
+    t_{n+1} = t_n - d_n f(x_{n-tau}), then the chain is unwound with inverse
+    signed powers, then x_{n+4} = z_{n+4} - p_{n+4} x_{n+4-delta} (a division
+    by 1 + p when delta = 0, guarded against near-zero pivots).
+    """
+    if not eq.forward_mode:
+        raise ValueError(f"tau = {eq.tau} is not in the forward regime for delta = {eq.delta}")
+    if eq.delta < 0:
+        raise ValueError("forward mode does not support advanced neutral terms (delta < 0)")
+    return _march(eq, seed, horizon, tol)
 
 
 def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
@@ -220,39 +227,7 @@ def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
         raise ValueError(f"tau = {eq.tau} is not in the inverse regime for delta = {eq.delta}")
     if not eq.f.invertible:
         raise ValueError("inverse mode requires an invertible nonlinearity")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    lo, hi = inverse_seed_span(eq)
-    _check_seed(seed, lo, hi, "inverse")
-
-    n0 = eq.n0
-    xs = list(seed.values)
-    start = seed.start
-    d_sign = eq.d_sign()
-    d_break: int | None = None
-    truncated = False
-    truncation_index: int | None = None
-
-    for n in range(n0, n0 + horizon):
-        d_n = eq.d.at(n)
-        if d_break is None and sign_of(d_n) != d_sign:
-            d_break = n
-        if abs(d_n) <= tol.eps_sign:
-            raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
-        t = staircase(eq, xs, start, n, n + 4)[3]
-        dt = t[1] - t[0]
-        if not math.isfinite(dt):
-            truncated = True
-            truncation_index = n - eq.tau
-            break
-        x_new = eq.f.invert(-dt / d_n)
-        if not math.isfinite(x_new):
-            truncated = True
-            truncation_index = n - eq.tau
-            break
-        xs.append(x_new)
-
-    return _finalize(eq, xs, start, Provenance.INVERSE, truncated, truncation_index, d_break)
+    return _march(eq, seed, horizon, tol)
 
 
 def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:

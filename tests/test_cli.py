@@ -220,3 +220,42 @@ def test_verify_requires_closed_form_for_files(tmp_path, capsys):
     code, _, err = run(["verify", str(path), "--horizon", "20"], capsys)
     assert code == 2
     assert "closed form" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "error: $: not valid JSON: "),
+    ("[1, 2]", "error: $: top level must be an object\n"),
+])
+def test_undecodable_document_file_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text(text)
+    code, _, err = run(["solve", str(path), "--seed-values", "1"], capsys)
+    assert code == 2
+    assert err.startswith(message)
+
+
+def short_table_document(tmp_path, name, value):
+    doc = qd.example_document("example-3")
+    doc[name] = {"kind": "table", "values": [value] * 40, "start": doc["n0"], "out_of_range": "error"}
+    path = tmp_path / f"short-{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--horizon", "20", "--closed-form", "geometric:1,0.5"],
+    ["check", "--quick-exclusion"],
+])
+def test_short_d_table_is_a_document_error(argv, tmp_path, capsys):
+    path = short_table_document(tmp_path, "d", 1.0)
+    code, _, err = run([argv[0], path, *argv[1:]], capsys)
+    assert code == 2
+    assert err.startswith("error: $: invalid equation: sequence d not evaluable on the "
+                          "validation sample [2, 257]: table ends at 41, asked for 42")
+
+
+def test_short_p_table_is_not_checkable_for_quick_exclusion(tmp_path, capsys):
+    code, out, _ = run(["check", short_table_document(tmp_path, "p", 0.25), "--quick-exclusion"], capsys)
+    assert code == 1
+    assert "[   ?] p-nonnegative (not-checkable): p not evaluable on sample [2, 257]: table ends at 41" in out
+    assert "conclusion: hypotheses not satisfied" in out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import quasidiff as qd
 from quasidiff import model
 from quasidiff.model import RESIDUAL_BLOCK, staircase
-from support import plain_equation
+from support import inverse_fixture, plain_equation, seeded_forward
 
 
 def per_index_max(eq, x):
@@ -103,3 +103,112 @@ def test_block_residual_property(values, delta, tau, beta, gamma, p, c):
                         p=qd.Constant(p), c=qd.Constant(c))
     x = qd.Window(eq.n0, tuple(values))
     assert qd.max_relative_residual(eq, x) == per_index_max(eq, x)
+
+
+# ---------------------------------------------------------------------------
+# The march: one loop over a rolling chain frontier
+# ---------------------------------------------------------------------------
+
+
+def replay_inverse(eq, seed, horizon, eps_sign=1e-12):
+    """The inverse march recomputing the staircase on [n, n+4] at every step,
+    then x_{n-tau} = f^{-1}(-D t_n / d_n): (x values, truncated)."""
+    xs = list(seed.values)
+    for n in range(eq.n0, eq.n0 + horizon):
+        d_n = eq.d.at(n)
+        if abs(d_n) <= eps_sign:
+            raise qd.NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
+        t = staircase(eq, xs, seed.start, n, n + 4)[3]
+        dt = t[1] - t[0]
+        if not math.isfinite(dt):
+            return xs, True
+        x_new = eq.f.invert(-dt / d_n)
+        if not math.isfinite(x_new):
+            return xs, True
+        xs.append(x_new)
+    return xs, False
+
+
+def outcome(run):
+    """(x values as float.hex, truncated), or the exception a run raised."""
+    try:
+        xs, truncated = run()
+    except (ValueError, ArithmeticError, qd.QuasidiffError) as exc:
+        return type(exc).__name__, str(exc)
+    return [v.hex() for v in xs], truncated
+
+
+def assert_inverse_matches_replay(eq, seed, horizon):
+    def solved():
+        traj = qd.solve_inverse(eq, seed, horizon)
+        assert traj.truncation_index == (traj.n_end + 1 if traj.truncated else None)
+        return traj.x.values, traj.truncated
+
+    assert outcome(solved) == outcome(lambda: replay_inverse(eq, seed, horizon))
+
+
+@pytest.mark.parametrize("horizon", [200, 2000])
+def test_inverse_march_equals_replay_on_corpus_document(horizon):
+    # the 2^-n equation of scripts/report_corpus.py
+    eq, form = inverse_fixture()
+    lo, hi = qd.inverse_seed_span(eq)
+    assert_inverse_matches_replay(eq, qd.Window.from_evaluator(form, lo, hi), horizon)
+
+
+FRACTIONAL_EXPONENTS = st.sampled_from([qd.OddRatio(1), qd.OddRatio(3), qd.OddRatio(1, 3),
+                                        qd.OddRatio(3, 5), qd.OddRatio(5, 3)])
+POSITIVE_AFFINE = st.builds(qd.Affine, st.floats(0.0, 0.5), st.floats(0.1, 10.0))
+
+
+@st.composite
+def inverse_problems(draw):
+    delta = draw(st.integers(min_value=-2, max_value=2))
+    tau = min(-4, delta - 4) - draw(st.integers(min_value=1, max_value=3))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    d = draw(POSITIVE_AFFINE)
+    eq = plain_equation(
+        alpha=draw(FRACTIONAL_EXPONENTS), beta=draw(FRACTIONAL_EXPONENTS),
+        gamma=draw(FRACTIONAL_EXPONENTS), tau=tau, delta=delta,
+        p=qd.Affine(draw(st.floats(-0.1, 0.1)), draw(st.floats(-2.0, 2.0))),
+        d=qd.Affine(sign * d.slope, sign * d.intercept),
+        a=draw(POSITIVE_AFFINE), b=draw(POSITIVE_AFFINE), c=draw(POSITIVE_AFFINE),
+        f=qd.OddPowerMap(draw(st.floats(0.5, 2.0)), draw(FRACTIONAL_EXPONENTS)),
+    )
+    lo, hi = qd.inverse_seed_span(eq)
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=hi - lo + 1, max_size=hi - lo + 1))
+    return eq, qd.Window(lo, tuple(values)), draw(st.integers(min_value=1, max_value=60))
+
+
+@given(inverse_problems())
+@settings(max_examples=80, deadline=None)
+def test_inverse_march_equals_replay_property(problem):
+    assert_inverse_matches_replay(*problem)
+
+
+def huge_seed(lo, hi):
+    return qd.Window(lo, tuple((1e300, -1e300)[n % 2] for n in range(lo, hi + 1)))
+
+
+def test_forward_seed_chain_not_finite_raises():
+    eq = plain_equation(delta=2, tau=1, gamma=qd.OddRatio(3))
+    with pytest.raises(qd.NumericRangeError, match="seed chain not finite") as err:
+        qd.solve_forward(eq, huge_seed(*qd.forward_seed_span(eq)), 10)
+    assert err.value.index == eq.n0
+
+
+def test_inverse_huge_seed_truncates_at_the_first_step():
+    eq = plain_equation(tau=-7, delta=0, p=qd.Constant(1.0), d=qd.Constant(-16.0),
+                        gamma=qd.OddRatio(3), n0=1)
+    seed = huge_seed(*qd.inverse_seed_span(eq))
+    traj = qd.solve_inverse(eq, seed, 10)
+    assert traj.truncated
+    assert traj.truncation_index == eq.n0 - eq.tau == traj.n_end + 1
+    assert traj.x.values == seed.values
+
+
+def test_forward_truncation_index_is_the_first_index_not_produced():
+    eq = qd.example_equation("example-1")
+    form = qd.example_closed_form("example-1")
+    traj = seeded_forward(eq, form, 1100)
+    assert traj.truncated and traj.truncation_index == traj.n_end + 1
+    assert seeded_forward(eq, form, 100).truncation_index is None
