@@ -8,7 +8,10 @@ covers solve, verify, classify, classify --solve and the four check modes on
 the bundled examples and on an inverse-regime document whose exact solution
 is 2^-n, plus the solver's edge paths: an inverse march that truncates, one
 stopped by a near-zero d, one with fractional exponents, a forward march
-stopped by a zero pivot and one that warns that d left its sign.
+stopped by a zero pivot and one that warns that d left its sign.  It also
+forces each certificate parity on every example, and verifies the negated
+closed forms of the alternating examples (the equation is odd in x, so they
+are exact solutions too).
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -50,6 +53,9 @@ INVERSE_FORM = "geometric:1,0.5"
 # Alternating 1e300 values overflow the chain: at n = 164 on the
 # unit-exponent document, at the first step where gamma = 5/3.
 HUGE_SEED = ",".join(("1e300", "-1e300")[n % 2] for n in range(7))
+# -x_n of the alternating examples 1, 2 and 4.
+NEGATED_FORMS = {"example-1": "alternating:-1,2", "example-2": "alternating:-1,1",
+                 "example-4": "alternating:-0.1,1"}
 
 FRACTIONAL_DOCUMENT = {**INVERSE_DOCUMENT,
                        "exponents": {"alpha": "1/1", "beta": "3/5", "gamma": "5/3"}}
@@ -98,6 +104,14 @@ def corpus() -> list[list[str]]:
              ["solve", "fading-d.json", "--horizon", "200", "--seed-values", INVERSE_SEED],
              ["solve", "pivot.json", "--horizon", "200", "--seed-values", PIVOT_SEED],
              ["solve", "sign-break.json", "--horizon", "300", "--seed-values", SIGN_BREAK_SEED]]
+    for name in EXAMPLES:
+        for beta in BETAS:
+            for lam in LAMBDAS:
+                common = [name, "--beta", beta, "--lambda", str(lam), "--horizon", "200"]
+                runs += [["check", *common, "--certificate", "--parity", parity]
+                         for parity in ("even", "odd")]
+                if name in NEGATED_FORMS:
+                    runs.append(["verify", *common, "--closed-form", NEGATED_FORMS[name]])
     return runs
 
 

@@ -48,17 +48,17 @@ def exclusion_lines(name: str) -> None:
     eq = qd.example_equation(name)
     report = qd.check_quick_exclusion(eq)
     print(f"  quick-oscillation exclusion: {report.conclusion}")
-    if report.excluded_parity is None:
+    if not report.alternation_excluded:
         return
-    rngq = random.Random(0)
-    valid = 0
     windows = 50
-    for _ in range(windows):
-        q = qd.Window(eq.n0, tuple(10.0 ** rngq.uniform(-3, 3) for _ in range(16)))
-        cert = qd.sign_conflict_certificate(eq, q, report.excluded_parity)
-        valid += cert.valid
-    print(f"  sign-conflict certificates ({report.excluded_parity.value}): "
-          f"{valid}/{windows} valid on random positive magnitude windows")
+    for parity in qd.QuickParity:
+        rngq = random.Random(0)
+        valid = 0
+        for _ in range(windows):
+            q = qd.Window(eq.n0, tuple(10.0 ** rngq.uniform(-3, 3) for _ in range(16)))
+            valid += qd.sign_conflict_certificate(eq, q, parity).valid
+        print(f"  sign-conflict certificates ({parity.value}): "
+              f"{valid}/{windows} valid on random positive magnitude windows")
 
 
 def almost_oscillation_lines(name: str) -> None:
@@ -80,9 +80,8 @@ def main() -> int:
         print(f"{name}: {qd.example_summary(name)}")
         all_ok &= verify_line(name, args.horizon)
         classify_line(name, args.horizon)
-        if name in ("example-1", "example-2"):
-            exclusion_lines(name)
-        else:
+        exclusion_lines(name)
+        if name in ("example-3", "example-4"):
             almost_oscillation_lines(name)
         print()
     return 0 if all_ok else 1

@@ -6,10 +6,11 @@ tail-stabilization heuristics, and series divergence is a three-valued
 partial-sum probe.  The two certificate constructions are exceptions - they
 are exact, index-by-index checkable objects:
 
-* the sign-conflict certificate shows that an alternating candidate
-  x_n = +-(-1)^n q_n with one-signed positive q forces opposite signs on the
-  two sides of D t_n = -d_n f(x_{n-tau}) at every index, so no such solution
-  exists with that parity;
+* the sign-conflict certificate runs the staircase on an alternating
+  candidate x_n = +-(-1)^n q_n with positive q and shows opposite signs on
+  the two sides of D t_n = -d_n f(x_{n-tau}) at every index, so no such
+  solution exists.  The equation is odd in x, so the conflict holds for both
+  parities or for neither;
 * the companion bound certificate reconstructs x from a bounded companion
   sequence z and certifies max |x_n| <= K + L/(1-P) with P = (1+|p|)/2.
 """
@@ -22,14 +23,20 @@ from enum import Enum
 from typing import Callable
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import CustomMap, EquationSpec, SequenceSpec, derive_coefficients, sign_break
-from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow
+from .model import CustomMap, EquationSpec, SequenceSpec, derive_coefficients, sign_break, staircase
+from .numerics import DEFAULT_TOLERANCE, ToleranceProfile
 from .solver import Trajectory
 from .windows import Window
 
 # ---------------------------------------------------------------------------
 # Trajectory classification
 # ---------------------------------------------------------------------------
+
+
+# The alternation test's zero band is eps_sign times the largest |x| among
+# each value and the ones just before it, so a fast-growing or fast-decaying
+# alternation is not lost in a band taken from a far-away peak.
+ALTERNATION_ENVELOPE = 4
 
 
 class VerdictKind(str, Enum):
@@ -120,7 +127,9 @@ def classify(t: Trajectory, tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Verdic
     one-signed suffix is nonoscillatory; strict sign alternation at every
     consecutive pair is quickly oscillatory and yields the decomposition
     q_n = (-1)^n x_n; any other mix of signs is oscillatory; values pinned
-    inside the zero band leave the verdict undetermined.  tends_to_zero is
+    inside the zero band leave the verdict undetermined.  The zero band of
+    the alternation test is local: eps_sign times the peak |x| over each
+    value and the ALTERNATION_ENVELOPE - 1 values before it.  tends_to_zero is
     decay evidence (never proof): window thirds with non-increasing peaks
     and a final value below eps_limit relative to the initial peak.
     """
@@ -142,10 +151,12 @@ def classify(t: Trajectory, tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Verdic
         return Verdict(VerdictKind.NONOSC_NEGATIVE, tends, suffix_start=suffix.start)
     if census == "mixed":
         values = suffix.values
-        alternating = all(abs(v) > zero_tol for v in values) and all(
-            (values[i] > 0.0) == (values[i + 1] < 0.0) for i in range(len(values) - 1)
-        )
-        if alternating:
+        mags = [abs(v) for v in values]
+        # lagged[k][i] = |x| k values before values[i], or 0 before the suffix
+        lagged = ([0.0] * k + mags[:len(mags) - k] for k in range(ALTERNATION_ENVELOPE))
+        if all((values[i] > 0.0) == (values[i + 1] < 0.0) for i in range(len(values) - 1)) and all(
+            m > tol.eps_sign * peak for m, peak in zip(mags, map(max, *lagged))
+        ):
             q = Window(suffix.start,
                        tuple((v if n % 2 == 0 else -v) for n, v in suffix.items()))
             parity = QuickParity.EVEN_POSITIVE if q.values[0] > 0 else QuickParity.ODD_POSITIVE
@@ -191,7 +202,7 @@ class ConditionReport:
     title: str
     entries: tuple[ConditionEntry, ...]
     conclusion: str
-    excluded_parity: QuickParity | None = None
+    alternation_excluded: bool = False
 
     @property
     def all_hold(self) -> bool:
@@ -209,7 +220,7 @@ class ConditionReport:
             "entries": [e.to_dict() for e in self.entries],
             "all_hold": self.all_hold,
             "conclusion": self.conclusion,
-            "excluded_parity": self.excluded_parity.value if self.excluded_parity else None,
+            "alternation_excluded": self.alternation_excluded,
         }
 
 
@@ -247,12 +258,14 @@ def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
 
 
 def check_quick_exclusion(eq: EquationSpec, horizon: int = 256) -> ConditionReport:
-    """Hypotheses under which alternating solutions of one parity cannot exist.
+    """Hypotheses under which alternating solutions cannot exist.
 
     Requires p_n >= 0 and one-signed d on the sampled prefix, even delta, and
-    the sign condition on f.  With d > 0: even tau excludes candidates with
-    positive even terms, odd tau excludes positive odd terms.  With d < 0 the
-    excluded parity flips (the mirror branch).
+    the sign condition on f.  For x_n = +-(-1)^n q_n with q > 0, D t_n has
+    the sign +-(-1)^n and -d_n f(x_{n-tau}) the sign -+sgn(d)(-1)^(n+tau), so
+    when the hypotheses hold, alternating solutions are excluded exactly when
+    sgn(d)(-1)^tau = +1, for both parities at once (the equation is odd in
+    x, so -x solves it whenever x does), and otherwise for neither.
     """
     span = f"[{eq.n0}, {eq.n0 + horizon - 1}]"
     entries = []
@@ -281,20 +294,16 @@ def check_quick_exclusion(eq: EquationSpec, horizon: int = 256) -> ConditionRepo
     entries.append(_sign_condition_entry(eq))
 
     report_entries = tuple(entries)
-    all_hold = all(e.satisfied is True for e in report_entries)
-    excluded: QuickParity | None = None
+    excluded = False
     conclusion = "hypotheses not satisfied; no exclusion follows"
-    if all_hold:
+    if all(e.satisfied is True for e in report_entries):
         tau_even = eq.tau % 2 == 0
-        if d_sign > 0:
-            excluded = QuickParity.EVEN_POSITIVE if tau_even else QuickParity.ODD_POSITIVE
-            branch = "d > 0"
-        else:
-            excluded = QuickParity.ODD_POSITIVE if tau_even else QuickParity.EVEN_POSITIVE
-            branch = "d < 0 (mirror branch)"
-        which = "even" if excluded is QuickParity.EVEN_POSITIVE else "odd"
-        conclusion = (f"no quickly oscillatory solutions with positive {which} terms "
-                      f"(tau = {eq.tau} is {'even' if tau_even else 'odd'}, {branch})")
+        excluded = d_sign * (1 if tau_even else -1) > 0
+        why = (f"d {'>' if d_sign > 0 else '<'} 0 and tau = {eq.tau} is {'even' if tau_even else 'odd'}, "
+               f"so sgn(d)(-1)^tau = {'+1' if excluded else '-1'}")
+        conclusion = (f"no quickly oscillatory solutions with positive even or positive odd terms ({why})"
+                      if excluded else
+                      f"hypotheses hold, but no alternating solutions are excluded ({why})")
     return ConditionReport("quick-oscillation exclusion", report_entries, conclusion, excluded)
 
 
@@ -465,16 +474,13 @@ def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000,
 class ContradictionCertificate:
     """Index-by-index sign conflict for an alternating candidate.
 
-    The chain magnitudes dz_mag, y_mag, w_mag, t_mag are built from the
-    positive window q through the quotient formulas of the system (s, then
-    r = (s/C)^gamma, l = ((r+r')/B)^beta, g = ((l+l')/A)^alpha), and the two
-    sides of the alternation identity are evaluated per index:
-    chain_side_n = (-1)^(n+1) (t_mag_{n+1} + t_mag_n) and
-    forcing_side_n = d_n f(x_{n-tau}) with the candidate x carrying the
-    requested parity.  The certificate is valid exactly when the magnitudes
-    are strictly positive and the two sides have opposite signs at every
-    certified index, so each excluded-parity branch is checkable index by
-    index.
+    dz_mag, y_mag, w_mag, t_mag hold the staircase columns z, y, w, t of the
+    signed candidate x (covering [n_start, n_end + 4] down to
+    [n_start, n_end + 1]), and the two sides of D t_n = -d_n f(x_{n-tau})
+    are evaluated per index: chain_side_n = -(t_{n+1} - t_n) and
+    forcing_side_n = d_n f(x_{n-tau}).  The certificate is valid exactly when
+    every staircase value is finite and non-zero (chains_positive) and the two
+    sides have opposite signs at every certified index.
     """
 
     parity: QuickParity
@@ -514,9 +520,11 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window,
                               parity: QuickParity) -> ContradictionCertificate:
     """Build the sign-conflict certificate for candidate x_n = +-(-1)^n q_n.
 
-    Refused (HypothesisViolation) unless the quick-exclusion hypotheses hold
-    for the equation and q is strictly positive on its window.  The window
-    must reach delta (and tau) indices behind and four ahead of the certified
+    The candidate has positive terms at the indices of the given parity, and
+    its chain comes from model.staircase.  Refused (HypothesisViolation)
+    unless the quick-exclusion hypotheses hold for the equation and q is
+    strictly positive on its window.  The window must reach delta (and tau)
+    indices behind and four (and -tau, and -delta) ahead of the certified
     range.
     """
     report = check_quick_exclusion(eq)
@@ -526,46 +534,28 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window,
     if any(v <= 0.0 for v in q.values):
         raise HypothesisViolation("certificate requires a strictly positive q window")
 
-    n_lo = q.start + max(eq.delta, eq.tau)
-    n_hi = q.end - max(4, -eq.tau)
+    n_lo = q.start + max(eq.delta, eq.tau, 0)
+    n_hi = q.end - max(4 + max(-eq.delta, 0), -eq.tau)
     if n_hi < n_lo:
         raise HypothesisViolation(
             f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]"
         )
 
-    derived = derive_coefficients(eq)
     sigma = 0 if parity is QuickParity.EVEN_POSITIVE else 1
-
-    def x_candidate(m: int) -> float:
-        return q[m] if (m + sigma) % 2 == 0 else -q[m]
-
-    s = Window(n_lo, tuple(
-        q[n + 1] + q[n] + eq.p.at(n + 1) * q[n - eq.delta + 1] + eq.p.at(n) * q[n - eq.delta]
-        for n in range(n_lo, n_hi + 4)
-    ))
-    r = Window(n_lo, tuple(spow(s[n] / derived.C(n), eq.gamma) for n in range(n_lo, n_hi + 4)))
-    l = Window(n_lo, tuple(spow((r[n + 1] + r[n]) / derived.B(n), eq.beta)
-                           for n in range(n_lo, n_hi + 3)))
-    g = Window(n_lo, tuple(spow((l[n + 1] + l[n]) / derived.A(n), eq.alpha)
-                           for n in range(n_lo, n_hi + 2)))
-
-    chain_side = Window(n_lo, tuple(
-        (1.0 if (n + 1) % 2 == 0 else -1.0) * (g[n + 1] + g[n])
-        for n in range(n_lo, n_hi + 1)
-    ))
+    xs = [v if (m + sigma) % 2 == 0 else -v for m, v in q.items()]
+    z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4)
+    chain_side = Window(n_lo, tuple(t[i] - t[i + 1] for i in range(n_hi - n_lo + 1)))
     forcing_side = Window(n_lo, tuple(
-        eq.d.at(n) * eq.f.apply(x_candidate(n - eq.tau)) for n in range(n_lo, n_hi + 1)
+        eq.d.at(n) * eq.f.apply(xs[n - eq.tau - q.start]) for n in range(n_lo, n_hi + 1)
     ))
     conflicts = tuple(
         (a > 0.0 > b) or (a < 0.0 < b)
         for a, b in zip(chain_side.values, forcing_side.values)
     )
-    chains_positive = all(
-        all(v > 0.0 for v in win.values) for win in (s, r, l, g)
-    )
+    chains_positive = all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col)
     return ContradictionCertificate(
         parity=parity, n_start=n_lo, n_end=n_hi,
-        dz_mag=s, y_mag=r, w_mag=l, t_mag=g,
+        dz_mag=Window(n_lo, z), y_mag=Window(n_lo, y), w_mag=Window(n_lo, w), t_mag=Window(n_lo, t),
         chain_side=chain_side, forcing_side=forcing_side,
         conflicts=conflicts, chains_positive=chains_positive,
     )

@@ -88,7 +88,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_check, 100_000)
     mode = p_check.add_mutually_exclusive_group(required=True)
     mode.add_argument("--quick-exclusion", action="store_true",
-                      help="hypotheses excluding alternating solutions of one parity")
+                      help="hypotheses excluding alternating solutions")
     mode.add_argument("--almost-oscillation", action="store_true",
                       help="hypotheses for the almost-oscillation property")
     mode.add_argument("--certificate", action="store_true",
@@ -98,7 +98,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--windows", type=int, default=50, help="number of random q windows")
     p_check.add_argument("--rng-seed", type=int, default=0)
     p_check.add_argument("--parity", choices=["even", "odd"], default=None,
-                         help="positive parity of the candidate (default: the excluded one)")
+                         help="positive parity of the candidate (default: even, "
+                              "when alternating solutions are excluded)")
     p_check.add_argument("--delta", dest="delta_override", type=int, default=None,
                          help="override delta in the document (n0 is raised as needed)")
 
@@ -354,10 +355,10 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
     exclusion = check_quick_exclusion(eq)
     if args.parity is not None:
         parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE
-    elif exclusion.excluded_parity is not None:
-        parity = exclusion.excluded_parity
+    elif exclusion.alternation_excluded:
+        parity = QuickParity.EVEN_POSITIVE  # both parities are excluded
     else:
-        raise HypothesisViolation("exclusion hypotheses fail, so no parity is excluded; "
+        raise HypothesisViolation(f"no parity to certify: {exclusion.conclusion}; "
                                   "pass --parity to force one")
     rng = random.Random(args.rng_seed)
     span = 16 + max(eq.delta, eq.tau, 0) + max(0, -eq.tau)
@@ -407,7 +408,7 @@ def cmd_check(args) -> int:
         _print_condition_report(report_obj)
         report = {"command": "check", "check": "quick-exclusion", "equation": name,
                   "report": report_obj.to_dict()}
-        code = 0 if report_obj.all_hold else 1
+        code = 0 if report_obj.alternation_excluded else 1
     elif args.almost_oscillation:
         report_obj = check_almost_oscillation(eq, horizon=args.horizon)
         _print_condition_report(report_obj)

@@ -214,7 +214,7 @@ class OddPowerMap:
     def invert(self, value: float) -> float:
         if self.scale == 0.0:
             raise ValueError("zero-scale odd power has no inverse")
-        return spow(value / self.scale, self.exponent.reciprocal())
+        return _xpow(value / self.scale, self.exponent.reciprocal())
 
     @property
     def sign_condition(self) -> bool:

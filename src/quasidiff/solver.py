@@ -190,10 +190,10 @@ def _inverse_step(eq: EquationSpec, tol: ToleranceProfile, n: int,
     y_next, = difference_column(eq.c, (z_n3, z_next), eq.gamma, n + 3)
     w_next, = difference_column(eq.b, (y_n2, y_next), eq.beta, n + 2)
     t_next, = difference_column(eq.a, (w_n1, w_next), eq.alpha, n + 1)
-    dt = t_next - t_n
-    if not math.isfinite(dt):
+    target = (t_n - t_next) / d_n
+    if not math.isfinite(target):
         return None
-    x_next = eq.f.invert(-dt / d_n)
+    x_next = eq.f.invert(target)
     if not math.isfinite(x_next):
         return None
     return x_next, (t_next, w_next, y_next, z_next)

@@ -149,19 +149,22 @@ def test_criterion_06_closed_form_reproduction():
 
 
 def test_criterion_07_sign_conflict_certificates():
-    eq = qd.example_equation("example-1")  # tau = 3 (odd), d > 0
+    # example-1: tau = 3 odd, d > 0, so (-1)^n 2^n and its negation are exact
+    # solutions and no parity conflicts; example-3: tau = -3 odd, d < 0, so
+    # both parities conflict at every index
     rng = random.Random(7571)
-    for _ in range(100):
-        q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(16)))
-        excluded = qd.sign_conflict_certificate(eq, q, QuickParity.ODD_POSITIVE)
-        assert excluded.chains_positive
-        assert all(excluded.conflicts)
-        assert excluded.valid
-        other = qd.sign_conflict_certificate(eq, q, QuickParity.EVEN_POSITIVE)
-        assert not any(other.conflicts)
-        assert not other.valid
-    print("\nACCEPTANCE 07 PASS 100 random positive q windows: odd-positive certificate "
-          "valid at every index; even-positive reported not-valid at every index")
+    for name, excluded in (("example-1", False), ("example-3", True)):
+        eq = qd.example_equation(name)
+        for _ in range(100):
+            q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(16)))
+            for parity in QuickParity:
+                cert = qd.sign_conflict_certificate(eq, q, parity)
+                assert cert.chains_positive
+                assert all(cert.conflicts) if excluded else not any(cert.conflicts)
+                assert cert.valid is excluded
+    print("\nACCEPTANCE 07 PASS 100 random positive q windows per example: example-3 "
+          "certificates valid at every index for both parities; example-1 not valid at any "
+          "index for either parity")
 
 
 def test_criterion_08_companion_bound_certificates():

@@ -118,10 +118,12 @@ def test_quick_decomposition_reconstructs_the_suffix(q_values, sigma):
 
 class TestQuickExclusion:
     def test_signum_example_all_hold(self):
+        # d > 0 and tau = 3 odd: sgn(d)(-1)^tau = -1, and both (-1)^n 2^n and
+        # its negation solve the equation, so nothing is excluded
         report = check_quick_exclusion(qd.example_equation("example-1"))
         assert report.all_hold
-        assert report.excluded_parity is QuickParity.ODD_POSITIVE  # tau = 3 odd
-        assert "positive odd terms" in report.conclusion
+        assert report.alternation_excluded is False
+        assert "no alternating solutions are excluded" in report.conclusion
 
     def test_odd_delta_flagged(self):
         eq = plain_equation(delta=3, tau=1, p=Constant(0.5), n0=3)
@@ -129,16 +131,18 @@ class TestQuickExclusion:
         entry = report.entry("delta-even")
         assert entry.satisfied is False
         assert not report.all_hold
-        assert report.excluded_parity is None
+        assert report.alternation_excluded is False
 
     def test_negated_forcing_flips_excluded_parity(self):
         doc = qd.example_document("example-1")
         doc["d"] = {"kind": "combine", "op": "*", "left": doc["d"],
                     "right": {"kind": "constant", "value": -1.0}}
         report = check_quick_exclusion(qd.build_equation(doc))
+        # d < 0 and tau = 3 odd: sgn(d)(-1)^tau = +1 excludes both parities
         assert report.all_hold
-        assert report.excluded_parity is QuickParity.EVEN_POSITIVE
-        assert "mirror" in report.conclusion
+        assert report.alternation_excluded is True
+        assert report.conclusion.startswith(
+            "no quickly oscillatory solutions with positive even or positive odd terms")
 
     def test_negative_p_fails_with_index(self):
         eq = plain_equation(p=Table((0.5,) * 10 + (-0.25,), 1, "hold-last"),
@@ -155,20 +159,13 @@ class TestQuickExclusion:
     def test_parity_coherence_across_branches(self):
         rng = random.Random(4)
         q = Window(2, tuple(rng.uniform(0.5, 2.0) for _ in range(20)))
-        for tau, d_value, excluded in [
-            (2, 1.0, QuickParity.EVEN_POSITIVE),
-            (1, 1.0, QuickParity.ODD_POSITIVE),
-            (2, -1.0, QuickParity.ODD_POSITIVE),
-            (1, -1.0, QuickParity.EVEN_POSITIVE),
-        ]:
+        for tau, d_value, excluded in [(2, 1.0, True), (1, 1.0, False),
+                                       (2, -1.0, False), (1, -1.0, True)]:
             eq = plain_equation(tau=tau, delta=2, p=Constant(0.5), d=Constant(d_value), n0=2)
             report = check_quick_exclusion(eq)
-            assert report.excluded_parity is excluded
-            cert = sign_conflict_certificate(eq, q, excluded)
-            assert cert.valid
-            other = (QuickParity.ODD_POSITIVE if excluded is QuickParity.EVEN_POSITIVE
-                     else QuickParity.EVEN_POSITIVE)
-            assert not sign_conflict_certificate(eq, q, other).valid
+            assert report.alternation_excluded is excluded
+            for parity in QuickParity:
+                assert sign_conflict_certificate(eq, q, parity).valid is excluded
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +177,11 @@ class TestSignConflictCertificate:
     def test_unit_q_on_signum_example(self):
         eq = qd.example_equation("example-1")
         q = Window(eq.n0, (1.0,) * 20)
-        cert = sign_conflict_certificate(eq, q, QuickParity.ODD_POSITIVE)
-        assert cert.chains_positive
-        assert all(cert.conflicts)
-        assert cert.valid
+        for parity in QuickParity:
+            cert = sign_conflict_certificate(eq, q, parity)
+            assert cert.chains_positive
+            assert not any(cert.conflicts)
+            assert not cert.valid
 
     def test_non_excluded_parity_reports_no_conflicts(self):
         eq = qd.example_equation("example-1")
@@ -207,17 +205,35 @@ class TestSignConflictCertificate:
             assert cert.chain_side[n] == pytest.approx(-(t_next - t_n), rel=1e-9)
 
     def test_random_positive_windows(self):
-        eq = qd.example_equation("example-1")
+        # example-1 has exact alternating solutions of both parities;
+        # example-3 excludes both
         rng = random.Random(100)
-        for _ in range(100):
-            q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(16)))
-            assert sign_conflict_certificate(eq, q, QuickParity.ODD_POSITIVE).valid
+        for name, valid in (("example-1", False), ("example-3", True)):
+            eq = qd.example_equation(name)
+            for _ in range(100):
+                q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(16)))
+                for parity in QuickParity:
+                    assert sign_conflict_certificate(eq, q, parity).valid is valid
 
     def test_plain_difference_reduction_still_conflicts(self):
-        eq = plain_equation(tau=3, delta=2, p=Constant(0.0), n0=3)
+        eq = plain_equation(tau=3, delta=2, p=Constant(0.0), d=Constant(-1.0), n0=3)
         q = Window(3, tuple(1.0 + 0.1 * i for i in range(20)))
-        cert = sign_conflict_certificate(eq, q, QuickParity.ODD_POSITIVE)
-        assert cert.valid
+        for parity in QuickParity:
+            assert sign_conflict_certificate(eq, q, parity).valid
+
+    def test_advanced_neutral_term_stays_inside_the_window(self):
+        # delta = -2 reads x two indices ahead of z, so the certified range
+        # ends 4 + 2 indices before the window does
+        eq = plain_equation(tau=-1, delta=-2, p=Constant(0.5), d=Constant(-1.0), n0=1)
+        q = Window(1, tuple(1.0 + 0.1 * i for i in range(20)))
+        for parity in QuickParity:
+            cert = sign_conflict_certificate(eq, q, parity)
+            assert (cert.n_start, cert.n_end) == (q.start, q.end - 6)
+            assert cert.valid
+        x = Window(q.start, tuple((-v if n % 2 == 0 else v) for n, v in q.items()))
+        for n in range(cert.n_start, cert.n_end + 1):
+            dt = qd.quasidifference_chain(eq, x, n + 1)[3] - qd.quasidifference_chain(eq, x, n)[3]
+            assert cert.chain_side[n] == pytest.approx(-dt, rel=1e-12)
 
     def test_refused_when_hypotheses_fail(self):
         eq = plain_equation(tau=1, delta=3, p=Constant(0.5), n0=3)  # odd delta

@@ -168,11 +168,16 @@ def test_classify_zero_seed_is_degenerate(capsys):
 def test_check_quick_exclusion_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(["check", "example-1", "--quick-exclusion", "--out", str(out_path)], capsys)
-    assert code == 0
-    assert "positive odd terms" in out
+    assert code == 1
+    assert "conclusion: hypotheses hold, but no alternating solutions are excluded" in out
     report = json.loads(out_path.read_text())
     assert report["report"]["all_hold"] is True
-    assert report["report"]["excluded_parity"] == "odd-positive"
+    assert report["report"]["alternation_excluded"] is False
+    code, out, _ = run(["check", "example-3", "--quick-exclusion", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert ("conclusion: no quickly oscillatory solutions with positive even or positive odd terms"
+            in out)
+    assert json.loads(out_path.read_text())["report"]["alternation_excluded"] is True
 
 
 def test_check_quick_exclusion_delta_override_fails(capsys):
@@ -188,9 +193,50 @@ def test_check_almost_oscillation(capsys):
 
 
 def test_check_certificates(capsys):
-    code, out, _ = run(["check", "example-1", "--certificate", "--windows", "50"], capsys)
+    code, out, err = run(["check", "example-1", "--certificate", "--windows", "50"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed: no parity to certify: hypotheses hold, but no alternating")
+    code, out, _ = run(["check", "example-3", "--certificate", "--windows", "50"], capsys)
     assert code == 0
-    assert "50/50 valid" in out
+    assert "certificates (even-positive): 50/50 valid" in out
+    for parity in ("even", "odd"):
+        code, out, _ = run(["check", "example-3", "--certificate", "--windows", "50",
+                            "--parity", parity], capsys)
+        assert code == 0
+        assert f"certificates ({parity}-positive): 50/50 valid" in out
+
+
+@pytest.mark.parametrize("name, extra, scale, ratio", [
+    ("example-1", [], 1.0, 2.0),
+    ("example-1", ["--beta", "3/5", "--lambda", "2"], 1.0, 2.0),
+    ("example-2", [], 1.0, 1.0),
+    ("example-2", ["--beta", "3/5", "--lambda", "2"], 1.0, 1.0),
+    ("example-4", [], 0.1, 1.0),
+])
+def test_exact_alternating_solutions_are_never_excluded(name, extra, scale, ratio, capsys):
+    # the equation is odd in x: the closed form and its negation both solve it
+    for sign in (1.0, -1.0):
+        code, out, _ = run(["verify", name, *extra, "--horizon", "60",
+                            "--closed-form", f"alternating:{sign * scale},{ratio}"], capsys)
+        assert code == 0 and "PASS" in out
+    code, out, _ = run(["check", name, *extra, "--quick-exclusion"], capsys)
+    assert code == 1
+    assert "no alternating solutions are excluded" in out
+    for parity in ("even", "odd"):
+        code, out, _ = run(["check", name, *extra, "--certificate", "--windows", "20",
+                            "--parity", parity], capsys)
+        assert code == 1
+        assert f"certificates ({parity}-positive): 0/20 valid" in out
+
+
+@pytest.mark.parametrize("solve", [False, True])
+def test_classify_growing_alternation_is_quick(solve, capsys):
+    code, out, _ = run(["classify", "example-1", "--horizon", "200", *(["--solve"] if solve else [])],
+                       capsys)
+    assert code == 0
+    assert "classify example-1: quickly-oscillatory" in out
+    assert "positive parity: even-positive" in out
 
 
 def test_check_certificate_non_excluded_parity_fails(capsys):

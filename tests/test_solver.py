@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -18,6 +19,7 @@ from quasidiff import (
     solve_forward,
     solve_inverse,
 )
+from quasidiff.cli import main
 from support import inverse_fixture, plain_equation, seeded_forward
 
 
@@ -155,6 +157,26 @@ def test_inverse_zero_forcing_coefficient_is_a_numeric_error():
     lo, hi = inverse_seed_span(eq)
     with pytest.raises(NumericRangeError):
         solve_inverse(eq, Window.from_evaluator(lambda n: 2.0 ** -n, lo, hi), 10)
+
+
+@pytest.mark.parametrize("d, f_scale", [(-1e-10, 1.0), (-1.0, 1e-10)])
+def test_inverse_preimage_overflow_truncates(d, f_scale, tmp_path, capsys):
+    # Alternating 1e300 seeds keep D t_n finite, but -D t_n / d_n overflows
+    # (tiny d), or its preimage under f does (tiny f scale).
+    doc = {"exponents": {"alpha": "1/1", "beta": "1/1", "gamma": "1/1"},
+           "tau": -7, "delta": 0, "n0": 1,
+           "p": {"kind": "constant", "value": 1.0}, "d": {"kind": "constant", "value": d},
+           "a": {"kind": "constant", "value": 1.0}, "b": {"kind": "constant", "value": 1.0},
+           "c": {"kind": "constant", "value": 1.0},
+           "f": {"kind": "odd-power", "scale": f_scale, "exponent": "1/1"}}
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    seed = ",".join(("1e300", "-1e300")[n % 2] for n in range(7))
+    code = main(["solve", str(path), "--horizon", "50", "--seed-values", seed])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "x range: n = 1 .. 7" in out
+    assert "warning: truncated (first non-finite value at n = 8)" in out
 
 
 def test_sample_trajectory_materializes_components():
