@@ -23,7 +23,8 @@ from enum import Enum
 from typing import Callable
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import CustomMap, EquationSpec, SequenceSpec, derive_coefficients, sign_break, staircase
+from .model import (CustomMap, EquationSpec, SequenceSpec, derive_coefficients, residual_range,
+                    sign_break, staircase)
 from .numerics import DEFAULT_TOLERANCE, ToleranceProfile
 from .solver import Trajectory
 from .windows import Window
@@ -474,45 +475,45 @@ def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000,
 class ContradictionCertificate:
     """Index-by-index sign conflict for an alternating candidate.
 
-    dz_mag, y_mag, w_mag, t_mag hold the staircase columns z, y, w, t of the
-    signed candidate x (covering [n_start, n_end + 4] down to
-    [n_start, n_end + 1]), and the two sides of D t_n = -d_n f(x_{n-tau})
-    are evaluated per index: chain_side_n = -(t_{n+1} - t_n) and
-    forcing_side_n = d_n f(x_{n-tau}).  The certificate is valid exactly when
-    every staircase value is finite and non-zero (chains_positive) and the two
-    sides have opposite signs at every certified index.
+    z, y, w, t hold the staircase columns of the signed candidate x (covering
+    [n_start, n_end + 4] down to [n_start, n_end + 1]), and the two sides of
+    D t_n = -d_n f(x_{n-tau}) are evaluated per index:
+    chain_side_n = -(t_{n+1} - t_n) and forcing_side_n = d_n f(x_{n-tau}).
+    The certificate is valid exactly when every staircase value is finite and
+    non-zero (chain_finite_nonzero) and the two sides have opposite signs at
+    every certified index.
     """
 
     parity: QuickParity
     n_start: int
     n_end: int
-    dz_mag: Window
-    y_mag: Window
-    w_mag: Window
-    t_mag: Window
+    z: Window
+    y: Window
+    w: Window
+    t: Window
     chain_side: Window
     forcing_side: Window
     conflicts: tuple[bool, ...]
-    chains_positive: bool
+    chain_finite_nonzero: bool
 
     @property
     def valid(self) -> bool:
-        return self.chains_positive and bool(self.conflicts) and all(self.conflicts)
+        return self.chain_finite_nonzero and bool(self.conflicts) and all(self.conflicts)
 
     def to_dict(self) -> dict:
         return {
             "parity": self.parity.value,
             "n_start": self.n_start,
             "n_end": self.n_end,
-            "chains_positive": self.chains_positive,
+            "chain_finite_nonzero": self.chain_finite_nonzero,
             "conflicts": list(self.conflicts),
             "valid": self.valid,
             "chain_side": list(self.chain_side.values),
             "forcing_side": list(self.forcing_side.values),
-            "dz_mag": list(self.dz_mag.values),
-            "y_mag": list(self.y_mag.values),
-            "w_mag": list(self.w_mag.values),
-            "t_mag": list(self.t_mag.values),
+            "z": list(self.z.values),
+            "y": list(self.y.values),
+            "w": list(self.w.values),
+            "t": list(self.t.values),
         }
 
 
@@ -534,8 +535,8 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window,
     if any(v <= 0.0 for v in q.values):
         raise HypothesisViolation("certificate requires a strictly positive q window")
 
-    n_lo = q.start + max(eq.delta, eq.tau, 0)
-    n_hi = q.end - max(4 + max(-eq.delta, 0), -eq.tau)
+    certified = residual_range(eq, q)
+    n_lo, n_hi = certified.start, certified.stop - 1
     if n_hi < n_lo:
         raise HypothesisViolation(
             f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]"
@@ -552,12 +553,11 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window,
         (a > 0.0 > b) or (a < 0.0 < b)
         for a, b in zip(chain_side.values, forcing_side.values)
     )
-    chains_positive = all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col)
     return ContradictionCertificate(
         parity=parity, n_start=n_lo, n_end=n_hi,
-        dz_mag=Window(n_lo, z), y_mag=Window(n_lo, y), w_mag=Window(n_lo, w), t_mag=Window(n_lo, t),
-        chain_side=chain_side, forcing_side=forcing_side,
-        conflicts=conflicts, chains_positive=chains_positive,
+        z=Window(n_lo, z), y=Window(n_lo, y), w=Window(n_lo, w), t=Window(n_lo, t),
+        chain_side=chain_side, forcing_side=forcing_side, conflicts=conflicts,
+        chain_finite_nonzero=all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col),
     )
 
 

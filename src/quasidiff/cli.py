@@ -36,7 +36,8 @@ from .errors import (
     SequenceDomainError,
 )
 from .examples import EXAMPLE_NAMES, example_closed_form, example_document, example_summary
-from .model import EquationSpec, relative_residual
+# relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
+from .model import EquationSpec, relative_residual, relative_residuals  # noqa: F401
 from .numerics import ToleranceProfile
 from .solver import (
     Trajectory,
@@ -284,11 +285,11 @@ def cmd_verify(args) -> int:
     eq, name = _load_equation(args)
     tol = _tolerances(args)
     form = _closed_form(args, name)
+    indices = range(eq.n0, eq.n0 + args.horizon)
     residuals = []
     worst = 0.0
     worst_at = eq.n0
-    for n in range(eq.n0, eq.n0 + args.horizon):
-        rel = relative_residual(eq, form, n)
+    for n, rel in zip(indices, relative_residuals(eq, form, indices)):
         residuals.append({"n": n, "rel_residual": rel})
         if rel > worst:
             worst, worst_at = rel, n
@@ -352,6 +353,8 @@ def _print_condition_report(report) -> None:
 
 
 def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
+    if args.windows < 1:
+        raise ValueError(f"--windows must be at least 1, got {args.windows}")
     exclusion = check_quick_exclusion(eq)
     if args.parity is not None:
         parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE

@@ -87,9 +87,7 @@ def _example1_document(beta: str, lam: int) -> dict:
 
 def _example2_document(beta: str, lam: int) -> dict:
     # d_n = (4 + 16/3^(n+4))^B + 2(4 + 16/3^(n+3))^B + (4 + 16/3^(n+2))^B
-    bases = [_combine("+", _const(4.0), _geom(16.0 / 3.0 ** k, 1.0 / 3.0)) for k in (4, 3, 2)]
-    u4, u3, u2 = (_spow(b, beta) for b in bases)
-    d = _combine("+", _combine("+", u4, _combine("*", _const(2.0), u3)), u2)
+    bases = [_combine("+", _const(4.0), _geom(16.0 / 3.0 ** k, 1.0 / 3.0)) for k in (2, 3, 4)]
     delta = 2 * lam
     tau = 1
     return {
@@ -98,7 +96,7 @@ def _example2_document(beta: str, lam: int) -> dict:
         "delta": delta,
         "n0": max(1, delta, tau),
         "p": _geom(1.0, 1.0 / 3.0),
-        "d": d,
+        "d": _shifted_power_sum(bases, beta),
         "a": _const(1.0),
         "b": _const(1.0),
         "c": _const(1.0),

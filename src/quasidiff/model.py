@@ -588,22 +588,19 @@ def residual_range(eq: EquationSpec, x: Window) -> range:
     return range(lo, hi + 1)
 
 
+def relative_residuals(eq: EquationSpec, x: Evaluator, indices: range) -> list[float]:
+    """relative_residual at each index of a step-1 range, bit for bit, built on
+    one decimal staircase per RESIDUAL_BLOCK indices."""
+    return [_relative(*parts) for lo in indices[::RESIDUAL_BLOCK]
+            for parts in _residual_parts(eq, x, lo, min(lo + RESIDUAL_BLOCK, indices.stop) - 1)]
+
+
 def max_relative_residual(eq: EquationSpec, x: Window) -> tuple[float, int | None]:
     """Worst relative residual over the computable interior, with its index.
 
     Indices where the chain leaves the finite double range (possible only on
-    the trailing edge of an overflow-truncated window) are skipped.  The
-    residuals are computed RESIDUAL_BLOCK indices at a time, which keeps
-    memory flat in the length of the window.
+    the trailing edge of an overflow-truncated window) are skipped.
     """
-    worst = 0.0
-    worst_at: int | None = None
     indices = residual_range(eq, x)
-    for lo in indices[::RESIDUAL_BLOCK]:
-        hi = min(lo + RESIDUAL_BLOCK, indices.stop) - 1
-        for n, parts in enumerate(_residual_parts(eq, x, lo, hi), lo):
-            r = _relative(*parts)
-            if math.isfinite(r) and r > worst:
-                worst = r
-                worst_at = n
-    return worst, worst_at
+    finite = ((r, n) for n, r in zip(indices, relative_residuals(eq, x, indices)) if 0.0 < r < math.inf)
+    return max(finite, key=lambda rn: rn[0], default=(0.0, None))  # the first index of the maximum

@@ -46,7 +46,7 @@ class Trajectory:
     t: Window | None = None
     truncated: bool = False
     warnings: tuple[str, ...] = ()
-    max_rel_residual: float | None = None
+    max_rel_residual: float | None = None  # set by the solvers; None when sampled
 
     @property
     def n_start(self) -> int:
@@ -90,16 +90,14 @@ def _check_seed(seed: Window, lo: int, hi: int, mode: str) -> None:
         raise ValueError("seed values must all be finite")
 
 
-def _finalize(eq: EquationSpec, xs: list[float], start: int, provenance: Provenance,
-              truncated: bool = False, d_break: int | None = None) -> Trajectory:
-    """Wrap x with its chain and residual; d_break is where the solver saw d leave its sign."""
-    x = Window(start, tuple(xs))
+def _finalize(eq: EquationSpec, x: Window, provenance: Provenance, truncated: bool = False,
+              d_break: int | None = None, max_rel_residual: float | None = None) -> Trajectory:
+    """Wrap x with its chain; d_break is where the solver saw d leave its sign."""
     # chain_windows needs z on at least four indices
     z, y, w, t = chain_windows(eq, x) if len(x) >= 4 + abs(eq.delta) else (None,) * 4
-    worst, _ = max_relative_residual(eq, x)
     warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
     return Trajectory(x=x, provenance=provenance, z=z, y=y, w=w, t=t, truncated=truncated,
-                      warnings=warnings, max_rel_residual=worst)
+                      warnings=warnings, max_rel_residual=max_rel_residual)
 
 
 def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) -> Trajectory:
@@ -136,8 +134,9 @@ def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) 
             break
         x_next, frontier = advanced
         xs.append(x_next)
+    x = Window(start, tuple(xs))
     provenance = Provenance.FORWARD if forward else Provenance.INVERSE
-    return _finalize(eq, xs, start, provenance, advanced is None, d_break)
+    return _finalize(eq, x, provenance, advanced is None, d_break, max_relative_residual(eq, x)[0])
 
 
 def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float | None:
@@ -231,7 +230,7 @@ def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
 
 
 def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
-    """Wrap a closed-form evaluator as a trajectory with materialized chain.
+    """Wrap a closed-form evaluator as a trajectory with materialized chain (no residual).
 
     The evaluator must be total on [start, end]; non-finite samples are a
     range error carrying the index.
@@ -247,4 +246,4 @@ def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
         if not math.isfinite(v):
             raise NumericRangeError(f"evaluator returned non-finite value at n = {n}", index=n)
         values.append(v)
-    return _finalize(eq, values, start, Provenance.SAMPLED)
+    return _finalize(eq, Window(start, tuple(values)), Provenance.SAMPLED)

@@ -159,7 +159,7 @@ def test_criterion_07_sign_conflict_certificates():
             q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(16)))
             for parity in QuickParity:
                 cert = qd.sign_conflict_certificate(eq, q, parity)
-                assert cert.chains_positive
+                assert cert.chain_finite_nonzero
                 assert all(cert.conflicts) if excluded else not any(cert.conflicts)
                 assert cert.valid is excluded
     print("\nACCEPTANCE 07 PASS 100 random positive q windows per example: example-3 "

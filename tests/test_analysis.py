@@ -179,7 +179,7 @@ class TestSignConflictCertificate:
         q = Window(eq.n0, (1.0,) * 20)
         for parity in QuickParity:
             cert = sign_conflict_certificate(eq, q, parity)
-            assert cert.chains_positive
+            assert cert.chain_finite_nonzero
             assert not any(cert.conflicts)
             assert not cert.valid
 
@@ -187,7 +187,7 @@ class TestSignConflictCertificate:
         eq = qd.example_equation("example-1")
         q = Window(eq.n0, (1.0,) * 20)
         cert = sign_conflict_certificate(eq, q, QuickParity.EVEN_POSITIVE)
-        assert cert.chains_positive
+        assert cert.chain_finite_nonzero
         assert not any(cert.conflicts)
         assert not cert.valid
 
@@ -255,8 +255,8 @@ class TestSignConflictCertificate:
         eq = qd.example_equation("example-1")
         q = Window(eq.n0, (2.0,) * 20)
         cert = sign_conflict_certificate(eq, q, QuickParity.ODD_POSITIVE)
-        assert cert.dz_mag.covers(cert.n_start, cert.n_end + 3)
-        assert cert.t_mag.covers(cert.n_start, cert.n_end + 1)
+        assert cert.z.covers(cert.n_start, cert.n_end + 3)
+        assert cert.t.covers(cert.n_start, cert.n_end + 1)
         assert len(cert.conflicts) == cert.n_end - cert.n_start + 1
 
 

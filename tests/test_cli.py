@@ -34,6 +34,25 @@ def test_verify_perturbed_forcing_fails(capsys):
     assert "FAIL" in out
 
 
+def test_verify_underflowing_closed_form_fails_at_the_same_index(capsys):
+    # -1/2^n leaves the normal double range near n = 1075 (underflow-reported-as-valid)
+    code, out, _ = run(["verify", "example-3", "--horizon", "1100"], capsys)
+    assert code == 1
+    assert "FAIL" in out
+    assert "max relative residual: 2.000e+00 at n = 1075\n" in out
+
+
+def test_verify_reports_the_first_index_of_a_tied_maximum(tmp_path, capsys):
+    # x_n = 1 makes the chain vanish, so every relative residual is |d f(1)| / |d f(1)| = 1
+    doc = qd.example_document("example-3")
+    doc["d"] = {"kind": "constant", "value": -1.0}
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["verify", str(path), "--horizon", "20", "--closed-form", "geometric:1,1"], capsys)
+    assert code == 1
+    assert "max relative residual: 1.000e+00 at n = 2\n" in out
+
+
 def test_verify_file_document_equals_bundled(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps(qd.example_document("example-3")))
@@ -244,6 +263,14 @@ def test_check_certificate_non_excluded_parity_fails(capsys):
                         "--parity", "even"], capsys)
     assert code == 1
     assert "0/5 valid" in out
+
+
+@pytest.mark.parametrize("windows", [0, -3])
+def test_check_certificate_needs_a_window(windows, capsys):
+    code, out, err = run(["check", "example-3", "--certificate", "--windows", str(windows)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --windows must be at least 1, got {windows}\n"
 
 
 def test_check_bound_certificate(capsys):

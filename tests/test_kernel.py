@@ -1,5 +1,6 @@
 """The staircase kernel and the block-wise 40-digit residual built on it."""
 
+import json
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import quasidiff as qd
 from quasidiff import model
+from quasidiff.cli import main
 from quasidiff.model import RESIDUAL_BLOCK, staircase
 from support import inverse_fixture, plain_equation, seeded_forward
 
@@ -63,6 +65,28 @@ def test_block_falls_back_index_by_index(monkeypatch):
     assert set(range(blocks[1][0], blocks[2][1] + 1)) <= singles
     assert got == per_index_max(eq, x)
     assert got[1] is not None and got[1] < 1024
+
+
+def test_block_residuals_equal_one_index_calls_through_the_fallback():
+    eq = plain_equation(a=qd.Geometric(1.0, 2.0))
+    x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1300)
+    indices = qd.residual_range(eq, x)
+    got = [r.hex() for r in model.relative_residuals(eq, x, indices)]
+    assert got == [qd.relative_residual(eq, x, n).hex() for n in indices]
+
+
+@pytest.mark.parametrize("beta", ["1/1", "3/5"])
+@pytest.mark.parametrize("name", qd.EXAMPLE_NAMES)
+def test_verify_report_residuals_equal_one_index_calls(name, beta, tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", name, "--beta", beta, "--horizon", "600", "--out", str(out)]) == 0
+    eq = qd.example_equation(name, beta=beta)
+    form = qd.example_closed_form(name)
+    indices = range(eq.n0, eq.n0 + 600)
+    residuals = json.loads(out.read_text())["residuals"]
+    assert [r["n"] for r in residuals] == list(indices)
+    assert [r["rel_residual"].hex() for r in residuals] == \
+        [qd.relative_residual(eq, form, n).hex() for n in indices]
 
 
 def test_fallback_index_uses_float_chain():
