@@ -9,9 +9,10 @@ the bundled examples and on an inverse-regime document whose exact solution
 is 2^-n, plus the solver's edge paths: an inverse march that truncates, one
 stopped by a near-zero d, one with fractional exponents, a forward march
 stopped by a zero pivot and one that warns that d left its sign.  It also
-forces each certificate parity on every example, and verifies the negated
+forces each certificate parity on every example, verifies the negated
 closed forms of the alternating examples (the equation is odd in x, so they
-are exact solutions too).
+are exact solutions too), and runs solve, verify and classify --solve on
+examples 1 and 2 at beta 1/3 and 5/3, exponents that are not exact decimals.
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -32,6 +33,9 @@ EXAMPLES = ("example-1", "example-2", "example-3", "example-4")
 BETAS = ("1/1", "3/5")
 LAMBDAS = (1, 2)
 HORIZONS = (200, 2000)
+# Neither 1/3 nor 5/3 is a finite decimal, unlike 3/5.
+INEXACT_BETAS = ("1/3", "5/3")
+INEXACT_HORIZONS = (300, 1000)
 CHECKS = ("--quick-exclusion", "--almost-oscillation", "--certificate", "--bound")
 
 # x_n = 2^-n solves this equation exactly: p = 1, delta = 0 and unit
@@ -112,6 +116,11 @@ def corpus() -> list[list[str]]:
                          for parity in ("even", "odd")]
                 if name in NEGATED_FORMS:
                     runs.append(["verify", *common, "--closed-form", NEGATED_FORMS[name]])
+    for name in EXAMPLES[:2]:
+        for beta in INEXACT_BETAS:
+            for h in INEXACT_HORIZONS:
+                common = [name, "--beta", beta, "--lambda", "1", "--horizon", str(h)]
+                runs += [["solve", *common], ["verify", *common], ["classify", "--solve", *common]]
     return runs
 
 

@@ -5,13 +5,15 @@ Exit codes are a stable contract:
   1  a verification or hypothesis/certificate check failed
   2  usage or document parse error
   3  numeric failure that prevented producing a result (overflow in the seed
-     chain, a near-zero neutral pivot, a zero coefficient to invert through)
+     chain, a near-zero neutral pivot, a zero coefficient to invert through,
+     a verify candidate that is inf or NaN at an index its residuals read)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from typing import Callable
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, example_closed_form, example_document, example_summary
 # relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
-from .model import EquationSpec, relative_residual, relative_residuals  # noqa: F401
+from .model import EquationSpec, relative_residual, relative_residuals, residual_reads  # noqa: F401
 from .numerics import ToleranceProfile
 from .solver import (
     Trajectory,
@@ -185,6 +187,15 @@ def _closed_form(args, name: str) -> Callable[[int], float]:
     raise ValueError("a closed form is required for a document equation (--closed-form)")
 
 
+def _require_finite(form: Callable[[int], float], reads: range) -> None:
+    """A closed-form value that is inf or NaN at an index the residuals read is
+    a numeric failure at that index.  An OverflowError the form raises escapes."""
+    for n in reads:
+        v = form(n)
+        if not math.isfinite(v):
+            raise NumericRangeError(f"closed form is not finite at n = {n}: x = {v!r}", index=n)
+
+
 def _check_horizon(horizon: int) -> None:
     if horizon < MIN_HORIZON:
         raise ValueError(f"horizon must be at least {MIN_HORIZON}, got {horizon}")
@@ -286,6 +297,7 @@ def cmd_verify(args) -> int:
     tol = _tolerances(args)
     form = _closed_form(args, name)
     indices = range(eq.n0, eq.n0 + args.horizon)
+    _require_finite(form, residual_reads(eq, indices))
     residuals = []
     worst = 0.0
     worst_at = eq.n0

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, DivisionByZero as DecimalDivisionByZero
-from decimal import InvalidOperation, Overflow as DecimalOverflow, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, getcontext, localcontext
+from decimal import DivisionByZero as DecimalDivisionByZero, Overflow as DecimalOverflow
 from typing import Callable, Union
 
 from .errors import SequenceDomainError
@@ -460,6 +460,47 @@ def _xpow(v: float, e: OddRatio) -> float:
     return v
 
 
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for an integer n >= 1, by Newton's method from above.
+
+    The float seed is only a starting point: the caller scales n so that
+    its root has the context's precision plus two digits, about 1e42, and
+    exp(log(n) / k) is then within a relative 1e-13 of the root, so the
+    2**-40 margin puts the seed above it.  From above, the integer Newton
+    steps decrease to the floor of the root and stop there.
+    """
+    x = int(math.exp(math.log(n) / k) * (1 + 2.0 ** -40)) + 1
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _dec_root_pow(mag: Decimal, m: int, k: int) -> Decimal:
+    """mag ** (m/k) for a finite mag > 0, correctly rounded to the context.
+
+    With mag = M * 10**e, the root is the exact integer k-th root of
+    M**m * 10**s, times 10**q, where s is chosen so that the root has two
+    digits more than the context's precision.  A root that is not exact
+    gets a sticky digit, so the one rounding, by unary plus, is the
+    correct rounding of the true power.
+    """
+    e = mag.as_tuple().exponent
+    power = int(mag.scaleb(-e, _EXACT)) ** m  # mag**m = power * 10**(e*m)
+    places = getcontext().prec + 2
+    q = (m * mag.adjusted() - k * (places - 1)) // k  # so that the root is >= 10**(places - 1)
+    s = e * m - k * q
+    n, rest = (power * 10 ** s, 0) if s >= 0 else divmod(power, 10 ** -s)
+    r = _iroot(n, k)
+    if rest or r ** k != n:
+        r, q = 10 * r + 1, q - 1  # the root lies strictly between r and r + 1
+    return +Decimal(r).scaleb(q, _EXACT)
+
+
 def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
     if v == 0:
         return Decimal(0)
@@ -468,8 +509,10 @@ def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
     mag = abs(v)
     if e.denominator == 1:
         power = mag ** e.numerator
+    elif mag.is_finite():
+        power = _dec_root_pow(mag, e.numerator, e.denominator)
     else:
-        power = mag ** (Decimal(e.numerator) / Decimal(e.denominator))
+        power = mag  # inf or NaN, as ** left them
     return power if v > 0 else -power
 
 
@@ -581,11 +624,21 @@ def chain_windows(eq: EquationSpec, x: Window) -> tuple[Window, Window, Window, 
     return Window(lo, z), Window(lo, y), Window(lo, w), Window(lo, t)
 
 
+def _residual_reach(eq: EquationSpec) -> tuple[int, int]:
+    """How far below and above n the residual at n reads x: z on [n, n+4] and x_{n-tau}."""
+    return max(eq.delta, 0, eq.tau), max(4 + max(-eq.delta, 0), -eq.tau)
+
+
 def residual_range(eq: EquationSpec, x: Window) -> range:
     """Indices n at which the residual is computable from the window alone."""
-    lo = x.start + max(max(eq.delta, 0), eq.tau)
-    hi = x.end - max(4 + max(-eq.delta, 0), -eq.tau)
-    return range(lo, hi + 1)
+    below, above = _residual_reach(eq)
+    return range(x.start + below, x.end - above + 1)
+
+
+def residual_reads(eq: EquationSpec, indices: range) -> range:
+    """The indices of x that the residuals at a step-1 range of indices read."""
+    below, above = _residual_reach(eq)
+    return range(indices.start - below, indices.stop + above)
 
 
 def relative_residuals(eq: EquationSpec, x: Evaluator, indices: range) -> list[float]:

@@ -53,6 +53,30 @@ def test_verify_reports_the_first_index_of_a_tied_maximum(tmp_path, capsys):
     assert "max relative residual: 1.000e+00 at n = 2\n" in out
 
 
+@pytest.mark.parametrize("f", [
+    {"kind": "signum", "scale": 1.0},
+    {"kind": "odd-power", "scale": 1.0, "exponent": "3/1"},
+])
+def test_verify_non_finite_candidate_is_a_numeric_failure(f, tmp_path, capsys):
+    # x_1 = 1e300 * 1e10 is inf; the residual at n0 = 2 reads x from n = 0
+    doc = qd.example_document("example-3")
+    doc["d"] = {"kind": "constant", "value": -1.0}
+    doc["f"] = f
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path), "--horizon", "20", "--closed-form", "geometric:1e300,1e10"],
+                         capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "numeric failure: closed form is not finite at n = 1: x = inf\n"
+
+
+def test_verify_raised_overflow_escapes(capsys):
+    # 2.0 ** n raises past n = 1023 (overflow-escapes-main); it is not a non-finite value
+    with pytest.raises(OverflowError):
+        main(["verify", "example-1", "--horizon", "1100"])
+
+
 def test_verify_file_document_equals_bundled(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps(qd.example_document("example-3")))

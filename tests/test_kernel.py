@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +77,7 @@ def test_block_residuals_equal_one_index_calls_through_the_fallback():
     assert got == [qd.relative_residual(eq, x, n).hex() for n in indices]
 
 
-@pytest.mark.parametrize("beta", ["1/1", "3/5"])
+@pytest.mark.parametrize("beta", ["1/1", "3/5", "1/3", "5/3"])
 @pytest.mark.parametrize("name", qd.EXAMPLE_NAMES)
 def test_verify_report_residuals_equal_one_index_calls(name, beta, tmp_path):
     out = tmp_path / "verify.json"
@@ -109,7 +111,61 @@ def test_kernel_columns_agree_with_one_index_chain():
     assert (z.start, z.end, y.end, w.end, t.end) == (4, 40, 39, 38, 37)
 
 
-EXPONENTS = st.sampled_from([qd.OddRatio(1), qd.OddRatio(3), qd.OddRatio(3, 5), qd.OddRatio(5, 3)])
+def decimal_magnitudes(seed: int, count: int) -> list[Decimal]:
+    """Magnitudes of 1 to 40 digits from 10^-400 to 10^1600, both outside the double range."""
+    rng = random.Random(seed)
+    mags = []
+    for _ in range(count):
+        digits = rng.randint(1, 40)
+        coefficient = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        mags.append(Decimal(f"{coefficient}E{rng.randint(-400, 1600) - digits + 1}"))
+    return mags
+
+
+def reference_power(mag: Decimal, e: qd.OddRatio) -> Decimal:
+    """mag ** e through a 120-digit decimal power, rounded once to the caller's context."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        power = mag ** (Decimal(e.numerator) / Decimal(e.denominator))
+    return +power
+
+
+@pytest.mark.parametrize("m, k", [(1, 3), (3, 5), (5, 3), (7, 9), (9, 7), (1, 5)])
+def test_fractional_power_is_correctly_rounded(m, k):
+    e = qd.OddRatio(m, k)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for i, mag in enumerate(decimal_magnitudes(100 * m + k, 400)):
+            v = mag if i % 2 == 0 else -mag
+            expected = reference_power(mag, e)
+            assert model._dec_spow(v, e) == (expected if i % 2 == 0 else -expected), mag
+
+
+@pytest.mark.parametrize("k", [3, 5, 9])
+def test_exact_root_on_a_rounding_tie_rounds_half_even(k):
+    # a 41-digit root ending in 5 is a tie at 40 digits; a sticky digit would round it up.
+    # mag has more than 40 digits, which _dec_spow's abs() would round first.
+    with localcontext() as ctx:
+        for coefficient, exponent in ((10 ** 40 + 5, -40), (25 * 10 ** 39 + 45, -130)):
+            root = Decimal(f"{coefficient}E{exponent}")
+            ctx.prec = 41 * k
+            mag = root ** k  # exact
+            ctx.prec = 40
+            assert model._dec_root_pow(mag, 1, k) == +root == Decimal(f"{coefficient - 5}E{exponent}")
+
+
+@pytest.mark.parametrize("m, k", [(3, 5), (1, 5)])
+def test_fractional_power_equals_decimal_power_when_the_exponent_is_exact(m, k):
+    # m/5 is exact in decimal, so ** rounds the true power too
+    e = qd.OddRatio(m, k)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for mag in decimal_magnitudes(k - m, 400):
+            assert model._dec_spow(mag, e) == mag ** (Decimal(m) / Decimal(k)), mag
+
+
+EXPONENTS = st.sampled_from([qd.OddRatio(1), qd.OddRatio(3), qd.OddRatio(3, 5), qd.OddRatio(5, 3),
+                             qd.OddRatio(1, 3), qd.OddRatio(7, 9)])
 
 
 @given(
