@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Replay a benchmark workload's requests through the CLI and record every answer.
+
+    PYTHONPATH=src python scripts/replay_answers.py WORKLOAD SEED ROUNDS OUT
+
+The requests are the first ROUNDS rounds that the seeded generator of
+``perfbench/workloads.py`` yields for WORKLOAD and SEED, in the order the
+benchmark sends them; each is answered by ``quasidiff.cli.main`` in-process.
+OUT gets one JSON line per answer: the argv, the exit code or the exception
+that escaped ``main``, stdout, stderr, and the SHA-256 of the CSV and the
+JSON report the request asked for (null when none was written).  The work
+directory is a fresh temporary directory entered with ``chdir`` and the
+generated documents live under the relative path ``work/``, so argv and
+answers do not depend on where the run happens, and two versions of the
+package can be compared byte for byte:
+
+    PYTHONPATH=src python scripts/replay_answers.py march 1 2 /tmp/new.jsonl
+    cmp /tmp/old.jsonl /tmp/new.jsonl
+
+``python3 perfbench/run.py --seconds 10`` sends 2 rounds of march, 5 of
+hypotheses and 19 of sweep.  The script reads ``perfbench/`` and writes
+nothing there.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS, Workload  # noqa: E402
+
+from quasidiff.cli import main  # noqa: E402
+
+WORKDIR = "work"
+
+
+def _sha256(path: str | None) -> str | None:
+    if not path or not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def answer(request) -> dict:
+    """Run one request as the benchmark does and describe what it left behind."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = exception = None
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(list(request.argv))
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # an escaped exception is part of the answer
+        exception = f"{type(exc).__name__}: {exc}"
+    record = {"argv": request.argv, "exit": code, "exception": exception,
+              "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+              "csv_sha256": _sha256(request.csv), "out_sha256": _sha256(request.out)}
+    for path in (request.csv, request.out):
+        if path and os.path.exists(path):
+            os.remove(path)
+    return record
+
+
+def replay(workload: str, seed: int, rounds: int, out: str) -> int:
+    out = os.path.abspath(out)
+    count = 0
+    with tempfile.TemporaryDirectory(prefix="replay-") as scratch, \
+            open(out, "w", encoding="utf-8") as fh:
+        cwd = os.getcwd()
+        os.chdir(scratch)
+        try:
+            os.mkdir(WORKDIR)
+            for batch in itertools.islice(Workload(workload, seed, WORKDIR).rounds(), rounds):
+                for request in batch:
+                    fh.write(json.dumps(answer(request)) + "\n")
+                    count += 1
+        finally:
+            os.chdir(cwd)
+    return count
+
+
+def main_replay() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("seed", type=int)
+    parser.add_argument("rounds", type=int)
+    parser.add_argument("out", help="JSON-lines file to write")
+    args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error(f"rounds must be at least 1, got {args.rounds}")
+    count = replay(args.workload, args.seed, args.rounds, args.out)
+    print(f"{count} answers of {args.workload} seed {args.seed} written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_replay())

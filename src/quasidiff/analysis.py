@@ -517,8 +517,8 @@ class ContradictionCertificate:
         }
 
 
-def sign_conflict_certificate(eq: EquationSpec, q: Window,
-                              parity: QuickParity) -> ContradictionCertificate:
+def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
+                              exclusion: ConditionReport | None = None) -> ContradictionCertificate:
     """Build the sign-conflict certificate for candidate x_n = +-(-1)^n q_n.
 
     The candidate has positive terms at the indices of the given parity, and
@@ -526,9 +526,10 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window,
     unless the quick-exclusion hypotheses hold for the equation and q is
     strictly positive on its window.  The window must reach delta (and tau)
     indices behind and four (and -tau, and -delta) ahead of the certified
-    range.
+    range.  `exclusion` is check_quick_exclusion(eq) when the caller holds
+    it already (one report serves every window of a request); None runs it.
     """
-    report = check_quick_exclusion(eq)
+    report = check_quick_exclusion(eq) if exclusion is None else exclusion
     if not report.all_hold:
         bad = next(e for e in report.entries if e.satisfied is not True)
         raise HypothesisViolation(f"certificate refused: condition '{bad.condition}' fails ({bad.detail})")

@@ -12,6 +12,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -39,7 +40,8 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, example_closed_form, example_document, example_summary
 # relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
-from .model import EquationSpec, relative_residual, relative_residuals, residual_reads  # noqa: F401
+from .model import (EquationSpec, max_relative_residual, relative_residual,  # noqa: F401
+                    relative_residuals, residual_range, residual_reads)
 from .numerics import ToleranceProfile
 from .solver import (
     Trajectory,
@@ -54,7 +56,9 @@ from .windows import Window
 MIN_HORIZON = 8
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="quasidiff",
         description="Simulate, classify, and certify solutions of fourth-order "
@@ -265,10 +269,15 @@ def cmd_solve(args) -> int:
     eq, name = _load_equation(args)
     tol = _tolerances(args)
     traj = _solve(args, eq, name, tol)
+    # None when no index of the window reads only x values it holds.
+    worst = max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
 
     print(f"solve {name} ({traj.provenance.value})")
     print(f"  x range: n = {traj.n_start} .. {traj.n_end}")
-    print(f"  max relative residual: {traj.max_rel_residual:.3e}")
+    if worst is None:
+        print("  max relative residual: none (no index has its residual inside the x range)")
+    else:
+        print(f"  max relative residual: {worst:.3e}")
     if traj.truncated:
         print(f"  warning: truncated (first non-finite value at n = {traj.truncation_index})")
     for w in traj.warnings:
@@ -280,7 +289,7 @@ def cmd_solve(args) -> int:
         "horizon": args.horizon,
         "n_start": traj.n_start,
         "n_end": traj.n_end,
-        "max_rel_residual": traj.max_rel_residual,
+        "max_rel_residual": worst,
         "truncated": traj.truncated,
         "truncation_index": traj.truncation_index,
         "warnings": list(traj.warnings),
@@ -381,7 +390,7 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
     all_valid = True
     for _ in range(args.windows):
         q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(span)))
-        cert = sign_conflict_certificate(eq, q, parity)
+        cert = sign_conflict_certificate(eq, q, parity, exclusion)
         results.append(cert.valid)
         all_valid = all_valid and cert.valid
     print(f"sign-conflict certificates ({parity.value}): "
@@ -445,8 +454,7 @@ def cmd_list_examples(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "verify": cmd_verify,

@@ -16,7 +16,8 @@ from enum import Enum
 from functools import partial
 
 from .errors import NumericRangeError, PivotError
-from .model import (EquationSpec, chain_windows, difference_column, max_relative_residual,
+# max_relative_residual stays importable here: perfbench/tracing.py rebinds solver.max_relative_residual.
+from .model import (EquationSpec, chain_windows, difference_column, max_relative_residual,  # noqa: F401
                     sign_of, staircase)
 from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow
 from .windows import Window
@@ -46,7 +47,6 @@ class Trajectory:
     t: Window | None = None
     truncated: bool = False
     warnings: tuple[str, ...] = ()
-    max_rel_residual: float | None = None  # set by the solvers; None when sampled
 
     @property
     def n_start(self) -> int:
@@ -91,13 +91,13 @@ def _check_seed(seed: Window, lo: int, hi: int, mode: str) -> None:
 
 
 def _finalize(eq: EquationSpec, x: Window, provenance: Provenance, truncated: bool = False,
-              d_break: int | None = None, max_rel_residual: float | None = None) -> Trajectory:
+              d_break: int | None = None) -> Trajectory:
     """Wrap x with its chain; d_break is where the solver saw d leave its sign."""
     # chain_windows needs z on at least four indices
     z, y, w, t = chain_windows(eq, x) if len(x) >= 4 + abs(eq.delta) else (None,) * 4
     warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
     return Trajectory(x=x, provenance=provenance, z=z, y=y, w=w, t=t, truncated=truncated,
-                      warnings=warnings, max_rel_residual=max_rel_residual)
+                      warnings=warnings)
 
 
 def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) -> Trajectory:
@@ -136,7 +136,7 @@ def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) 
         xs.append(x_next)
     x = Window(start, tuple(xs))
     provenance = Provenance.FORWARD if forward else Provenance.INVERSE
-    return _finalize(eq, x, provenance, advanced is None, d_break, max_relative_residual(eq, x)[0])
+    return _finalize(eq, x, provenance, advanced is None, d_break)
 
 
 def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float | None:
@@ -230,7 +230,7 @@ def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
 
 
 def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
-    """Wrap a closed-form evaluator as a trajectory with materialized chain (no residual).
+    """Wrap a closed-form evaluator as a trajectory with materialized chain.
 
     The evaluator must be total on [start, end]; non-finite samples are a
     range error carrying the index.

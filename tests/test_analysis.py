@@ -239,6 +239,19 @@ class TestSignConflictCertificate:
         eq = plain_equation(tau=1, delta=3, p=Constant(0.5), n0=3)  # odd delta
         with pytest.raises(HypothesisViolation, match="delta-even"):
             sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE)
+        with pytest.raises(HypothesisViolation, match="delta-even"):
+            sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE,
+                                      check_quick_exclusion(eq))
+
+    def test_a_held_exclusion_report_gives_the_same_certificate(self):
+        rng = random.Random(5)
+        for name in ("example-1", "example-3"):
+            eq = qd.example_equation(name)
+            report = check_quick_exclusion(eq)
+            q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(16)))
+            for parity in QuickParity:
+                assert sign_conflict_certificate(eq, q, parity, report) == \
+                    sign_conflict_certificate(eq, q, parity)
 
     def test_refused_for_nonpositive_q(self):
         eq = qd.example_equation("example-1")

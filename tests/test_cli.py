@@ -3,6 +3,7 @@ import json
 import pytest
 
 import quasidiff as qd
+from quasidiff import analysis, cli, model
 from quasidiff.cli import main
 
 
@@ -178,6 +179,76 @@ def test_solve_explicit_seed_values(capsys):
     assert "max relative residual" in out
 
 
+def test_solve_reports_no_residual_when_no_index_is_computable(tmp_path, capsys):
+    # tau = -7: the residual at n reads x up to n + 7, and a 1e300 seed
+    # overflows the march at n = 8, so x on [1, 7] holds no residual index
+    doc = {
+        "exponents": {"alpha": "1/1", "beta": "3/5", "gamma": "5/3"},
+        "tau": -7, "delta": 0, "n0": 1,
+        "p": {"kind": "constant", "value": 1.0},
+        "d": {"kind": "constant", "value": -16.0},
+        "a": {"kind": "constant", "value": 1.0},
+        "b": {"kind": "constant", "value": 1.0},
+        "c": {"kind": "constant", "value": 1.0},
+        "f": {"kind": "odd-power", "scale": 1.0, "exponent": "1/1"},
+    }
+    path, out_path = tmp_path / "eq.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    seed = ",".join(("1e300", "-1e300")[n % 2] for n in range(7))
+    code, out, _ = run(["solve", str(path), "--horizon", "200", "--seed-values", seed,
+                        "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "  x range: n = 1 .. 7\n" in out
+    assert "  max relative residual: none (no index has its residual inside the x range)\n" in out
+    assert json.loads(out_path.read_text())["max_rel_residual"] is None
+
+
+def test_solve_zero_seed_reports_a_zero_residual(tmp_path, capsys):
+    out_path = tmp_path / "out.json"
+    code, out, _ = run(["solve", "example-3", "--horizon", "40", "--seed-values", "0,0,0,0,0,0",
+                        "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "  max relative residual: 0.000e+00\n" in out
+    assert json.loads(out_path.read_text())["max_rel_residual"] == 0.0
+
+
+def test_solve_report_carries_the_solved_window_residual(tmp_path, capsys):
+    out_path = tmp_path / "out.json"
+    code, out, _ = run(["solve", "example-4", "--horizon", "300", "--out", str(out_path)], capsys)
+    assert code == 0
+    eq = qd.example_equation("example-4")
+    lo, hi = qd.forward_seed_span(eq)
+    x = qd.solve_forward(eq, qd.Window.from_evaluator(qd.example_closed_form("example-4"), lo, hi), 300).x
+    worst = qd.max_relative_residual(eq, x)[0]
+    assert 0.0 < worst <= 1e-9
+    assert json.loads(out_path.read_text())["max_rel_residual"] == worst
+    assert f"  max relative residual: {worst:.3e}\n" in out
+
+
+def test_classify_solve_runs_no_residual(monkeypatch, capsys):
+    argv = ["classify", "--solve", "example-3", "--horizon", "200"]
+    code, expected, _ = run(argv, capsys)
+    assert code == 0
+
+    def refuse(*_args):
+        raise AssertionError("classify --solve computed a residual")
+
+    monkeypatch.setattr(model, "_residual_parts", refuse)
+    assert run(argv, capsys) == (0, expected, "")
+
+
+def test_consecutive_calls_share_one_parser_and_no_options(tmp_path, capsys):
+    assert cli.make_parser() is cli.make_parser()
+    out_path = tmp_path / "out.json"
+    argv = ["solve", "example-3", "--horizon", "20"]
+    code, first, _ = run([*argv, "--out", str(out_path)], capsys)
+    assert code == 0 and out_path.exists()
+    out_path.unlink()
+    code, second, _ = run(argv, capsys)
+    assert code == 0 and second == first
+    assert not out_path.exists()  # the second call did not inherit --out
+
+
 def test_solve_wrong_seed_count_exits_2(capsys):
     code, _, err = run(["solve", "example-3", "--horizon", "20", "--seed-values", "1,2"], capsys)
     assert code == 2
@@ -248,6 +319,31 @@ def test_check_certificates(capsys):
                             "--parity", parity], capsys)
         assert code == 0
         assert f"certificates ({parity}-positive): 50/50 valid" in out
+
+
+def test_check_certificate_runs_quick_exclusion_once(monkeypatch, capsys):
+    calls = []
+    original = analysis.check_quick_exclusion
+
+    def spy(eq):
+        calls.append(eq)
+        return original(eq)
+
+    monkeypatch.setattr(analysis, "check_quick_exclusion", spy)
+    monkeypatch.setattr(cli, "check_quick_exclusion", spy)
+    code, out, _ = run(["check", "example-3", "--certificate", "--windows", "5"], capsys)
+    assert code == 0
+    assert "certificates (even-positive): 5/5 valid" in out
+    assert len(calls) == 1
+
+
+def test_check_certificate_forced_parity_is_refused_when_hypotheses_fail(capsys):
+    code, out, err = run(["check", "example-2", "--delta", "3", "--certificate", "--windows", "5",
+                          "--parity", "even"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("check failed: certificate refused: condition 'delta-even' fails "
+                   "(delta = 3 is odd (structural))\n")
 
 
 @pytest.mark.parametrize("name, extra, scale, ratio", [
