@@ -26,7 +26,6 @@ from .analysis import (
     classify,
     companion_bound_certificate,
     component_sign_profile,
-    limit_from_companion,
     sign_conflict_certificate,
 )
 from .document import build_equation, build_sequence, parse_equation_document
@@ -51,7 +50,6 @@ from .model import (
     Combine,
     Constant,
     CustomMap,
-    DerivedCoefficients,
     EquationSpec,
     Geometric,
     Nonlinearity,
@@ -62,14 +60,9 @@ from .model import (
     SignumMap,
     Table,
     chain_windows,
-    companion,
-    derive_coefficients,
-    evaluate_sequence,
     identity_map,
     max_relative_residual,
-    quasidifference_chain,
     relative_residual,
-    residual,
     residual_range,
 )
 from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile, spow, spow_inverse
@@ -89,20 +82,18 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine", "BoundCertificate", "CheckStatus", "Combine", "ComponentSummary",
     "ConditionEntry", "ConditionReport", "Constant", "ContradictionCertificate",
-    "CustomMap", "DEFAULT_TOLERANCE", "DerivedCoefficients", "DocumentError",
-    "EXAMPLE_NAMES", "EquationSpec", "Geometric", "HypothesisViolation",
-    "Nonlinearity", "NumericRangeError", "OddPowerMap", "OddRatio", "PivotError",
-    "PowerLaw", "Provenance", "QuasidiffError", "QuickDecomposition", "QuickParity",
-    "SequenceDomainError", "SequenceSpec", "SeriesProbe", "SeriesStatus",
-    "SignCase", "SignProfileReport", "SignedPower", "SignumMap", "Table",
-    "ToleranceProfile", "Trajectory", "Verdict", "VerdictKind", "Window",
-    "WindowIndexError", "build_equation", "build_sequence", "chain_windows",
+    "CustomMap", "DEFAULT_TOLERANCE", "DocumentError", "EXAMPLE_NAMES", "EquationSpec",
+    "Geometric", "HypothesisViolation", "Nonlinearity", "NumericRangeError",
+    "OddPowerMap", "OddRatio", "PivotError", "PowerLaw", "Provenance", "QuasidiffError",
+    "QuickDecomposition", "QuickParity", "SequenceDomainError", "SequenceSpec",
+    "SeriesProbe", "SeriesStatus", "SignCase", "SignProfileReport", "SignedPower",
+    "SignumMap", "Table", "ToleranceProfile", "Trajectory", "Verdict", "VerdictKind",
+    "Window", "WindowIndexError", "build_equation", "build_sequence", "chain_windows",
     "check_almost_oscillation", "check_quick_exclusion", "check_series_divergence",
-    "classify", "companion", "companion_bound_certificate", "component_sign_profile",
-    "derive_coefficients", "evaluate_sequence", "example_closed_form",
-    "example_document", "example_equation", "example_summary", "forward_seed_span",
-    "identity_map", "inverse_seed_span", "limit_from_companion",
-    "max_relative_residual", "parse_equation_document", "quasidifference_chain",
-    "relative_residual", "residual", "residual_range", "sample_trajectory",
-    "sign_conflict_certificate", "solve_forward", "solve_inverse", "spow", "spow_inverse",
+    "classify", "companion_bound_certificate", "component_sign_profile",
+    "example_closed_form", "example_document", "example_equation", "example_summary",
+    "forward_seed_span", "identity_map", "inverse_seed_span", "max_relative_residual",
+    "parse_equation_document", "relative_residual", "residual_range",
+    "sample_trajectory", "sign_conflict_certificate", "solve_forward", "solve_inverse",
+    "spow", "spow_inverse",
 ]

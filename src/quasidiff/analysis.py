@@ -23,9 +23,8 @@ from enum import Enum
 from typing import Callable
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import (CustomMap, EquationSpec, SequenceSpec, derive_coefficients, residual_range,
-                    sign_break, staircase)
-from .numerics import DEFAULT_TOLERANCE, ToleranceProfile
+from .model import VALIDATION_SAMPLE, CustomMap, EquationSpec, SequenceSpec, residual_range, staircase
+from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile
 from .solver import Trajectory
 from .windows import Window
 
@@ -234,19 +233,6 @@ def _scan_sequence(seq: SequenceSpec, start: int, count: int,
     return None
 
 
-def _d_sign_entry(eq: EquationSpec, horizon: int) -> tuple[ConditionEntry, int]:
-    bad, sign = sign_break(eq.d, eq.n0, horizon)
-    if bad is not None:
-        return (
-            ConditionEntry("d-one-signed", CheckStatus.FAILS_AT_INDEX, False,
-                           f"d({bad}) = {eq.d.at(bad)!r} breaks one-signedness on sample "
-                           f"[{eq.n0}, {eq.n0 + horizon - 1}]", fail_index=bad),
-            0,
-        )
-    detail = f"d of constant sign {'+' if sign > 0 else '-'} on sample [{eq.n0}, {eq.n0 + horizon - 1}]"
-    return ConditionEntry("d-one-signed", CheckStatus.HOLDS_ON_SAMPLE, True, detail), sign
-
-
 def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
     holds = eq.f.sign_condition
     structural = not isinstance(eq.f, CustomMap)
@@ -258,20 +244,22 @@ def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
                           "x*f(x) > 0 for x != 0 does not hold")
 
 
-def check_quick_exclusion(eq: EquationSpec, horizon: int = 256) -> ConditionReport:
+def check_quick_exclusion(eq: EquationSpec) -> ConditionReport:
     """Hypotheses under which alternating solutions cannot exist.
 
-    Requires p_n >= 0 and one-signed d on the sampled prefix, even delta, and
-    the sign condition on f.  For x_n = +-(-1)^n q_n with q > 0, D t_n has
-    the sign +-(-1)^n and -d_n f(x_{n-tau}) the sign -+sgn(d)(-1)^(n+tau), so
-    when the hypotheses hold, alternating solutions are excluded exactly when
-    sgn(d)(-1)^tau = +1, for both parities at once (the equation is odd in
-    x, so -x solves it whenever x does), and otherwise for neither.
+    Requires p_n >= 0 and one-signed d on the VALIDATION_SAMPLE indices from
+    n0, even delta, and the sign condition on f.  For x_n = +-(-1)^n q_n
+    with q > 0, D t_n has the sign +-(-1)^n and -d_n f(x_{n-tau}) the sign
+    -+sgn(d)(-1)^(n+tau), so when the hypotheses hold, alternating solutions
+    are excluded exactly when sgn(d)(-1)^tau = +1, for both parities at once
+    (the equation is odd in x, so -x solves it whenever x does), and
+    otherwise for neither.
     """
-    span = f"[{eq.n0}, {eq.n0 + horizon - 1}]"
+    span = f"[{eq.n0}, {eq.n0 + VALIDATION_SAMPLE - 1}]"
+    d_sign = eq.d_sign()
     entries = []
     try:
-        bad = _scan_sequence(eq.p, eq.n0, horizon, lambda v: v >= 0.0)
+        bad = _scan_sequence(eq.p, eq.n0, VALIDATION_SAMPLE, lambda v: v >= 0.0)
     except SequenceDomainError as exc:
         entries.append(ConditionEntry("p-nonnegative", CheckStatus.NOT_CHECKABLE, None,
                                       f"p not evaluable on sample {span}: {exc}"))
@@ -283,8 +271,9 @@ def check_quick_exclusion(eq: EquationSpec, horizon: int = 256) -> ConditionRepo
             entries.append(ConditionEntry("p-nonnegative", CheckStatus.FAILS_AT_INDEX, False,
                                           f"p({bad}) = {eq.p.at(bad)!r} < 0 on sample {span}",
                                           fail_index=bad))
-    d_entry, d_sign = _d_sign_entry(eq, horizon)
-    entries.append(d_entry)
+    # EquationSpec rejects a d that is zero or changes sign on this same sample.
+    entries.append(ConditionEntry("d-one-signed", CheckStatus.HOLDS_ON_SAMPLE, True,
+                                  f"d of constant sign {'+' if d_sign > 0 else '-'} on sample {span}"))
     delta_even = eq.delta % 2 == 0
     entries.append(ConditionEntry(
         "delta-even",
@@ -337,14 +326,19 @@ class SeriesProbe:
         }
 
 
-def check_series_divergence(terms, start: int, horizon: int, threshold: float = 1e6,
-                            tail_grow: float = 1e-2, tail_settle: float = 1e-5) -> SeriesProbe:
+# A series probe's final third contributing more than TAIL_GROW of the total
+# reads as divergent, less than TAIL_SETTLE as convergent.
+TAIL_GROW = 1e-2
+TAIL_SETTLE = 1e-5
+
+
+def check_series_divergence(terms, start: int, horizon: int, threshold: float = 1e6) -> SeriesProbe:
     """Three-valued partial-sum probe for divergence of an infinite series.
 
     Divergent when |partial sums| pass the threshold (early exit) or when the
-    final third of the horizon still contributes more than tail_grow of the
+    final third of the horizon still contributes more than TAIL_GROW of the
     total; convergent when that tail contribution has settled below
-    tail_settle; undetermined in between.  This is evidence about partial
+    TAIL_SETTLE; undetermined in between.  This is evidence about partial
     sums, never a proof about the series.
     """
     if horizon < 3:
@@ -367,9 +361,9 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     if math.isnan(total):
         return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
     ratio = abs(total - checkpoint) / max(abs(total), 1e-300)
-    if ratio > tail_grow:
+    if ratio > TAIL_GROW:
         status = SeriesStatus.DIVERGENT
-    elif ratio < tail_settle:
+    elif ratio < TAIL_SETTLE:
         status = SeriesStatus.CONVERGENT
     else:
         status = SeriesStatus.UNDETERMINED
@@ -429,8 +423,21 @@ def _continuity_entry(eq: EquationSpec) -> ConditionEntry:
                           "continuity of a custom nonlinearity cannot be observed")
 
 
-def _series_entry(name: str, terms, start: int, horizon: int, threshold: float) -> ConditionEntry:
-    probe = check_series_divergence(terms, start, horizon, threshold)
+def _reciprocal_power(seq: SequenceSpec, e: OddRatio, name: str) -> Callable[[int], float]:
+    """n -> seq_n ** (-1/e): the coefficients A = a**(-1/alpha), B and C whose
+    series the almost-oscillation hypotheses require to diverge."""
+    exponent = -e.denominator / e.numerator
+
+    def view(n: int) -> float:
+        v = seq.at(n)
+        if not v > 0.0:
+            raise SequenceDomainError(f"nonpositive coefficient {name}({n}) = {v!r}", index=n)
+        return math.pow(v, exponent)
+    return view
+
+
+def _series_entry(name: str, terms, start: int, horizon: int) -> ConditionEntry:
+    probe = check_series_divergence(terms, start, horizon)
     satisfied = {SeriesStatus.DIVERGENT: True,
                  SeriesStatus.CONVERGENT: False,
                  SeriesStatus.UNDETERMINED: None}[probe.status]
@@ -439,8 +446,7 @@ def _series_entry(name: str, terms, start: int, horizon: int, threshold: float) 
     return ConditionEntry(name, CheckStatus.HEURISTIC_EVIDENCE, satisfied, detail)
 
 
-def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000,
-                             series_threshold: float = 1e6) -> ConditionReport:
+def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000) -> ConditionReport:
     """Hypotheses under which every bounded solution oscillates or decays to zero.
 
     Aggregates the p-limit condition, the sign condition on f, continuity of
@@ -448,15 +454,14 @@ def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000,
     divergence of the d series.  Series entries are heuristic partial-sum
     evidence at the given horizon.
     """
-    derived = derive_coefficients(eq)
     entries = (
         _p_limit_entry(eq, horizon),
         _sign_condition_entry(eq),
         _continuity_entry(eq),
-        _series_entry("series-A-divergent", derived.A, eq.n0, horizon, series_threshold),
-        _series_entry("series-B-divergent", derived.B, eq.n0, horizon, series_threshold),
-        _series_entry("series-C-divergent", derived.C, eq.n0, horizon, series_threshold),
-        _series_entry("series-d-divergent", eq.d, eq.n0, horizon, series_threshold),
+        _series_entry("series-A-divergent", _reciprocal_power(eq.a, eq.alpha, "a"), eq.n0, horizon),
+        _series_entry("series-B-divergent", _reciprocal_power(eq.b, eq.beta, "b"), eq.n0, horizon),
+        _series_entry("series-C-divergent", _reciprocal_power(eq.c, eq.gamma, "c"), eq.n0, horizon),
+        _series_entry("series-d-divergent", eq.d, eq.n0, horizon),
     )
     failing = [e for e in entries if e.satisfied is not True]
     if not failing:
@@ -563,16 +568,8 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
 
 
 # ---------------------------------------------------------------------------
-# Companion-sequence limit and bound
+# Companion-sequence bound
 # ---------------------------------------------------------------------------
-
-
-def limit_from_companion(p_limit: float, z_limit: float,
-                         tol: ToleranceProfile = DEFAULT_TOLERANCE) -> float:
-    """Limit of x from the limit of z = x + p x_{-delta}: z_limit / (1 + p_limit)."""
-    if abs(abs(p_limit) - 1.0) <= tol.eps_sign:
-        raise ValueError(f"|p_limit| = 1 leaves the limit of x undetermined (p_limit = {p_limit!r})")
-    return z_limit / (1.0 + p_limit)
 
 
 @dataclass(frozen=True)

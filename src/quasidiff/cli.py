@@ -153,6 +153,8 @@ def _load_equation(args) -> tuple[EquationSpec, str]:
         document["delta"] = args.delta_override
         document["n0"] = max(document["n0"], 1, args.delta_override, document["tau"])
     if getattr(args, "perturb_d", None) is not None:
+        if not math.isfinite(args.perturb_d):
+            raise ValueError(f"--perturb-d must be a finite factor, got {args.perturb_d!r}")
         document = dict(document)
         document["d"] = {"kind": "combine", "op": "*", "left": document["d"],
                          "right": {"kind": "constant", "value": args.perturb_d}}
@@ -464,7 +466,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DocumentError, ValueError) as exc:
+    except (DocumentError, ValueError, OSError) as exc:  # OSError: an unwritable --out or --csv
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolation as exc:

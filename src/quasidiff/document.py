@@ -29,6 +29,7 @@ Field errors carry the JSON path of the offending value.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .errors import DocumentError
@@ -60,7 +61,13 @@ def _need(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"expected a number, got {value!r}", path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        number = math.inf
+    if not math.isfinite(number):  # json accepts NaN, Infinity and -Infinity
+        raise DocumentError(f"expected a finite number, got {value!r}", path)
+    return number
 
 
 def _integer(value: Any, path: str) -> int:

@@ -67,6 +67,8 @@ def _shifted_power_sum(bases: list[dict], beta: str) -> dict:
 
 def _example1_document(beta: str, lam: int) -> dict:
     # d_n = (9*2^(n+2) + 2^(2-2L))^B + 2(9*2^(n+1) + 2^(2-2L))^B + (9*2^n + 2^(2-2L))^B
+    if lam < -510:  # 2.0 ** 1024 overflows
+        raise ValueError(f"example-1 needs lambda >= -510, so that 2^(2-2*lambda) is a finite double; got {lam}")
     offset = _const(2.0 ** (2 - 2 * lam))
     bases = [_combine("+", _geom(9.0 * 2.0 ** k, 2.0), offset) for k in (0, 1, 2)]
     delta = 2 * lam

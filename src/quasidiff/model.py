@@ -191,11 +191,6 @@ class SignedPower:
 SequenceSpec = Union[Constant, Geometric, Affine, PowerLaw, Table, Combine, SignedPower]
 
 
-def evaluate_sequence(s: SequenceSpec, n: int) -> float:
-    """Value of the sequence at index n (deterministic in (s, n))."""
-    return s.at(n)
-
-
 # ---------------------------------------------------------------------------
 # Nonlinearities
 # ---------------------------------------------------------------------------
@@ -403,53 +398,10 @@ class EquationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Derived reciprocal coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """The reciprocal-power coefficients A = a**(-1/alpha), B, C.
-
-    These are what the first three equations of the system multiply by when
-    the chain is unwound: D z_n = C_n * y_n**(1/gamma) and so on.
-    """
-
-    A: Callable[[int], float]
-    B: Callable[[int], float]
-    C: Callable[[int], float]
-
-
-def _reciprocal_power(seq: SequenceSpec, e: OddRatio, name: str) -> Callable[[int], float]:
-    exponent = -e.denominator / e.numerator
-
-    def view(n: int) -> float:
-        v = seq.at(n)
-        if not v > 0.0:
-            raise SequenceDomainError(f"nonpositive coefficient {name}({n}) = {v!r}", index=n)
-        return math.pow(v, exponent)
-
-    return view
-
-
-def derive_coefficients(eq: EquationSpec) -> DerivedCoefficients:
-    return DerivedCoefficients(
-        A=_reciprocal_power(eq.a, eq.alpha, "a"),
-        B=_reciprocal_power(eq.b, eq.beta, "b"),
-        C=_reciprocal_power(eq.c, eq.gamma, "c"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Companion sequence, chain, residual
+# Chain and residual
 # ---------------------------------------------------------------------------
 
 Evaluator = Callable[[int], float]
-
-
-def companion(x: Evaluator, p: SequenceSpec, delta: int, n: int) -> float:
-    """z_n = x_n + p_n * x_{n-delta}, the neutral combination the chain acts on."""
-    return x(n) + p.at(n) * x(n - delta)
 
 
 def _xpow(v: float, e: OddRatio) -> float:
@@ -545,18 +497,6 @@ def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -
     return [num(float(x(m))) for m in range(x0, hi + max(-eq.delta, 0) + 1)], x0
 
 
-def quasidifference_chain(eq: EquationSpec, x: Evaluator, n: int) -> tuple[float, float, float, float]:
-    """The values (z_n, y_n, w_n, t_n) of the chain at index n.
-
-    Consumes z at n .. n+3, i.e. x at n - max(delta, 0) .. n + 3 (plus the
-    advanced side when delta < 0).  Missing window indices propagate as
-    window errors carrying the offending index.
-    """
-    xs, x0 = _sample_x(eq, x, n, n + 3, float)
-    z, y, w, t = staircase(eq, xs, x0, n, n + 3)
-    return z[0], y[0], w[0], t[0]
-
-
 RESIDUAL_BLOCK = 256
 
 
@@ -596,11 +536,6 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
         t = staircase(eq, xs, x0, lo, lo + 4)[3]
         f = forcing_f[0]
         return [((t[1] - t[0]) + f, max(abs(t[1]), abs(t[0]), abs(f)))]
-
-
-def residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
-    """D t_n + d_n * f(x_{n-tau}); zero exactly when x solves the equation at n."""
-    return _residual_parts(eq, x, n, n)[0][0]
 
 
 def _relative(r: float, scale: float) -> float:

@@ -25,7 +25,6 @@ from quasidiff import (
     classify,
     companion_bound_certificate,
     component_sign_profile,
-    limit_from_companion,
     sample_trajectory,
     sign_conflict_certificate,
 )
@@ -193,15 +192,15 @@ class TestSignConflictCertificate:
 
     def test_chain_side_matches_chain_of_even_positive_candidate(self):
         # for the even-positive parameterization the chain side is literally
-        # -D t_n of the actual candidate, checked through the chain oracle
+        # -D t_n of the actual candidate, checked through chain_windows
         eq = plain_equation(tau=2, delta=2, p=Constant(0.5), n0=2)
         rng = random.Random(8)
         q = Window(2, tuple(rng.uniform(0.5, 3.0) for _ in range(24)))
         cert = sign_conflict_certificate(eq, q, QuickParity.EVEN_POSITIVE)
         x = Window(q.start, tuple((v if n % 2 == 0 else -v) for n, v in q.items()))
+        t = qd.chain_windows(eq, x)[3]
         for n in range(cert.n_start, cert.n_end + 1):
-            t_n = qd.quasidifference_chain(eq, x, n)[3]
-            t_next = qd.quasidifference_chain(eq, x, n + 1)[3]
+            t_n, t_next = t[n], t[n + 1]
             assert cert.chain_side[n] == pytest.approx(-(t_next - t_n), rel=1e-9)
 
     def test_random_positive_windows(self):
@@ -231,8 +230,9 @@ class TestSignConflictCertificate:
             assert (cert.n_start, cert.n_end) == (q.start, q.end - 6)
             assert cert.valid
         x = Window(q.start, tuple((-v if n % 2 == 0 else v) for n, v in q.items()))
+        t = qd.chain_windows(eq, x)[3]
         for n in range(cert.n_start, cert.n_end + 1):
-            dt = qd.quasidifference_chain(eq, x, n + 1)[3] - qd.quasidifference_chain(eq, x, n)[3]
+            dt = t[n + 1] - t[n]
             assert cert.chain_side[n] == pytest.approx(-dt, rel=1e-12)
 
     def test_refused_when_hypotheses_fail(self):
@@ -274,31 +274,8 @@ class TestSignConflictCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Companion limit and bound
+# Companion bound
 # ---------------------------------------------------------------------------
-
-
-class TestLimitFromCompanion:
-    @pytest.mark.parametrize("p, z, expected", [(0.0, 5.0, 5.0), (0.5, 3.0, 2.0), (-0.5, 1.0, 2.0)])
-    def test_known_values(self, p, z, expected):
-        assert limit_from_companion(p, z) == pytest.approx(expected, rel=1e-12)
-
-    @given(st.floats(min_value=-1e12, max_value=1e12))
-    def test_zero_p_is_the_identity(self, z_limit):
-        assert limit_from_companion(0.0, z_limit) == z_limit
-
-    @pytest.mark.parametrize("p", [1.0, -1.0, 1.0 + 1e-13, -1.0 + 1e-13])
-    def test_unit_modulus_rejected(self, p):
-        with pytest.raises(ValueError):
-            limit_from_companion(p, 1.0)
-
-    def test_continuity_away_from_unit_modulus(self):
-        h = 1e-7
-        for p in (-0.9, -0.3, 0.0, 0.4, 0.9, 2.0):
-            base = limit_from_companion(p, 1.0)
-            step = limit_from_companion(p + h, 1.0)
-            derivative = -1.0 / (1.0 + p) ** 2
-            assert (step - base) / h == pytest.approx(derivative, rel=1e-4)
 
 
 class TestCompanionBound:

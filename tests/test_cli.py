@@ -78,6 +78,49 @@ def test_verify_raised_overflow_escapes(capsys):
         main(["verify", "example-1", "--horizon", "1100"])
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("p", float("nan"), "nan"), ("p", float("inf"), "inf"), ("d", float("-inf"), "-inf"),
+])
+def test_non_finite_document_literal_exits_2(key, value, shown, tmp_path, capsys):
+    # example-3's document with a NaN or infinite coefficient used to PASS with residual 0
+    doc = qd.example_document("example-3")
+    doc[key] = {"kind": "constant", "value": value}
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path), "--horizon", "20", "--closed-form", "geometric:-1,0.5"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: $.{key}.value: expected a finite number, got {shown}\n"
+
+
+@pytest.mark.parametrize("factor", ["inf", "-inf", "nan"])
+def test_non_finite_perturb_d_exits_2(factor, capsys):
+    code, out, err = run(["verify", "example-3", f"--perturb-d={factor}", "--horizon", "20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --perturb-d must be a finite factor, got {float(factor)!r}\n"
+
+
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_unwritable_output_path_exits_2(option, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.out"
+    code, out, err = run(["solve", "example-3", "--horizon", "20", option, str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert str(path) in err
+    # the path is opened after the report is printed, so stdout holds the whole report
+    _, report, _ = run(["solve", "example-3", "--horizon", "20"], capsys)
+    assert report and out == report
+
+
+def test_example_1_lambda_out_of_range_exits_2(capsys):
+    code, out, err = run(["solve", "example-1", "--lambda", "-600"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: example-1 needs lambda >= -510, so that 2^(2-2*lambda) is a finite double; got -600\n"
+
+
 def test_verify_file_document_equals_bundled(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps(qd.example_document("example-3")))

@@ -82,6 +82,21 @@ def test_nested_sequence_error_path():
     assert "$.d.right.scale" in str(err.value)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_literals_are_rejected_with_their_path(literal):
+    # json accepts NaN and +-Infinity, and 1e400 decodes to inf
+    text = json.dumps(minimal_document()).replace('"value": 0.25', f'"value": {literal}')
+    with pytest.raises(DocumentError, match=r"^\$\.p\.value: expected a finite number"):
+        parse_equation_document(text)
+
+
+def test_non_finite_table_value_names_its_index():
+    doc = minimal_document()
+    doc["d"] = {"kind": "table", "values": [1.0, float("inf")], "start": 0, "out_of_range": "hold-last"}
+    with pytest.raises(DocumentError, match=r"^\$\.d\.values\[1\]: expected a finite number, got inf$"):
+        build_equation(doc)
+
+
 def test_invalid_equation_is_a_document_error():
     doc = minimal_document()
     doc["tau"] = -4

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
+from quasidiff import analysis, model
 from quasidiff import (
     Affine,
     Combine,
@@ -21,12 +22,9 @@ from quasidiff import (
     Table,
     Window,
     WindowIndexError,
-    companion,
-    derive_coefficients,
-    evaluate_sequence,
-    quasidifference_chain,
+    chain_windows,
+    check_almost_oscillation,
     relative_residual,
-    residual,
 )
 from support import plain_equation
 
@@ -82,7 +80,7 @@ class TestWindow:
     (SignedPower(Constant(-8.0), OddRatio(1, 3)), 0, -2.0),
 ])
 def test_evaluate_sequence(seq, n, expected):
-    assert evaluate_sequence(seq, n) == pytest.approx(expected, rel=1e-12)
+    assert seq.at(n) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sequence_determinism():
@@ -168,25 +166,29 @@ class TestNonlinearity:
 
 
 # ---------------------------------------------------------------------------
-# Companion sequence
+# Companion sequence: the z column of the staircase
 # ---------------------------------------------------------------------------
+
+
+def companion(x, p, delta, lo, hi):
+    """z on [lo, hi] as model.staircase computes it."""
+    return model.staircase(plain_equation(p=p, delta=delta), list(x.values), x.start, lo, hi)[0]
 
 
 def test_companion_direct_evaluation():
     x = Window(1, (1.0, 2.0, 3.0, 4.0))
-    assert companion(x, Constant(0.5), 2, 3) == 3.0 + 0.5 * 1.0
+    assert companion(x, Constant(0.5), 2, 3, 3) == [3.0 + 0.5 * 1.0]
 
 
 def test_companion_zero_p_reduction():
     x = Window(0, tuple(float(i * i) for i in range(8)))
-    for n in range(2, 8):
-        assert companion(x, Constant(0.0), 2, n) == x[n]
+    assert companion(x, Constant(0.0), 2, 2, 7) == list(x.values[2:])
 
 
 def test_companion_alternating_window():
     # x_n = (-1)^n 2^n,  p_n = 2^-n,  delta = 2:  16 + (1/16)*4 at n = 4
     x = Window(0, tuple((-1.0) ** n * 2.0 ** n for n in range(6)))
-    assert companion(x, Geometric(1.0, 0.5), 2, 4) == 16.25
+    assert companion(x, Geometric(1.0, 0.5), 2, 4, 4) == [16.25]
 
 
 @given(st.integers(min_value=0, max_value=5),
@@ -199,8 +201,8 @@ def test_companion_is_linear_in_x(delta, xs, ys, s, t):
     wx, wy = Window(0, tuple(xs)), Window(0, tuple(ys))
     combo = Window(0, tuple(s * a + t * b for a, b in zip(xs, ys)))
     n = 7
-    lhs = companion(combo, p, delta, n)
-    rhs = s * companion(wx, p, delta, n) + t * companion(wy, p, delta, n)
+    [lhs] = companion(combo, p, delta, n, n)
+    rhs = s * companion(wx, p, delta, n, n)[0] + t * companion(wy, p, delta, n, n)[0]
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
 
 
@@ -212,7 +214,7 @@ def test_companion_is_linear_in_x(delta, xs, ys, s, t):
 def test_chain_of_zero_window_is_zero():
     eq = plain_equation()
     x = Window(0, (0.0,) * 12)
-    assert quasidifference_chain(eq, x, 3) == (0.0, 0.0, 0.0, 0.0)
+    assert all(v == 0.0 for col in chain_windows(eq, x) for v in col.values)
 
 
 def test_chain_collapses_to_plain_differences():
@@ -226,12 +228,12 @@ def test_chain_collapses_to_plain_differences():
 
     xs = list(x.values)
     d1, d2, d3 = diff(xs), diff(diff(xs)), diff(diff(diff(xs)))
+    z, y, w, t = chain_windows(eq, x)
     for n in range(2, 8):
-        z, y, w, t = quasidifference_chain(eq, x, n)
-        assert z == pytest.approx(xs[n], rel=1e-12)
-        assert y == pytest.approx(d1[n], rel=1e-12, abs=1e-12)
-        assert w == pytest.approx(d2[n], rel=1e-12, abs=1e-12)
-        assert t == pytest.approx(d3[n], rel=1e-12, abs=1e-12)
+        assert z[n] == pytest.approx(xs[n], rel=1e-12)
+        assert y[n] == pytest.approx(d1[n], rel=1e-12, abs=1e-12)
+        assert w[n] == pytest.approx(d2[n], rel=1e-12, abs=1e-12)
+        assert t[n] == pytest.approx(d3[n], rel=1e-12, abs=1e-12)
 
 
 def test_chain_against_closed_forms():
@@ -248,24 +250,29 @@ def test_chain_against_closed_forms():
         def v(n):
             return (4.0 + 16.0 / 3.0 ** (n + 2)) ** beta_val
 
+        z, y, w, t = chain_windows(eq, x)
         for n in range(eq.n0, eq.n0 + 6):
-            z, y, w, t = quasidifference_chain(eq, x, n)
             sign = 1.0 if n % 2 == 0 else -1.0
-            assert z == pytest.approx(sign * (1.0 + 3.0 ** -n), rel=1e-12)
-            assert y == pytest.approx(-sign * (2.0 + 4.0 / 3.0 ** (n + 1)), rel=1e-12)
-            assert w == pytest.approx(sign * v(n), rel=1e-12)
-            assert t == pytest.approx(-sign * (v(n + 1) + v(n)), rel=1e-12)
+            assert z[n] == pytest.approx(sign * (1.0 + 3.0 ** -n), rel=1e-12)
+            assert y[n] == pytest.approx(-sign * (2.0 + 4.0 / 3.0 ** (n + 1)), rel=1e-12)
+            assert w[n] == pytest.approx(sign * v(n), rel=1e-12)
+            assert t[n] == pytest.approx(-sign * (v(n + 1) + v(n)), rel=1e-12)
 
 
 def test_chain_window_too_short():
     eq = plain_equation(delta=2)
     with pytest.raises(WindowIndexError):
-        quasidifference_chain(eq, Window(0, (1.0, 1.0, 1.0)), 2)
+        relative_residual(eq, Window(0, (1.0, 1.0, 1.0)), 2)
 
 
 # ---------------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------------
+
+
+def residual(eq, x, n):
+    """The unscaled residual D t_n + d_n f(x_{n-tau})."""
+    return model._residual_parts(eq, x, n, n)[0][0]
 
 
 def test_residual_of_alternating_solution_signum_forcing():
@@ -289,13 +296,13 @@ def test_residual_of_zero_solution_is_exact():
 
 
 def test_residual_matches_chain_evaluation():
-    # D t_n + d_n f(x_{n-tau}) recomputed through quasidifference_chain
+    # D t_n + d_n f(x_{n-tau}) recomputed through chain_windows
     eq = qd.example_equation("example-4")
     rng = random.Random(3)
     x = Window(0, tuple(rng.uniform(-2, 2) for _ in range(20)))
+    t = chain_windows(eq, x)[3]
     for n in rng.sample(range(2, 12), 5):
-        t_n = quasidifference_chain(eq, x, n)[3]
-        t_next = quasidifference_chain(eq, x, n + 1)[3]
+        t_n, t_next = t[n], t[n + 1]
         expected = (t_next - t_n) + eq.d.at(n) * eq.f.apply(x(n - eq.tau))
         scale = max(abs(t_next), abs(t_n), abs(expected), 1e-300)
         assert residual(eq, x, n) == pytest.approx(expected, rel=1e-10, abs=1e-12 * scale)
@@ -320,40 +327,50 @@ def test_relative_residual_detects_perturbation():
 
 
 # ---------------------------------------------------------------------------
-# Derived coefficients
+# Reciprocal coefficients A = a^(-1/alpha), B, C of the almost-oscillation series
 # ---------------------------------------------------------------------------
+
+
+def reciprocal_coefficients(eq):
+    return (analysis._reciprocal_power(eq.a, eq.alpha, "a"),
+            analysis._reciprocal_power(eq.b, eq.beta, "b"),
+            analysis._reciprocal_power(eq.c, eq.gamma, "c"))
 
 
 class TestDerivedCoefficients:
     def test_unit_coefficients(self):
-        derived = derive_coefficients(plain_equation())
-        assert derived.A(5) == 1.0 and derived.B(5) == 1.0 and derived.C(5) == 1.0
+        A, B, C = reciprocal_coefficients(plain_equation())
+        assert A(5) == 1.0 and B(5) == 1.0 and C(5) == 1.0
 
     def test_affine_linear_exponent(self):
         eq = plain_equation(a=Affine(1.0, 0.0), n0=2, tau=1, delta=2)
-        derived = derive_coefficients(eq)
+        A = reciprocal_coefficients(eq)[0]
         for n in (2, 3, 10, 100):
-            assert derived.A(n) == pytest.approx(1.0 / n, rel=1e-12)
+            assert A(n) == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_cube_exponent(self):
         eq = plain_equation(a=Constant(8.0), alpha=OddRatio(3, 1))
-        assert derive_coefficients(eq).A(4) == pytest.approx(0.5, rel=1e-12)
+        assert reciprocal_coefficients(eq)[0](4) == pytest.approx(0.5, rel=1e-12)
 
     def test_inversion_identity(self):
         eq = plain_equation(a=Geometric(2.0, 1.01), b=Affine(0.3, 1.0), c=Constant(5.0),
                             alpha=OddRatio(5, 3), beta=OddRatio(3, 1), gamma=OddRatio(1, 3))
-        derived = derive_coefficients(eq)
+        A, B, C = reciprocal_coefficients(eq)
         for n in range(eq.n0, eq.n0 + 40):
-            assert qd.spow(derived.A(n), eq.alpha) * eq.a.at(n) == pytest.approx(1.0, rel=1e-12)
-            assert qd.spow(derived.B(n), eq.beta) * eq.b.at(n) == pytest.approx(1.0, rel=1e-12)
-            assert qd.spow(derived.C(n), eq.gamma) * eq.c.at(n) == pytest.approx(1.0, rel=1e-12)
+            assert qd.spow(A(n), eq.alpha) * eq.a.at(n) == pytest.approx(1.0, rel=1e-12)
+            assert qd.spow(B(n), eq.beta) * eq.b.at(n) == pytest.approx(1.0, rel=1e-12)
+            assert qd.spow(C(n), eq.gamma) * eq.c.at(n) == pytest.approx(1.0, rel=1e-12)
 
     def test_nonpositive_coefficient_reported(self):
-        # views evaluate lazily; construction only samples a prefix, so the
-        # nonpositive value surfaces at the view call
+        # construction only samples a prefix, so the nonpositive value
+        # surfaces when the series reaches it
         eq_bad = plain_equation(a=Table((1.0,) * 300 + (-1.0,), 1, "hold-last"))
-        with pytest.raises(SequenceDomainError):
-            derive_coefficients(eq_bad).A(301)
+        message = r"nonpositive coefficient a\(301\) = -1\.0"
+        with pytest.raises(SequenceDomainError, match=message):
+            reciprocal_coefficients(eq_bad)[0](301)
+        with pytest.raises(SequenceDomainError, match=message) as err:
+            check_almost_oscillation(eq_bad, horizon=1000)
+        assert err.value.index == 301
 
 
 # ---------------------------------------------------------------------------
