@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from itertools import accumulate, repeat
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import VALIDATION_SAMPLE, CustomMap, EquationSpec, SequenceSpec, residual_range, staircase
+from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, Constant, CustomMap, EquationSpec, SequenceSpec,
+                    first_failure, residual_range, staircase)
 from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile
 from .solver import Trajectory
 from .windows import Window
@@ -224,15 +225,6 @@ class ConditionReport:
         }
 
 
-def _scan_sequence(seq: SequenceSpec, start: int, count: int,
-                   predicate: Callable[[float], bool]) -> int | None:
-    """First index in [start, start+count) where the predicate fails, else None."""
-    for n in range(start, start + count):
-        if not predicate(seq.at(n)):
-            return n
-    return None
-
-
 def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
     holds = eq.f.sign_condition
     structural = not isinstance(eq.f, CustomMap)
@@ -259,7 +251,7 @@ def check_quick_exclusion(eq: EquationSpec) -> ConditionReport:
     d_sign = eq.d_sign()
     entries = []
     try:
-        bad = _scan_sequence(eq.p, eq.n0, VALIDATION_SAMPLE, lambda v: v >= 0.0)
+        bad = first_failure(eq.p, eq.n0, VALIDATION_SAMPLE, (0.0).__le__)
     except SequenceDomainError as exc:
         entries.append(ConditionEntry("p-nonnegative", CheckStatus.NOT_CHECKABLE, None,
                                       f"p not evaluable on sample {span}: {exc}"))
@@ -330,6 +322,9 @@ class SeriesProbe:
 # reads as divergent, less than TAIL_SETTLE as convergent.
 TAIL_GROW = 1e-2
 TAIL_SETTLE = 1e-5
+# Chunks of a probe double from CHUNK_FIRST terms to CHUNK_CAP: an early exit pays for one small chunk.
+CHUNK_FIRST = 64
+CHUNK_CAP = 2048
 
 
 def check_series_divergence(terms, start: int, horizon: int, threshold: float = 1e6) -> SeriesProbe:
@@ -340,24 +335,47 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     total; convergent when that tail contribution has settled below
     TAIL_SETTLE; undetermined in between.  This is evidence about partial
     sums, never a proof about the series.
+
+    Terms with a `block` method are summed a chunk at a time, in the same
+    left-to-right order, so the partial sums are the same bit for bit.  The
+    per-term loop is the exact path for a chunk that trips (its block raises
+    or returns None, or it holds a NaN or passes the threshold).
     """
     if horizon < 3:
         raise ValueError(f"series probe needs a horizon of at least 3, got {horizon}")
     at = terms.at if hasattr(terms, "at") else terms
+    block = getattr(terms, "block", None)
     two_thirds = (2 * horizon) // 3
     total = 0.0
     checkpoint = 0.0
     summed = 0
-    for k in range(horizon):
-        v = at(start + k)
-        if math.isnan(v):
-            return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
-        total += v
-        summed = k + 1
-        if summed == two_thirds:
-            checkpoint = total
-        if abs(total) > threshold:
-            return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
+    size = CHUNK_FIRST
+    while summed < horizon:
+        count = min(size, horizon - summed)
+        size = min(2 * size, CHUNK_CAP)
+        vals = sums = None  # free the last chunk before the next is evaluated
+        try:
+            vals = block(start + summed, count) if block is not None else None
+        except EVALUATION_ERRORS:
+            vals = None  # the per-term loop may stop before the failing term
+        if vals is not None:
+            sums = list(accumulate(vals, initial=total))
+            if not math.isnan(sums[-1]) and max(sums) <= threshold >= -min(sums):
+                if summed < two_thirds <= summed + count:
+                    checkpoint = sums[two_thirds - summed]
+                total = sums[-1]
+                summed += count
+                continue
+        for n in range(start + summed, start + summed + count):
+            v = at(n)
+            if math.isnan(v):
+                return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
+            total += v
+            summed += 1
+            if summed == two_thirds:
+                checkpoint = total
+            if abs(total) > threshold:
+                return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
     if math.isnan(total):
         return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
     ratio = abs(total - checkpoint) / max(abs(total), 1e-300)
@@ -423,17 +441,30 @@ def _continuity_entry(eq: EquationSpec) -> ConditionEntry:
                           "continuity of a custom nonlinearity cannot be observed")
 
 
-def _reciprocal_power(seq: SequenceSpec, e: OddRatio, name: str) -> Callable[[int], float]:
+class _ReciprocalPower:
     """n -> seq_n ** (-1/e): the coefficients A = a**(-1/alpha), B and C whose
     series the almost-oscillation hypotheses require to diverge."""
-    exponent = -e.denominator / e.numerator
 
-    def view(n: int) -> float:
-        v = seq.at(n)
+    def __init__(self, seq: SequenceSpec, e: OddRatio, name: str):
+        self.seq, self.exponent, self.name = seq, -e.denominator / e.numerator, name
+
+    def at(self, n: int) -> float:
+        v = self.seq.at(n)
         if not v > 0.0:
-            raise SequenceDomainError(f"nonpositive coefficient {name}({n}) = {v!r}", index=n)
-        return math.pow(v, exponent)
-    return view
+            raise SequenceDomainError(f"nonpositive coefficient {self.name}({n}) = {v!r}", index=n)
+        return math.pow(v, self.exponent)
+
+    __call__ = at
+
+    def block(self, start: int, count: int) -> list[float] | None:
+        """[self.at(n) ...] over the block when every seq value is positive, else None."""
+        if isinstance(self.seq, Constant):
+            v = self.seq.at(start)
+            return [math.pow(v, self.exponent)] * count if v > 0.0 else None
+        vals = self.seq.block(start, count)
+        if not all(map((0.0).__lt__, vals)):
+            return None
+        return list(map(math.pow, vals, repeat(self.exponent, count)))
 
 
 def _series_entry(name: str, terms, start: int, horizon: int) -> ConditionEntry:
@@ -458,9 +489,9 @@ def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000) -> Condit
         _p_limit_entry(eq, horizon),
         _sign_condition_entry(eq),
         _continuity_entry(eq),
-        _series_entry("series-A-divergent", _reciprocal_power(eq.a, eq.alpha, "a"), eq.n0, horizon),
-        _series_entry("series-B-divergent", _reciprocal_power(eq.b, eq.beta, "b"), eq.n0, horizon),
-        _series_entry("series-C-divergent", _reciprocal_power(eq.c, eq.gamma, "c"), eq.n0, horizon),
+        _series_entry("series-A-divergent", _ReciprocalPower(eq.a, eq.alpha, "a"), eq.n0, horizon),
+        _series_entry("series-B-divergent", _ReciprocalPower(eq.b, eq.beta, "b"), eq.n0, horizon),
+        _series_entry("series-C-divergent", _ReciprocalPower(eq.c, eq.gamma, "c"), eq.n0, horizon),
         _series_entry("series-d-divergent", eq.d, eq.n0, horizon),
     )
     failing = [e for e in entries if e.satisfied is not True]

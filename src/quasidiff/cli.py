@@ -12,9 +12,11 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import random
 import sys
 from typing import Callable
@@ -216,9 +218,15 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _say(line: str) -> None:
+    # Here and in the --csv and --out writers, a reader that left (as `| head` does) gets no more output.
+    with contextlib.suppress(BrokenPipeError):
+        print(line)
+
+
 def write_csv(path: str, traj: Trajectory) -> None:
     components = {"z": traj.z, "y": traj.y, "w": traj.w, "t": traj.t}
-    with open(path, "w", encoding="utf-8") as fh:
+    with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
         fh.write("n,x,z,y,w,t\n")
         for n, xv in traj.x.items():
             cells = [str(n), _fmt(xv)]
@@ -232,7 +240,7 @@ def write_csv(path: str, traj: Trajectory) -> None:
 
 def _write_report(path: str | None, report: dict) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
 
@@ -274,16 +282,16 @@ def cmd_solve(args) -> int:
     # None when no index of the window reads only x values it holds.
     worst = max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
 
-    print(f"solve {name} ({traj.provenance.value})")
-    print(f"  x range: n = {traj.n_start} .. {traj.n_end}")
+    _say(f"solve {name} ({traj.provenance.value})")
+    _say(f"  x range: n = {traj.n_start} .. {traj.n_end}")
     if worst is None:
-        print("  max relative residual: none (no index has its residual inside the x range)")
+        _say("  max relative residual: none (no index has its residual inside the x range)")
     else:
-        print(f"  max relative residual: {worst:.3e}")
+        _say(f"  max relative residual: {worst:.3e}")
     if traj.truncated:
-        print(f"  warning: truncated (first non-finite value at n = {traj.truncation_index})")
+        _say(f"  warning: truncated (first non-finite value at n = {traj.truncation_index})")
     for w in traj.warnings:
-        print(f"  warning: {w}")
+        _say(f"  warning: {w}")
     report = {
         "command": "solve",
         "equation": name,
@@ -317,10 +325,10 @@ def cmd_verify(args) -> int:
         if rel > worst:
             worst, worst_at = rel, n
     passed = worst <= tol.eps_residual
-    print(f"verify {name}: {'PASS' if passed else 'FAIL'}")
-    print(f"  indices: n = {eq.n0} .. {eq.n0 + args.horizon - 1} ({args.horizon})")
-    print(f"  max relative residual: {worst:.3e} at n = {worst_at}")
-    print(f"  tolerance: {tol.eps_residual:.1e}")
+    _say(f"verify {name}: {'PASS' if passed else 'FAIL'}")
+    _say(f"  indices: n = {eq.n0} .. {eq.n0 + args.horizon - 1} ({args.horizon})")
+    _say(f"  max relative residual: {worst:.3e} at n = {worst_at}")
+    _say(f"  tolerance: {tol.eps_residual:.1e}")
     report = {
         "command": "verify",
         "equation": name,
@@ -347,19 +355,19 @@ def cmd_classify(args) -> int:
         traj = _sample_for_components(eq, _closed_form(args, name), args.horizon)
 
     verdict = classify(traj, tol)
-    print(f"classify {name}: {verdict.kind.value}")
-    print(f"  tends to zero (evidence): {verdict.tends_to_zero}")
+    _say(f"classify {name}: {verdict.kind.value}")
+    _say(f"  tends to zero (evidence): {verdict.tends_to_zero}")
     if verdict.degenerate_zero:
-        print("  note: degenerate zero window")
+        _say("  note: degenerate zero window")
     if verdict.quick is not None:
         q = verdict.quick
-        print(f"  alternation magnitudes q from n = {q.q.start}, positive parity: "
-              f"{q.positive_parity.value}")
+        _say(f"  alternation magnitudes q from n = {q.q.start}, positive parity: "
+             f"{q.positive_parity.value}")
     report = {"command": "classify", "equation": name, "horizon": args.horizon,
               "verdict": verdict.to_dict()}
     if traj.has_components and len(traj.t) >= 16:
         profile = component_sign_profile(traj, tol)
-        print(f"  component profile: {profile.case.value}")
+        _say(f"  component profile: {profile.case.value}")
         report["component_profile"] = profile.to_dict()
     _write_report(args.out, report)
     if args.csv:
@@ -368,11 +376,11 @@ def cmd_classify(args) -> int:
 
 
 def _print_condition_report(report) -> None:
-    print(f"{report.title}:")
+    _say(f"{report.title}:")
     for e in report.entries:
         mark = {True: "ok", False: "FAIL", None: "?"}[e.satisfied]
-        print(f"  [{mark:>4}] {e.condition} ({e.status.value}): {e.detail}")
-    print(f"  conclusion: {report.conclusion}")
+        _say(f"  [{mark:>4}] {e.condition} ({e.status.value}): {e.detail}")
+    _say(f"  conclusion: {report.conclusion}")
 
 
 def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
@@ -395,8 +403,8 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
         cert = sign_conflict_certificate(eq, q, parity, exclusion)
         results.append(cert.valid)
         all_valid = all_valid and cert.valid
-    print(f"sign-conflict certificates ({parity.value}): "
-          f"{sum(results)}/{len(results)} valid on random positive q windows")
+    _say(f"sign-conflict certificates ({parity.value}): "
+         f"{sum(results)}/{len(results)} valid on random positive q windows")
     report = {"command": "check", "check": "certificate", "equation": name,
               "parity": parity.value, "windows": args.windows,
               "valid_count": sum(results), "all_valid": all_valid}
@@ -419,9 +427,9 @@ def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
     p_limit = _estimate_p_limit(eq, max(args.horizon, 1000))
     startup = traj.x.slice(eq.n0, eq.n0 + eq.delta + 1)
     cert = companion_bound_certificate(traj.z, eq.p, p_limit, eq.delta, eq.n0, startup)
-    print(f"companion bound certificate: {'valid' if cert.valid else 'NOT VALID'}")
-    print(f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}")
-    print(f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}")
+    _say(f"companion bound certificate: {'valid' if cert.valid else 'NOT VALID'}")
+    _say(f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}")
+    _say(f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}")
     report = {"command": "check", "check": "bound", "equation": name,
               "certificate": cert.to_dict()}
     return (0 if cert.valid else 1), report
@@ -451,7 +459,7 @@ def cmd_check(args) -> int:
 
 def cmd_list_examples(_args) -> int:
     for name in EXAMPLE_NAMES:
-        print(f"{name}: {example_summary(name)}")
+        _say(f"{name}: {example_summary(name)}")
     return 0
 
 
@@ -481,7 +489,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # nobody reads the rest: the flush at shutdown then writes it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def load_document(text: str) -> dict:
     """Decode JSON text into a document object, not yet validated as an equation."""
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise DocumentError(f"not valid JSON: {exc}", "$") from None
     if not isinstance(document, dict):
         raise DocumentError("top level must be an object", "$")

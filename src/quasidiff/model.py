@@ -17,6 +17,7 @@ and the certificates work with.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, getcontext, localcontext
 from decimal import DivisionByZero as DecimalDivisionByZero, Overflow as DecimalOverflow
@@ -30,9 +31,24 @@ from .windows import Window
 # Coefficient sequences
 # ---------------------------------------------------------------------------
 
+# RecursionError: a block takes two frames per tree level where at() takes one.
+EVALUATION_ERRORS = (OverflowError, ZeroDivisionError, SequenceDomainError, RecursionError)
+
+
+class _Blocks:
+    """block(start, count) is [self.at(n) for n in range(start, start + count)] bit for bit (but for the sign of
+    a NaN made of two NaNs) or raises what that loop raises first: the loop runs if `_fast` gives None or raises."""
+
+    def block(self, start: int, count: int) -> list[float]:
+        try:
+            vals = self._fast(start, count)
+        except EVALUATION_ERRORS:
+            vals = None
+        return [self.at(n) for n in range(start, start + count)] if vals is None else vals
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Blocks):
     """n -> value."""
 
     value: float
@@ -40,13 +56,16 @@ class Constant:
     def at(self, n: int) -> float:
         return float(self.value)
 
+    def _fast(self, start: int, count: int) -> list[float]:
+        return [float(self.value)] * count
+
     @property
     def min_index(self) -> int | None:
         return None
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Blocks):
     """n -> scale * ratio**n."""
 
     scale: float
@@ -62,13 +81,17 @@ class Geometric:
             raise SequenceDomainError(f"0**{n} undefined in geometric sequence", index=n) from None
         return self.scale * r
 
+    def _fast(self, start: int, count: int) -> list[float]:
+        scale, ratio = self.scale, self.ratio
+        return [scale * ratio ** n for n in range(start, start + count)]
+
     @property
     def min_index(self) -> int | None:
         return None
 
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_Blocks):
     """n -> slope * n + intercept."""
 
     slope: float
@@ -77,13 +100,17 @@ class Affine:
     def at(self, n: int) -> float:
         return self.slope * n + self.intercept
 
+    def _fast(self, start: int, count: int) -> list[float]:
+        slope, intercept = self.slope, self.intercept
+        return [slope * n + intercept for n in range(start, start + count)]
+
     @property
     def min_index(self) -> int | None:
         return None
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Blocks):
     """n -> scale * n**exponent; negative exponents start at n = 1."""
 
     scale: float
@@ -98,6 +125,12 @@ class PowerLaw:
         except OverflowError:
             return math.copysign(math.inf, self.scale)
 
+    def _fast(self, start: int, count: int) -> list[float] | None:
+        if self.min_index is not None and start < self.min_index:
+            return None
+        scale, exponent = self.scale, self.exponent
+        return [scale * float(n) ** exponent for n in range(start, start + count)]
+
     @property
     def min_index(self) -> int | None:
         if self.exponent < 0 or not float(self.exponent).is_integer():
@@ -106,7 +139,7 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class Table:
+class Table(_Blocks):
     """Explicit values from a start index, with an out-of-range rule.
 
     ``hold-last`` extends the final value past the end of the table; indices
@@ -133,14 +166,23 @@ class Table:
             raise SequenceDomainError(f"table ends at {self.start + len(self.values) - 1}, asked for {n}", index=n)
         return self.values[n - self.start]
 
+    def _fast(self, start: int, count: int) -> list[float] | None:
+        lo = start - self.start
+        if lo < 0 or (self.out_of_range == "error" and lo + count > len(self.values)):
+            return None
+        vals = list(self.values[lo:lo + count])
+        return vals + [self.values[-1]] * (count - len(vals))
+
     @property
     def min_index(self) -> int | None:
         return self.start
 
 
 @dataclass(frozen=True)
-class Combine:
+class Combine(_Blocks):
     """Pointwise '+', '-', '*', or '/' of two sequences."""
+
+    _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
     op: str
     left: "SequenceSpec"
@@ -164,6 +206,9 @@ class Combine:
         except ZeroDivisionError:
             raise SequenceDomainError(f"division by zero at n = {n}", index=n) from None
 
+    def _fast(self, start: int, count: int) -> list[float]:
+        return list(map(self._OPERATORS[self.op], self.left.block(start, count), self.right.block(start, count)))
+
     @property
     def min_index(self) -> int | None:
         los = [lo for lo in (self.left.min_index, self.right.min_index) if lo is not None]
@@ -171,7 +216,7 @@ class Combine:
 
 
 @dataclass(frozen=True)
-class SignedPower:
+class SignedPower(_Blocks):
     """Pointwise signed power of a sequence by an odd ratio."""
 
     base: "SequenceSpec"
@@ -182,6 +227,13 @@ class SignedPower:
         if not math.isfinite(v):
             return math.copysign(math.inf, v) if v != 0 else 0.0
         return spow(v, self.exponent)
+
+    def _fast(self, start: int, count: int) -> list[float]:
+        vals, e = self.base.block(start, count), self.exponent
+        # The unit power maps every value but a zero (-0.0 -> 0.0) and a NaN (-> +-inf) to float(v).
+        if e.numerator == e.denominator and all(map((0.0).__lt__, map(abs, vals))):
+            return list(map(float, vals))
+        return [spow(v, e) if math.isfinite(v) else math.copysign(math.inf, v) for v in vals]
 
     @property
     def min_index(self) -> int | None:
@@ -317,16 +369,19 @@ def sign_of(v: float) -> int:
     return (v > 0.0) - (v < 0.0)
 
 
-def sign_break(seq: SequenceSpec, start: int, count: int) -> tuple[int | None, int]:
-    """(first index of [start, start+count) where seq is zero or leaves its sign at start,
-    or None; that sign, or 0 when there is such an index)."""
-    sign = 0
+def first_failure(seq: SequenceSpec, start: int, count: int,
+                  holds: Callable[[float], bool]) -> int | None:
+    """First index of [start, start+count) where holds(seq.at(n)) is false, else None, or what the
+    scan index by index raises first; the scan runs only when one block does not hold throughout."""
+    try:
+        if all(map(holds, seq.block(start, count))):
+            return None
+    except EVALUATION_ERRORS:
+        pass
     for n in range(start, start + count):
-        s = sign_of(seq.at(n))
-        if s == 0 or (sign != 0 and s != sign):
-            return n, 0
-        sign = s
-    return None, sign
+        if not holds(seq.at(n)):
+            return n
+    return None
 
 
 @dataclass(frozen=True)
@@ -374,11 +429,12 @@ class EquationSpec:
         try:
             for name in ("a", "b", "c"):
                 seq = getattr(self, name)
-                for n in range(self.n0, self.n0 + VALIDATION_SAMPLE):
-                    if not seq.at(n) > 0.0:
-                        raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
+                n = first_failure(seq, self.n0, VALIDATION_SAMPLE, (0.0).__lt__)
+                if n is not None:
+                    raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
             name = "d"
-            bad, _ = sign_break(self.d, self.n0, VALIDATION_SAMPLE)
+            same_sign = (0.0).__lt__ if self.d_sign() > 0 else (0.0).__gt__  # a zero or NaN at n0 fails both
+            bad = first_failure(self.d, self.n0, VALIDATION_SAMPLE, same_sign)
         except SequenceDomainError as exc:
             raise ValueError(f"sequence {name} not evaluable on the validation sample "
                              f"[{self.n0}, {self.n0 + VALIDATION_SAMPLE - 1}]: {exc}") from None

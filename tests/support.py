@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
+from hypothesis import strategies as st
+
 import quasidiff as qd
 
 ONE = qd.OddRatio(1)
@@ -36,3 +41,53 @@ def inverse_fixture() -> tuple[qd.EquationSpec, "function"]:
 def seeded_forward(eq: qd.EquationSpec, form, horizon: int) -> qd.Trajectory:
     lo, hi = qd.forward_seed_span(eq)
     return qd.solve_forward(eq, qd.Window.from_evaluator(form, lo, hi), horizon)
+
+
+# ---------------------------------------------------------------------------
+# Random coefficient sequences, for checking block evaluation against at()
+# ---------------------------------------------------------------------------
+
+# The NaN that arithmetic makes (inf - inf), so that every NaN in a tree has
+# the same bits: when both operands of + or * are NaNs that differ, which one
+# the result carries depends on whether the interpreter's specialized float
+# op or the generic one ran, and spow turns that NaN's sign into +-inf.
+ARITHMETIC_NAN = math.inf - math.inf
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e308, -1e308, 5e-324,
+                  math.inf, -math.inf, ARITHMETIC_NAN)
+_values = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+_ratios = st.sampled_from((0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 1e10, -1e10, ARITHMETIC_NAN))
+_power_exponents = st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 300.0))
+_odd_ratios = st.sampled_from((ONE, qd.OddRatio(3), qd.OddRatio(1, 3), qd.OddRatio(5, 3), qd.OddRatio(3, 5)))
+
+_leaves = st.one_of(
+    st.builds(qd.Constant, _values),
+    st.builds(qd.Geometric, _values, _ratios),
+    st.builds(qd.Affine, _values, _values),
+    st.builds(qd.PowerLaw, _values, _power_exponents),
+    st.builds(qd.Table, st.lists(_values, min_size=1, max_size=8).map(tuple),
+              st.integers(-5, 20), st.sampled_from(("error", "hold-last"))),
+)
+# Trees of every kind: '/' by a zero divisor, tables that end or start inside
+# a block, PowerLaw below its first index, Geometric overflow, and spow of
+# +-0, +-inf and NaN all come up.
+sequences = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.builds(qd.Combine, st.sampled_from("+-*/"), inner, inner),
+        st.builds(qd.SignedPower, inner, _odd_ratios),
+    ),
+    max_leaves=6,
+)
+
+
+def outcome(fn) -> tuple:
+    """What fn() does, comparable bit for bit: its float list as packed
+    doubles, or the type, message and index of what it raises."""
+    try:
+        result = fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc), getattr(exc, "index", None)
+    if isinstance(result, list):
+        return "returns", [struct.pack("d", v) for v in result]
+    return "returns", result

@@ -1,19 +1,24 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
+from quasidiff import analysis
+from quasidiff.analysis import TAIL_GROW, TAIL_SETTLE
 from quasidiff import (
     Affine,
     CheckStatus,
     Constant,
     Geometric,
     HypothesisViolation,
+    OddRatio,
     PowerLaw,
     QuickParity,
+    SeriesProbe,
     SeriesStatus,
     SignCase,
     Table,
@@ -28,7 +33,7 @@ from quasidiff import (
     sample_trajectory,
     sign_conflict_certificate,
 )
-from support import plain_equation
+from support import outcome, plain_equation, sequences
 
 # ---------------------------------------------------------------------------
 # Classification
@@ -395,6 +400,97 @@ class TestSeriesDivergence:
     def test_accepts_plain_callables(self):
         probe = check_series_divergence(lambda n: 1.0 / n, 1, 10 ** 5)
         assert probe.status is SeriesStatus.DIVERGENT
+
+
+def per_term_probe(terms, start, horizon, threshold=1e6):
+    """check_series_divergence as a per-term loop: the reference the chunked probe must match."""
+    at = terms.at if hasattr(terms, "at") else terms
+    two_thirds = (2 * horizon) // 3
+    total = 0.0
+    checkpoint = 0.0
+    summed = 0
+    for k in range(horizon):
+        v = at(start + k)
+        if math.isnan(v):
+            return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
+        total += v
+        summed = k + 1
+        if summed == two_thirds:
+            checkpoint = total
+        if abs(total) > threshold:
+            return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
+    if math.isnan(total):
+        return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
+    ratio = abs(total - checkpoint) / max(abs(total), 1e-300)
+    if ratio > TAIL_GROW:
+        status = SeriesStatus.DIVERGENT
+    elif ratio < TAIL_SETTLE:
+        status = SeriesStatus.CONVERGENT
+    else:
+        status = SeriesStatus.UNDETERMINED
+    return SeriesProbe(status, total, ratio, summed, False)
+
+
+def probe_outcome(probe, terms, start, horizon, threshold):
+    def packed():
+        p = probe(terms, start, horizon, threshold)
+        return (p.status, struct.pack("d", p.partial_sum), struct.pack("d", p.tail_ratio),
+                p.terms_summed, p.threshold_exceeded)
+    return outcome(packed)
+
+
+def assert_probe_matches_per_term_loop(terms, start, horizon, threshold=1e6):
+    assert (probe_outcome(check_series_divergence, terms, start, horizon, threshold)
+            == probe_outcome(per_term_probe, terms, start, horizon, threshold))
+
+
+_NAN_AT_100 = Table((1.0,) * 100 + (math.nan,), 0, "hold-last")
+
+
+class TestChunkedSeriesProbe:
+    """The chunked probe returns what the per-term loop returns, bit for bit."""
+
+    @pytest.mark.parametrize("terms, start, horizon, threshold", [
+        (_NAN_AT_100, 0, 1000, 1e6),  # NaN inside the chunk [64, 192)
+        (Constant(1.0), 0, 1000, 100.5),  # threshold crossed at term 101, inside a chunk
+        (Table((1.0, math.inf, -math.inf, 1.0), 0, "hold-last"), 0, 500, 1e6),
+        (Table((1.0, math.inf, -math.inf, 1.0), 0, "hold-last"), 0, 500, math.inf),
+        (Table((-1.0, -math.inf), 0, "hold-last"), 0, 500, math.inf),
+        (PowerLaw(1.0, -1.0), 1, 96, 1e6),  # two_thirds = 64, the end of the first chunk
+        (PowerLaw(1.0, -1.0), 1, 288, 1e6),  # two_thirds = 192, the end of the second
+        (PowerLaw(1.0, -1.0), 1, 97, 1e6),
+        (PowerLaw(1.0, -2.0), 1, 10_000, 1e6),
+        (Geometric(1.0, 0.5), 0, 5000, 1e6),
+        (lambda n: 1.0 / n, 1, 5000, 1e6),
+        (Table((1e4,) * 150, 0, "error"), 0, 1000, 1e6),  # trips at 101, the table ends at 149
+        (Table((1.0,) * 150, 0, "error"), 0, 1000, 1e6),  # no trip: raises past the end
+        (Affine(1.0, -50.0), 0, 5000, 1e6),
+    ])
+    def test_matches_per_term_loop(self, terms, start, horizon, threshold):
+        assert_probe_matches_per_term_loop(terms, start, horizon, threshold)
+
+    def test_table_error_past_the_trip_is_divergent(self):
+        probe = check_series_divergence(Table((1e4,) * 150, 0, "error"), 0, 1000)
+        assert probe.status is SeriesStatus.DIVERGENT
+        assert probe.terms_summed == 101
+
+    def test_nan_inside_a_chunk_stops_at_the_nan(self):
+        probe = check_series_divergence(_NAN_AT_100, 0, 1000)
+        assert probe.status is SeriesStatus.UNDETERMINED
+        assert (probe.partial_sum, probe.terms_summed) == (100.0, 100)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequences, st.integers(-5, 30), st.integers(3, 3000),
+           st.sampled_from((1e6, 10.0, 0.5, 1e300, math.inf)))
+    def test_random_sequences(self, seq, start, horizon, threshold):
+        assert_probe_matches_per_term_loop(seq, start, horizon, threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences, st.integers(-5, 30), st.integers(3, 3000),
+           st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3))))
+    def test_random_reciprocal_powers(self, seq, start, horizon, e):
+        terms = analysis._ReciprocalPower(seq, e, "a")
+        assert_probe_matches_per_term_loop(terms, start, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import quasidiff as qd
 from quasidiff import analysis, cli, model
 from quasidiff.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -92,6 +98,46 @@ def test_non_finite_document_literal_exits_2(key, value, shown, tmp_path, capsys
     assert code == 2
     assert out == ""
     assert err == f"error: $.{key}.value: expected a finite number, got {shown}\n"
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(qd.example_document("example-3")).replace('"value": 0.25', '"value": ' + "7" * 4301))
+    code, out, err = run(["solve", str(path), "--horizon", "20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $: not valid JSON: Exceeds the limit (4300 digits)")
+
+
+SOLVE_TO_PIPE = ["solve", "example-4", "--horizon", "2000", "--csv", "/dev/stdout"]
+FAILING_VERIFY_TO_PIPE = ["verify", "example-4", "--horizon", "2000", "--closed-form", "geometric:1,0.5",
+                          "--csv", "/dev/stdout", "--out", "/dev/stdout"]
+
+
+@pytest.mark.parametrize("argv, buffered, first_line, code", [
+    (SOLVE_TO_PIPE, True, b"n,x,z,y,w,t\n", 0),
+    (SOLVE_TO_PIPE, False, b"solve example-4 (solved-forward)\n", 0),
+    (FAILING_VERIFY_TO_PIPE, True, b"{\n", 1),
+    (FAILING_VERIFY_TO_PIPE, False, b"verify example-4: FAIL\n", 1),
+], ids=["solve-buffered", "solve-unbuffered", "failing-verify-buffered", "failing-verify-unbuffered"])
+def test_closed_pipe_keeps_the_exit_code_quietly(argv, buffered, first_line, code):
+    # `... --csv /dev/stdout | head -1`: the reader leaves after one line, long before
+    # the 2000-row CSV is written.  Block-buffered, the summary lines are still in
+    # sys.stdout's buffer then, and the flush at exit meets the closed pipe.  The
+    # command still ends with its own code: a failing verify exits 1, not 0.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-c", "from quasidiff.cli import entry; entry()", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
+    assert first == first_line
+    assert err == b""
 
 
 @pytest.mark.parametrize("factor", ["inf", "-inf", "nan"])

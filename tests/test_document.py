@@ -90,6 +90,13 @@ def test_non_finite_literals_are_rejected_with_their_path(literal):
         parse_equation_document(text)
 
 
+def test_integer_literal_past_the_digit_limit_is_not_valid_json():
+    # json.loads raises a plain ValueError for an integer of more than 4,300 digits
+    text = json.dumps(minimal_document()).replace('"value": 0.25', '"value": ' + "1" * 5000)
+    with pytest.raises(DocumentError, match=r"^\$: not valid JSON: Exceeds the limit \(4300 digits\)"):
+        parse_equation_document(text)
+
+
 def test_non_finite_table_value_names_its_index():
     doc = minimal_document()
     doc["d"] = {"kind": "table", "values": [1.0, float("inf")], "start": 0, "out_of_range": "hold-last"}

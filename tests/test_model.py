@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
@@ -26,7 +27,7 @@ from quasidiff import (
     check_almost_oscillation,
     relative_residual,
 )
-from support import plain_equation
+from support import outcome, plain_equation, sequences
 
 # ---------------------------------------------------------------------------
 # Windows
@@ -125,6 +126,99 @@ def test_combine_rejects_unknown_op():
 def test_geometric_overflow_saturates():
     assert Geometric(1.0, 2.0).at(5000) == math.inf
     assert Geometric(-1.0, 2.0).at(5000) == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation: block(start, count) is the scalar loop, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def scalar_block(seq, start, count):
+    return [seq.at(n) for n in range(start, start + count)]
+
+
+def scan_sign_break(seq, start, count):
+    """(first index of [start, start+count) where seq is zero or leaves its sign at start,
+    or None; that sign, or 0 when there is such an index), index by index."""
+    sign = 0
+    for n in range(start, start + count):
+        s = model.sign_of(seq.at(n))
+        if s == 0 or (sign != 0 and s != sign):
+            return n, 0
+        sign = s
+    return None, sign
+
+
+def scan_first_failure(seq, start, count, holds):
+    for n in range(start, start + count):
+        if not holds(seq.at(n)):
+            return n
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(sequences, st.integers(-10, 40), st.integers(0, 70))
+@example(Combine("/", Constant(1.0), Affine(1.0, -5.0)), 0, 10)  # zero divisor at n = 5
+@example(Combine("/", Table((1.0,) * 3, 0, "error"), Affine(1.0, -1.0)), 0, 10)  # divisor 0 before the table ends
+@example(Table((1.0, 2.0, 3.0), 2, "error"), 0, 10)
+@example(Table((1.0, 2.0, 3.0), 2, "hold-last"), 3, 10)
+@example(PowerLaw(1.0, -1.0), -3, 10)
+@example(Geometric(1.0, 1e10), 25, 20)
+@example(Geometric(-1.0, -1e10), 25, 20)
+@example(Geometric(1.0, 0.0), -3, 10)
+@example(SignedPower(Table((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0), 0, "error"), OddRatio(1)), 0, 6)
+@example(SignedPower(Table((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0), 0, "error"), OddRatio(1, 3)), 0, 6)
+def test_block_matches_the_scalar_loop(seq, start, count):
+    assert outcome(lambda: seq.block(start, count)) == outcome(lambda: scalar_block(seq, start, count))
+
+
+def test_block_of_a_tree_too_deep_for_two_frames_per_level():
+    # a block nests two calls per level where at() nests one
+    depth = sys.getrecursionlimit() * 3 // 5
+    seq = Constant(1.0)
+    for _ in range(depth):
+        seq = Combine("*", seq, Constant(1.0))
+    assert seq.block(0, 3) == [1.0] * 3
+    plain_equation(a=seq)  # the validation sample reads blocks of a
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences, st.integers(-10, 40), st.integers(0, 70),
+       st.sampled_from(((0.0).__lt__, (0.0).__le__, (0.0).__gt__)))
+def test_first_failure_matches_the_index_scan(seq, start, count, holds):
+    assert (outcome(lambda: model.first_failure(seq, start, count, holds))
+            == outcome(lambda: scan_first_failure(seq, start, count, holds)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences, sequences)
+def test_validation_reports_what_the_index_scan_finds(a, d):
+    """EquationSpec rejects a and d with the messages of the index-by-index validation."""
+    def scan():
+        for name, seq in (("d", d), ("a", a)):
+            if seq.min_index is not None and seq.min_index > 2:
+                raise ValueError(f"sequence {name} not evaluable from n0 = 2 (starts at {seq.min_index})")
+        try:
+            name = "a"
+            n = scan_first_failure(a, 2, model.VALIDATION_SAMPLE, lambda v: v > 0.0)
+            if n is not None:
+                raise ValueError(f"sequence a must be strictly positive; a({n}) = {a.at(n)!r}")
+            name = "d"
+            bad, _ = scan_sign_break(d, 2, model.VALIDATION_SAMPLE)
+        except SequenceDomainError as exc:
+            raise ValueError(f"sequence {name} not evaluable on the validation sample [2, 257]: {exc}") from None
+        if bad is not None:
+            v = d.at(bad)
+            if model.sign_of(v) == 0:
+                raise ValueError(f"sequence d must be of one sign; d({bad}) = {v!r}")
+            raise ValueError(f"sequence d changes sign at n = {bad}")
+        return "valid"
+
+    def build():
+        plain_equation(a=a, d=d)  # n0 = 2
+        return "valid"
+
+    assert outcome(build) == outcome(scan)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +426,9 @@ def test_relative_residual_detects_perturbation():
 
 
 def reciprocal_coefficients(eq):
-    return (analysis._reciprocal_power(eq.a, eq.alpha, "a"),
-            analysis._reciprocal_power(eq.b, eq.beta, "b"),
-            analysis._reciprocal_power(eq.c, eq.gamma, "c"))
+    return (analysis._ReciprocalPower(eq.a, eq.alpha, "a"),
+            analysis._ReciprocalPower(eq.b, eq.beta, "b"),
+            analysis._ReciprocalPower(eq.c, eq.gamma, "c"))
 
 
 class TestDerivedCoefficients:
