@@ -340,6 +340,13 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     left-to-right order, so the partial sums are the same bit for bit.  The
     per-term loop is the exact path for a chunk that trips (its block raises
     or returns None, or it holds a NaN or passes the threshold).
+
+    Terms that are one double c (a `Constant`, or a reciprocal power of one)
+    are summed in closed form when c is finite and non-zero and, with
+    c = num/den, |num| * horizon < 2**53: every partial sum k*c is then a
+    double, so the loop's roundings are exact and it sums k*c.  The trip
+    index k is found in integers from the threshold's ratio tn/td, as the
+    least k with k*|num|*td > tn*den.
     """
     if horizon < 3:
         raise ValueError(f"series probe needs a horizon of at least 3, got {horizon}")
@@ -349,6 +356,16 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     total = 0.0
     checkpoint = 0.0
     summed = 0
+    if threshold >= 0.0 and isinstance(terms.seq if isinstance(terms, _ReciprocalPower) else terms, Constant):
+        c = at(start)  # raises what the loop's first term raises
+        num, den = c.as_integer_ratio() if math.isfinite(c) else (0, 1)
+        if num and abs(num) * horizon < 2**53:
+            if threshold < math.inf:
+                tn, td = threshold.as_integer_ratio()
+                k = (tn * den) // (abs(num) * td) + 1
+                if k <= horizon:
+                    return SeriesProbe(SeriesStatus.DIVERGENT, k * c, 1.0, k, True)
+            total, checkpoint, summed = horizon * c, two_thirds * c, horizon
     size = CHUNK_FIRST
     while summed < horizon:
         count = min(size, horizon - summed)

@@ -153,7 +153,7 @@ def load_document(text: str) -> dict:
     """Decode JSON text into a document object, not yet validated as an equation."""
     try:
         document = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
+    except (ValueError, RecursionError) as exc:  # also an integer past int's digit limit, or nesting past the stack
         raise DocumentError(f"not valid JSON: {exc}", "$") from None
     if not isinstance(document, dict):
         raise DocumentError("top level must be an object", "$")

@@ -21,6 +21,7 @@ import operator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, getcontext, localcontext
 from decimal import DivisionByZero as DecimalDivisionByZero, Overflow as DecimalOverflow
+from itertools import repeat
 from typing import Callable, Union
 
 from .errors import SequenceDomainError
@@ -233,6 +234,9 @@ class SignedPower(_Blocks):
         # The unit power maps every value but a zero (-0.0 -> 0.0) and a NaN (-> +-inf) to float(v).
         if e.numerator == e.denominator and all(map((0.0).__lt__, map(abs, vals))):
             return list(map(float, vals))
+        # A positive finite base takes spow's C pow(); an overflow raises into the loop, where spow saturates to inf.
+        if all(map((0.0).__lt__, vals)) and max(vals, default=0.0) < math.inf:
+            return list(map(math.pow, vals, repeat(e.numerator / e.denominator, count)))
         return [spow(v, e) if math.isfinite(v) else math.copysign(math.inf, v) for v in vals]
 
     @property

@@ -493,6 +493,53 @@ class TestChunkedSeriesProbe:
         assert_probe_matches_per_term_loop(terms, start, horizon)
 
 
+_DYADIC = st.builds(lambda i, k: math.ldexp(i, k), st.integers(-2 ** 20, 2 ** 20), st.integers(-1074, 40))
+
+
+class TestConstantSeriesProbe:
+    """A constant series summed in closed form returns what the per-term loop returns, bit for bit."""
+
+    @pytest.mark.parametrize("terms, horizon, threshold", [
+        (Constant(0.0), 1000, 1e6),
+        (Constant(-0.0), 1000, 1e6),  # the loop's 0.0 + -0.0 is 0.0, where horizon * -0.0 is -0.0
+        (Constant(-0.75), 5000, 1e6),
+        (Constant(-0.75), 1000, 100.5),  # |134 * c| is the threshold exactly: the trip is at 135
+        (Constant(1.0), 1000, 100.0),
+        (Constant(2.0 ** -1074), 5000, 1e6),
+        (Constant(1.0), 1000, 0.0),
+        (Constant(-0.75), 1000, math.inf),
+        (Constant(0.1), 5000, 1e6),  # 0.1's numerator times 5000 passes 2**53: the loop sums
+        (Constant(1.0 + 2.0 ** -52), 1000, 1e6),  # its numerator times 3 passes 2**53: the loop rounds
+        (Constant(1.0), 1000, -1.0),
+        (Constant(1.0), 1000, math.nan),
+        (Constant(math.inf), 1000, 1e6),
+        (Constant(math.nan), 1000, 1e6),
+        (analysis._ReciprocalPower(Constant(4.0), OddRatio(1), "a"), 5000, 1e6),
+        (analysis._ReciprocalPower(Constant(2.0 ** -20), OddRatio(1), "a"), 5000, 1e6),  # trips at the first term
+        (analysis._ReciprocalPower(Constant(1e-300), OddRatio(1, 3), "a"), 1000, 1e6),  # the loop raises OverflowError
+        (analysis._ReciprocalPower(Constant(-1.0), OddRatio(1), "a"), 1000, 1e6),  # SequenceDomainError
+        (analysis._ReciprocalPower(Constant(1e300), OddRatio(1, 3), "a"), 1000, 1e6),  # c underflows to 0.0
+    ])
+    def test_matches_per_term_loop(self, terms, horizon, threshold):
+        assert_probe_matches_per_term_loop(terms, 3, horizon, threshold)
+
+    def test_sums_no_terms(self):
+        # a trillion terms: only the closed form answers at once
+        probe = check_series_divergence(Constant(1.0), 0, 10 ** 12, math.inf)
+        assert (probe.status, probe.partial_sum, probe.terms_summed) == (SeriesStatus.DIVERGENT, 1e12, 10 ** 12)
+        probe = check_series_divergence(analysis._ReciprocalPower(Constant(0.25), OddRatio(1), "a"), 0, 10 ** 12)
+        assert (probe.partial_sum, probe.terms_summed, probe.threshold_exceeded) == (1e6 + 4, 250_001, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_DYADIC, st.floats(), st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, 0.1, 1e308))),
+           st.sampled_from((None, OddRatio(1), OddRatio(3), OddRatio(1, 3))),
+           st.integers(3, 5000),
+           st.one_of(st.sampled_from((0.0, 0.5, 100.5, 1e6, 1e300, math.inf, -1.0, math.nan)), _DYADIC.map(abs)))
+    def test_random_constants(self, value, e, horizon, threshold):
+        terms = Constant(value) if e is None else analysis._ReciprocalPower(Constant(value), e, "a")
+        assert_probe_matches_per_term_loop(terms, 0, horizon, threshold)
+
+
 # ---------------------------------------------------------------------------
 # Almost-oscillation hypothesis report
 # ---------------------------------------------------------------------------

@@ -109,6 +109,15 @@ def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert err.startswith("error: $: not valid JSON: Exceeds the limit (4300 digits)")
 
 
+def test_nesting_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: $: not valid JSON: maximum recursion depth exceeded")
+
+
 SOLVE_TO_PIPE = ["solve", "example-4", "--horizon", "2000", "--csv", "/dev/stdout"]
 FAILING_VERIFY_TO_PIPE = ["verify", "example-4", "--horizon", "2000", "--closed-form", "geometric:1,0.5",
                           "--csv", "/dev/stdout", "--out", "/dev/stdout"]

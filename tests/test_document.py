@@ -97,6 +97,12 @@ def test_integer_literal_past_the_digit_limit_is_not_valid_json():
         parse_equation_document(text)
 
 
+def test_nesting_past_the_recursion_limit_is_not_valid_json():
+    # json.loads raises RecursionError for arrays nested deeper than the interpreter's stack allows
+    with pytest.raises(DocumentError, match=r"^\$: not valid JSON: maximum recursion depth exceeded"):
+        parse_equation_document("[" * 100_000 + "]" * 100_000)
+
+
 def test_non_finite_table_value_names_its_index():
     doc = minimal_document()
     doc["d"] = {"kind": "table", "values": [1.0, float("inf")], "start": 0, "out_of_range": "hold-last"}

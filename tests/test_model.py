@@ -172,6 +172,21 @@ def test_block_matches_the_scalar_loop(seq, start, count):
     assert outcome(lambda: seq.block(start, count)) == outcome(lambda: scalar_block(seq, start, count))
 
 
+@pytest.mark.parametrize("e", [OddRatio(3), OddRatio(1, 3), OddRatio(5, 3)], ids=str)
+@pytest.mark.parametrize("values, count", [
+    ((2.0, 3.0), 0),
+    ((1e200, 2.0, 0.5), 3),  # overflows at 3/1 and 5/3: spow saturates to inf
+    ((5e-324, 2.0 ** -1070, 1e-310, 2.2250738585072014e-308), 4),
+    ((2.0, 0.0, 3.0), 3),  # a block that is not all positive and finite maps spow
+    ((2.0, -0.5, 3.0), 3),
+    ((2.0, math.nan, 3.0), 3),
+    ((2.0, math.inf, 3.0), 3),
+])
+def test_signed_power_block_of_positive_values(values, count, e):
+    seq = SignedPower(Table(values, 0, "error"), e)
+    assert outcome(lambda: seq.block(0, count)) == outcome(lambda: scalar_block(seq, 0, count))
+
+
 def test_block_of_a_tree_too_deep_for_two_frames_per_level():
     # a block nests two calls per level where at() nests one
     depth = sys.getrecursionlimit() * 3 // 5
