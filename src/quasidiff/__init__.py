@@ -49,7 +49,6 @@ from .model import (
     Affine,
     Combine,
     Constant,
-    CustomMap,
     EquationSpec,
     Geometric,
     Nonlinearity,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine", "BoundCertificate", "CheckStatus", "Combine", "ComponentSummary",
     "ConditionEntry", "ConditionReport", "Constant", "ContradictionCertificate",
-    "CustomMap", "DEFAULT_TOLERANCE", "DocumentError", "EXAMPLE_NAMES", "EquationSpec",
+    "DEFAULT_TOLERANCE", "DocumentError", "EXAMPLE_NAMES", "EquationSpec",
     "Geometric", "HypothesisViolation", "Nonlinearity", "NumericRangeError",
     "OddPowerMap", "OddRatio", "PivotError", "PowerLaw", "Provenance", "QuasidiffError",
     "QuickDecomposition", "QuickParity", "SequenceDomainError", "SequenceSpec",

@@ -23,8 +23,8 @@ from enum import Enum
 from itertools import accumulate, repeat
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, Constant, CustomMap, EquationSpec, SequenceSpec,
-                    first_failure, residual_range, staircase)
+from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, Constant, EquationSpec, SequenceSpec, first_failure,
+                    residual_range, staircase)
 from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile
 from .solver import Trajectory
 from .windows import Window
@@ -226,12 +226,9 @@ class ConditionReport:
 
 
 def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
-    holds = eq.f.sign_condition
-    structural = not isinstance(eq.f, CustomMap)
-    if holds:
-        status = CheckStatus.HOLDS_ON_SAMPLE if structural else CheckStatus.HEURISTIC_EVIDENCE
-        how = "structural for built-in nonlinearity" if structural else "sampled on a symmetric log grid"
-        return ConditionEntry("sign-condition", status, True, f"x*f(x) > 0 for x != 0: {how}")
+    if eq.f.sign_condition:
+        return ConditionEntry("sign-condition", CheckStatus.HOLDS_ON_SAMPLE, True,
+                              "x*f(x) > 0 for x != 0: structural for built-in nonlinearity")
     return ConditionEntry("sign-condition", CheckStatus.FAILS_AT_INDEX, False,
                           "x*f(x) > 0 for x != 0 does not hold")
 
@@ -308,15 +305,6 @@ class SeriesProbe:
     terms_summed: int
     threshold_exceeded: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "partial_sum": self.partial_sum,
-            "tail_ratio": self.tail_ratio,
-            "terms_summed": self.terms_summed,
-            "threshold_exceeded": self.threshold_exceeded,
-        }
-
 
 # A series probe's final third contributing more than TAIL_GROW of the total
 # reads as divergent, less than TAIL_SETTLE as convergent.
@@ -336,10 +324,12 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     TAIL_SETTLE; undetermined in between.  This is evidence about partial
     sums, never a proof about the series.
 
-    Terms with a `block` method are summed a chunk at a time, in the same
-    left-to-right order, so the partial sums are the same bit for bit.  The
-    per-term loop is the exact path for a chunk that trips (its block raises
-    or returns None, or it holds a NaN or passes the threshold).
+    terms is a sequence: `terms.at(n)` is the term at n, and
+    `terms.block(start, count)` is [terms.at(n) ...] over those indices, or
+    None.  The terms are summed a block at a time, in the same left-to-right
+    order, so the partial sums are those of the per-term loop bit for bit.
+    That loop is the exact path for a chunk that trips (its block raises or
+    returns None, or it holds a NaN or passes the threshold).
 
     Terms that are one double c (a `Constant`, or a reciprocal power of one)
     are summed in closed form when c is finite and non-zero and, with
@@ -350,14 +340,12 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     """
     if horizon < 3:
         raise ValueError(f"series probe needs a horizon of at least 3, got {horizon}")
-    at = terms.at if hasattr(terms, "at") else terms
-    block = getattr(terms, "block", None)
     two_thirds = (2 * horizon) // 3
     total = 0.0
     checkpoint = 0.0
     summed = 0
     if threshold >= 0.0 and isinstance(terms.seq if isinstance(terms, _ReciprocalPower) else terms, Constant):
-        c = at(start)  # raises what the loop's first term raises
+        c = terms.at(start)  # raises what the loop's first term raises
         num, den = c.as_integer_ratio() if math.isfinite(c) else (0, 1)
         if num and abs(num) * horizon < 2**53:
             if threshold < math.inf:
@@ -372,7 +360,7 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
         size = min(2 * size, CHUNK_CAP)
         vals = sums = None  # free the last chunk before the next is evaluated
         try:
-            vals = block(start + summed, count) if block is not None else None
+            vals = terms.block(start + summed, count)
         except EVALUATION_ERRORS:
             vals = None  # the per-term loop may stop before the failing term
         if vals is not None:
@@ -384,7 +372,7 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
                 summed += count
                 continue
         for n in range(start + summed, start + summed + count):
-            v = at(n)
+            v = terms.at(n)
             if math.isnan(v):
                 return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
             total += v
@@ -395,7 +383,8 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
                 return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
     if math.isnan(total):
         return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
-    ratio = abs(total - checkpoint) / max(abs(total), 1e-300)
+    # The floor is the least positive double: any non-zero total divides by itself.
+    ratio = abs(total - checkpoint) / max(abs(total), 5e-324)
     if ratio > TAIL_GROW:
         status = SeriesStatus.DIVERGENT
     elif ratio < TAIL_SETTLE:
@@ -447,15 +436,11 @@ def _p_limit_entry(eq: EquationSpec, horizon: int) -> ConditionEntry:
 
 
 def _continuity_entry(eq: EquationSpec) -> ConditionEntry:
-    flag = eq.f.continuous
-    if flag is True:
+    if eq.f.continuous:
         return ConditionEntry("f-continuous", CheckStatus.HOLDS_ON_SAMPLE, True,
                               "structural for built-in nonlinearity")
-    if flag is False:
-        return ConditionEntry("f-continuous", CheckStatus.FAILS_AT_INDEX, False,
-                              "nonlinearity is discontinuous")
-    return ConditionEntry("f-continuous", CheckStatus.NOT_CHECKABLE, None,
-                          "continuity of a custom nonlinearity cannot be observed")
+    return ConditionEntry("f-continuous", CheckStatus.FAILS_AT_INDEX, False,
+                          "nonlinearity is discontinuous")
 
 
 class _ReciprocalPower:
@@ -471,13 +456,8 @@ class _ReciprocalPower:
             raise SequenceDomainError(f"nonpositive coefficient {self.name}({n}) = {v!r}", index=n)
         return math.pow(v, self.exponent)
 
-    __call__ = at
-
     def block(self, start: int, count: int) -> list[float] | None:
         """[self.at(n) ...] over the block when every seq value is positive, else None."""
-        if isinstance(self.seq, Constant):
-            v = self.seq.at(start)
-            return [math.pow(v, self.exponent)] * count if v > 0.0 else None
         vals = self.seq.block(start, count)
         if not all(map((0.0).__lt__, vals)):
             return None
@@ -552,22 +532,6 @@ class ContradictionCertificate:
     @property
     def valid(self) -> bool:
         return self.chain_finite_nonzero and bool(self.conflicts) and all(self.conflicts)
-
-    def to_dict(self) -> dict:
-        return {
-            "parity": self.parity.value,
-            "n_start": self.n_start,
-            "n_end": self.n_end,
-            "chain_finite_nonzero": self.chain_finite_nonzero,
-            "conflicts": list(self.conflicts),
-            "valid": self.valid,
-            "chain_side": list(self.chain_side.values),
-            "forcing_side": list(self.forcing_side.values),
-            "z": list(self.z.values),
-            "y": list(self.y.values),
-            "w": list(self.w.values),
-            "t": list(self.t.values),
-        }
 
 
 def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,

@@ -40,6 +40,8 @@ class _Blocks:
     """block(start, count) is [self.at(n) for n in range(start, start + count)] bit for bit (but for the sign of
     a NaN made of two NaNs) or raises what that loop raises first: the loop runs if `_fast` gives None or raises."""
 
+    min_index = None
+
     def block(self, start: int, count: int) -> list[float]:
         try:
             vals = self._fast(start, count)
@@ -59,10 +61,6 @@ class Constant(_Blocks):
 
     def _fast(self, start: int, count: int) -> list[float]:
         return [float(self.value)] * count
-
-    @property
-    def min_index(self) -> int | None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,6 @@ class Geometric(_Blocks):
         scale, ratio = self.scale, self.ratio
         return [scale * ratio ** n for n in range(start, start + count)]
 
-    @property
-    def min_index(self) -> int | None:
-        return None
-
 
 @dataclass(frozen=True)
 class Affine(_Blocks):
@@ -104,10 +98,6 @@ class Affine(_Blocks):
     def _fast(self, start: int, count: int) -> list[float]:
         slope, intercept = self.slope, self.intercept
         return [slope * n + intercept for n in range(start, start + count)]
-
-    @property
-    def min_index(self) -> int | None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,7 @@ class SignedPower(_Blocks):
     def at(self, n: int) -> float:
         v = self.base.at(n)
         if not math.isfinite(v):
-            return math.copysign(math.inf, v) if v != 0 else 0.0
+            return math.copysign(math.inf, v)
         return spow(v, self.exponent)
 
     def _fast(self, start: int, count: int) -> list[float]:
@@ -276,7 +266,7 @@ class OddPowerMap:
         return self.scale != 0.0
 
     @property
-    def continuous(self) -> bool | None:
+    def continuous(self) -> bool:
         return True
 
 
@@ -305,56 +295,11 @@ class SignumMap:
         return False
 
     @property
-    def continuous(self) -> bool | None:
+    def continuous(self) -> bool:
         return False
 
 
-_SIGN_SAMPLE = tuple(10.0 ** (k / 4.0) for k in range(-24, 25))
-
-
-class CustomMap:
-    """User-supplied nonlinearity, optionally with an inverse.
-
-    The sign condition x*f(x) > 0 for x != 0 is sampled on a symmetric log
-    grid at construction; continuity cannot be observed, so it is whatever
-    the caller declares (None = unknown).
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[float], float],
-        inverse: Callable[[float], float] | None = None,
-        continuous: bool | None = None,
-    ):
-        self.fn = fn
-        self.inverse = inverse
-        self._continuous = continuous
-        self._sign_condition = all(
-            x * fn(x) > 0.0 for s in (1.0, -1.0) for x in (s * v for v in _SIGN_SAMPLE)
-        )
-
-    def apply(self, x: float) -> float:
-        return float(self.fn(x))
-
-    def invert(self, value: float) -> float:
-        if self.inverse is None:
-            raise ValueError("custom nonlinearity has no inverse evaluator")
-        return float(self.inverse(value))
-
-    @property
-    def sign_condition(self) -> bool:
-        return self._sign_condition
-
-    @property
-    def invertible(self) -> bool:
-        return self.inverse is not None
-
-    @property
-    def continuous(self) -> bool | None:
-        return self._continuous
-
-
-Nonlinearity = Union[OddPowerMap, SignumMap, CustomMap]
+Nonlinearity = Union[OddPowerMap, SignumMap]
 
 
 def identity_map() -> OddPowerMap:

@@ -397,20 +397,26 @@ class TestSeriesDivergence:
         with pytest.raises(ValueError):
             check_series_divergence(Constant(1.0), 0, 2)
 
-    def test_accepts_plain_callables(self):
-        probe = check_series_divergence(lambda n: 1.0 / n, 1, 10 ** 5)
+    @pytest.mark.parametrize("terms", [Constant(1e-310), Table((1e-310,), 0, "hold-last")])
+    def test_tiny_constant_terms_diverge(self, terms):
+        # the tail ratio divides by the sum itself, however tiny: the final third of equal terms is a third of it
+        probe = check_series_divergence(terms, 2, 10 ** 5)
         assert probe.status is SeriesStatus.DIVERGENT
+        assert probe.tail_ratio == pytest.approx(1 / 3, rel=1e-4)
+
+    def test_zero_terms_converge(self):
+        probe = check_series_divergence(Constant(0.0), 0, 1000)
+        assert (probe.status, probe.partial_sum, probe.tail_ratio) == (SeriesStatus.CONVERGENT, 0.0, 0.0)
 
 
 def per_term_probe(terms, start, horizon, threshold=1e6):
     """check_series_divergence as a per-term loop: the reference the chunked probe must match."""
-    at = terms.at if hasattr(terms, "at") else terms
     two_thirds = (2 * horizon) // 3
     total = 0.0
     checkpoint = 0.0
     summed = 0
     for k in range(horizon):
-        v = at(start + k)
+        v = terms.at(start + k)
         if math.isnan(v):
             return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
         total += v
@@ -421,7 +427,7 @@ def per_term_probe(terms, start, horizon, threshold=1e6):
             return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
     if math.isnan(total):
         return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
-    ratio = abs(total - checkpoint) / max(abs(total), 1e-300)
+    ratio = abs(total - checkpoint) / max(abs(total), 5e-324)
     if ratio > TAIL_GROW:
         status = SeriesStatus.DIVERGENT
     elif ratio < TAIL_SETTLE:
@@ -461,7 +467,7 @@ class TestChunkedSeriesProbe:
         (PowerLaw(1.0, -1.0), 1, 97, 1e6),
         (PowerLaw(1.0, -2.0), 1, 10_000, 1e6),
         (Geometric(1.0, 0.5), 0, 5000, 1e6),
-        (lambda n: 1.0 / n, 1, 5000, 1e6),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 1, 5000, 1e6),  # the harmonic series A
         (Table((1e4,) * 150, 0, "error"), 0, 1000, 1e6),  # trips at 101, the table ends at 149
         (Table((1.0,) * 150, 0, "error"), 0, 1000, 1e6),  # no trip: raises past the end
         (Affine(1.0, -50.0), 0, 5000, 1e6),

@@ -398,10 +398,32 @@ def test_check_quick_exclusion_delta_override_fails(capsys):
     assert "delta-even" in out and "FAIL" in out
 
 
+def test_check_quick_exclusion_negative_f_fails_the_sign_condition(tmp_path, capsys):
+    doc = qd.example_document("example-3")
+    doc["f"] = {"kind": "odd-power", "scale": -1.0, "exponent": "1/1"}
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["check", str(path), "--quick-exclusion"], capsys)
+    assert code == 1
+    assert "  [FAIL] sign-condition (fails-at-index): x*f(x) > 0 for x != 0 does not hold\n" in out
+    assert "conclusion: hypotheses not satisfied; no exclusion follows" in out
+
+
 def test_check_almost_oscillation(capsys):
     code, out, _ = run(["check", "example-4", "--almost-oscillation", "--horizon", "20000"], capsys)
     assert code == 0
     assert "hypotheses hold" in out
+
+
+def test_check_almost_oscillation_tiny_constant_d_diverges(tmp_path, capsys):
+    doc = qd.example_document("example-4")
+    doc["d"] = {"kind": "constant", "value": 1e-310}
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["check", str(path), "--almost-oscillation"], capsys)
+    assert code == 0
+    assert ("  [  ok] series-d-divergent (heuristic-evidence): heuristic-divergent: partial sum 1e-305 "
+            "over 100000 terms from n = 2, tail ratio 3.333e-01\n") in out
 
 
 def test_check_certificates(capsys):

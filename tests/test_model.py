@@ -12,7 +12,6 @@ from quasidiff import (
     Affine,
     Combine,
     Constant,
-    CustomMap,
     Geometric,
     OddPowerMap,
     OddRatio,
@@ -260,19 +259,6 @@ class TestNonlinearity:
         with pytest.raises(ValueError):
             f.invert(1.0)
 
-    def test_custom_sign_condition_sampled(self):
-        good = CustomMap(lambda x: x ** 3)
-        assert good.sign_condition
-        bad = CustomMap(lambda x: -x)
-        assert not bad.sign_condition
-        assert good.continuous is None
-
-    def test_custom_inverse(self):
-        f = CustomMap(lambda x: 2 * x, inverse=lambda y: y / 2)
-        assert f.invertible and f.invert(3.0) == 1.5
-        with pytest.raises(ValueError):
-            CustomMap(lambda x: x).invert(1.0)
-
 
 # ---------------------------------------------------------------------------
 # Companion sequence: the z column of the staircase
@@ -449,26 +435,26 @@ def reciprocal_coefficients(eq):
 class TestDerivedCoefficients:
     def test_unit_coefficients(self):
         A, B, C = reciprocal_coefficients(plain_equation())
-        assert A(5) == 1.0 and B(5) == 1.0 and C(5) == 1.0
+        assert A.at(5) == 1.0 and B.at(5) == 1.0 and C.at(5) == 1.0
 
     def test_affine_linear_exponent(self):
         eq = plain_equation(a=Affine(1.0, 0.0), n0=2, tau=1, delta=2)
         A = reciprocal_coefficients(eq)[0]
         for n in (2, 3, 10, 100):
-            assert A(n) == pytest.approx(1.0 / n, rel=1e-12)
+            assert A.at(n) == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_cube_exponent(self):
         eq = plain_equation(a=Constant(8.0), alpha=OddRatio(3, 1))
-        assert reciprocal_coefficients(eq)[0](4) == pytest.approx(0.5, rel=1e-12)
+        assert reciprocal_coefficients(eq)[0].at(4) == pytest.approx(0.5, rel=1e-12)
 
     def test_inversion_identity(self):
         eq = plain_equation(a=Geometric(2.0, 1.01), b=Affine(0.3, 1.0), c=Constant(5.0),
                             alpha=OddRatio(5, 3), beta=OddRatio(3, 1), gamma=OddRatio(1, 3))
         A, B, C = reciprocal_coefficients(eq)
         for n in range(eq.n0, eq.n0 + 40):
-            assert qd.spow(A(n), eq.alpha) * eq.a.at(n) == pytest.approx(1.0, rel=1e-12)
-            assert qd.spow(B(n), eq.beta) * eq.b.at(n) == pytest.approx(1.0, rel=1e-12)
-            assert qd.spow(C(n), eq.gamma) * eq.c.at(n) == pytest.approx(1.0, rel=1e-12)
+            assert qd.spow(A.at(n), eq.alpha) * eq.a.at(n) == pytest.approx(1.0, rel=1e-12)
+            assert qd.spow(B.at(n), eq.beta) * eq.b.at(n) == pytest.approx(1.0, rel=1e-12)
+            assert qd.spow(C.at(n), eq.gamma) * eq.c.at(n) == pytest.approx(1.0, rel=1e-12)
 
     def test_nonpositive_coefficient_reported(self):
         # construction only samples a prefix, so the nonpositive value
@@ -476,7 +462,7 @@ class TestDerivedCoefficients:
         eq_bad = plain_equation(a=Table((1.0,) * 300 + (-1.0,), 1, "hold-last"))
         message = r"nonpositive coefficient a\(301\) = -1\.0"
         with pytest.raises(SequenceDomainError, match=message):
-            reciprocal_coefficients(eq_bad)[0](301)
+            reciprocal_coefficients(eq_bad)[0].at(301)
         with pytest.raises(SequenceDomainError, match=message) as err:
             check_almost_oscillation(eq_bad, horizon=1000)
         assert err.value.index == 301
