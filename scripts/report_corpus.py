@@ -63,7 +63,7 @@ NEGATED_FORMS = {"example-1": "alternating:-1,2", "example-2": "alternating:-1,1
 
 FRACTIONAL_DOCUMENT = {**INVERSE_DOCUMENT,
                        "exponents": {"alpha": "1/1", "beta": "3/5", "gamma": "5/3"}}
-# |d_n| = 16 * 2^-n falls below eps_sign = 1e-12 at n = 44: exit 3.
+# |d_n| = 16 * 2^-n falls below EPS_SIGN = 1e-12 at n = 44: exit 3.
 FADING_D_DOCUMENT = {**INVERSE_DOCUMENT, "d": {"kind": "geometric", "scale": -16.0, "ratio": 0.5}}
 # delta = 0 and p = -1 make the forward pivot 1 + p_n zero: exit 3 at n0 + 4.
 PIVOT_DOCUMENT = {**INVERSE_DOCUMENT, "tau": 1, "p": {"kind": "constant", "value": -1.0},

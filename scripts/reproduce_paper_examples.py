@@ -15,6 +15,7 @@ import random
 import sys
 
 import quasidiff as qd
+from quasidiff.numerics import EPS_RESIDUAL
 
 CHECK_HORIZON = 100_000
 
@@ -23,7 +24,7 @@ def verify_line(name: str, horizon: int) -> bool:
     eq = qd.example_equation(name)
     form = qd.example_closed_form(name)
     worst = max(qd.relative_residual(eq, form, n) for n in range(eq.n0, eq.n0 + horizon))
-    ok = worst <= qd.DEFAULT_TOLERANCE.eps_residual
+    ok = worst <= EPS_RESIDUAL
     print(f"  residual check over {horizon} indices: max relative {worst:.3e} "
           f"-> {'PASS' if ok else 'FAIL'}")
     return ok

@@ -59,12 +59,11 @@ from .model import (
     SignumMap,
     Table,
     chain_windows,
-    identity_map,
     max_relative_residual,
     relative_residual,
     residual_range,
 )
-from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile, spow, spow_inverse
+from .numerics import OddRatio, spow
 from .solver import (
     Provenance,
     Trajectory,
@@ -81,18 +80,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Affine", "BoundCertificate", "CheckStatus", "Combine", "ComponentSummary",
     "ConditionEntry", "ConditionReport", "Constant", "ContradictionCertificate",
-    "DEFAULT_TOLERANCE", "DocumentError", "EXAMPLE_NAMES", "EquationSpec",
-    "Geometric", "HypothesisViolation", "Nonlinearity", "NumericRangeError",
-    "OddPowerMap", "OddRatio", "PivotError", "PowerLaw", "Provenance", "QuasidiffError",
-    "QuickDecomposition", "QuickParity", "SequenceDomainError", "SequenceSpec",
-    "SeriesProbe", "SeriesStatus", "SignCase", "SignProfileReport", "SignedPower",
-    "SignumMap", "Table", "ToleranceProfile", "Trajectory", "Verdict", "VerdictKind",
-    "Window", "WindowIndexError", "build_equation", "build_sequence", "chain_windows",
-    "check_almost_oscillation", "check_quick_exclusion", "check_series_divergence",
-    "classify", "companion_bound_certificate", "component_sign_profile",
-    "example_closed_form", "example_document", "example_equation", "example_summary",
-    "forward_seed_span", "identity_map", "inverse_seed_span", "max_relative_residual",
-    "parse_equation_document", "relative_residual", "residual_range",
-    "sample_trajectory", "sign_conflict_certificate", "solve_forward", "solve_inverse",
-    "spow", "spow_inverse",
+    "DocumentError", "EXAMPLE_NAMES", "EquationSpec", "Geometric", "HypothesisViolation",
+    "Nonlinearity", "NumericRangeError", "OddPowerMap", "OddRatio", "PivotError",
+    "PowerLaw", "Provenance", "QuasidiffError", "QuickDecomposition", "QuickParity",
+    "SequenceDomainError", "SequenceSpec", "SeriesProbe", "SeriesStatus", "SignCase",
+    "SignProfileReport", "SignedPower", "SignumMap", "Table", "Trajectory", "Verdict",
+    "VerdictKind", "Window", "WindowIndexError", "build_equation", "build_sequence",
+    "chain_windows", "check_almost_oscillation", "check_quick_exclusion",
+    "check_series_divergence", "classify", "companion_bound_certificate",
+    "component_sign_profile", "example_closed_form", "example_document", "example_equation",
+    "example_summary", "forward_seed_span", "inverse_seed_span", "max_relative_residual",
+    "parse_equation_document", "relative_residual", "residual_range", "sample_trajectory",
+    "sign_conflict_certificate", "solve_forward", "solve_inverse", "spow",
 ]

@@ -25,7 +25,7 @@ from itertools import accumulate, repeat
 from .errors import HypothesisViolation, SequenceDomainError
 from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, Constant, EquationSpec, SequenceSpec, first_failure,
                     residual_range, staircase)
-from .numerics import DEFAULT_TOLERANCE, OddRatio, ToleranceProfile
+from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
 from .windows import Window
 
@@ -34,7 +34,7 @@ from .windows import Window
 # ---------------------------------------------------------------------------
 
 
-# The alternation test's zero band is eps_sign times the largest |x| among
+# The alternation test's zero band is EPS_SIGN times the largest |x| among
 # each value and the ones just before it, so a fast-growing or fast-decaying
 # alternation is not lost in a band taken from a far-away peak.
 ALTERNATION_ENVELOPE = 4
@@ -85,8 +85,8 @@ class Verdict:
         return out
 
 
-def _suffix_length(count: int, tol: ToleranceProfile) -> int:
-    return max(2, math.ceil(tol.suffix_fraction * count))
+def _suffix_length(count: int) -> int:
+    return max(2, math.ceil(SUFFIX_FRACTION * count))
 
 
 def _sign_census_values(values: tuple[float, ...], zero_tol: float) -> str:
@@ -94,7 +94,7 @@ def _sign_census_values(values: tuple[float, ...], zero_tol: float) -> str:
     mixed, or straddling.
 
     Raw signs decide when they agree (a uniformly negative decaying tail is
-    still negative however small it gets); the zero band eps_sign * scale is
+    still negative however small it gets); the zero band EPS_SIGN * scale is
     consulted only to separate genuine sign changes (mixed) from wobble at
     the noise floor or changes that never clear the band (straddling).
     """
@@ -111,28 +111,28 @@ def _sign_census_values(values: tuple[float, ...], zero_tol: float) -> str:
     return "mixed" if len(above) == 2 else "straddling"
 
 
-def _tends_to_zero(values: tuple[float, ...], tol: ToleranceProfile) -> bool:
+def _tends_to_zero(values: tuple[float, ...]) -> bool:
     i1, i2 = len(values) // 3, (2 * len(values)) // 3
     m1 = max(abs(v) for v in values[:i1])
     m2 = max(abs(v) for v in values[i1:i2])
     m3 = max(abs(v) for v in values[i2:])
     if m1 == 0.0:
         return False
-    return m1 >= m2 >= m3 and abs(values[-1]) < tol.eps_limit * m1
+    return m1 >= m2 >= m3 and abs(values[-1]) < EPS_LIMIT * m1
 
 
-def classify(t: Trajectory, tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Verdict:
+def classify(t: Trajectory) -> Verdict:
     """Classify the sign pattern of a trajectory on its decided suffix.
 
-    The suffix is the trailing suffix_fraction of the window.  A uniformly
+    The suffix is the trailing SUFFIX_FRACTION of the window.  A uniformly
     one-signed suffix is nonoscillatory; strict sign alternation at every
     consecutive pair is quickly oscillatory and yields the decomposition
     q_n = (-1)^n x_n; any other mix of signs is oscillatory; values pinned
     inside the zero band leave the verdict undetermined.  The zero band of
-    the alternation test is local: eps_sign times the peak |x| over each
+    the alternation test is local: EPS_SIGN times the peak |x| over each
     value and the ALTERNATION_ENVELOPE - 1 values before it.  tends_to_zero is
     decay evidence (never proof): window thirds with non-increasing peaks
-    and a final value below eps_limit relative to the initial peak.
+    and a final value below EPS_LIMIT relative to the initial peak.
     """
     x = t.x
     if len(x) < 8:
@@ -141,10 +141,10 @@ def classify(t: Trajectory, tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Verdic
     if window_scale == 0.0:
         return Verdict(VerdictKind.UNDETERMINED, tends_to_zero=False, degenerate_zero=True,
                        suffix_start=x.start)
-    zero_tol = tol.eps_sign * window_scale
-    suffix = x.suffix(_suffix_length(len(x), tol))
+    zero_tol = EPS_SIGN * window_scale
+    suffix = x.suffix(_suffix_length(len(x)))
     census = _sign_census_values(suffix.values, zero_tol)
-    tends = _tends_to_zero(x.values, tol)
+    tends = _tends_to_zero(x.values)
 
     if census == "positive":
         return Verdict(VerdictKind.NONOSC_POSITIVE, tends, suffix_start=suffix.start)
@@ -156,7 +156,7 @@ def classify(t: Trajectory, tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Verdic
         # lagged[k][i] = |x| k values before values[i], or 0 before the suffix
         lagged = ([0.0] * k + mags[:len(mags) - k] for k in range(ALTERNATION_ENVELOPE))
         if all((values[i] > 0.0) == (values[i + 1] < 0.0) for i in range(len(values) - 1)) and all(
-            m > tol.eps_sign * peak for m, peak in zip(mags, map(max, *lagged))
+            m > EPS_SIGN * peak for m, peak in zip(mags, map(max, *lagged))
         ):
             q = Window(suffix.start,
                        tuple((v if n % 2 == 0 else -v) for n, v in suffix.items()))
@@ -707,17 +707,17 @@ class SignProfileReport:
         }
 
 
-def _sign_census(w: Window, tol: ToleranceProfile) -> str:
+def _sign_census(w: Window) -> str:
     scale = w.max_abs()
     if scale == 0.0:
         return "degenerate-zero"
-    suffix = w.suffix(_suffix_length(len(w), tol))
-    return _sign_census_values(suffix.values, tol.eps_sign * scale)
+    suffix = w.suffix(_suffix_length(len(w)))
+    return _sign_census_values(suffix.values, EPS_SIGN * scale)
 
 
-def _monotone_census(w: Window, tol: ToleranceProfile) -> str:
-    suffix = w.suffix(_suffix_length(len(w), tol))
-    slack = tol.eps_sign * max(w.max_abs(), 1e-300)
+def _monotone_census(w: Window) -> str:
+    suffix = w.suffix(_suffix_length(len(w)))
+    slack = EPS_SIGN * max(w.max_abs(), 1e-300)
     diffs = [suffix.values[i + 1] - suffix.values[i] for i in range(len(suffix) - 1)]
     non_dec = all(d >= -slack for d in diffs)
     non_inc = all(d <= slack for d in diffs)
@@ -730,8 +730,7 @@ def _monotone_census(w: Window, tol: ToleranceProfile) -> str:
     return "none"
 
 
-def component_sign_profile(sys: Trajectory,
-                           tol: ToleranceProfile = DEFAULT_TOLERANCE) -> SignProfileReport:
+def component_sign_profile(sys: Trajectory) -> SignProfileReport:
     """Empirical sign/monotonicity/decay profile of (x, y, w, t).
 
     Distinguishes the two structural outcomes for one-signed-component
@@ -749,15 +748,15 @@ def component_sign_profile(sys: Trajectory,
     summaries = tuple(
         ComponentSummary(
             name=name,
-            sign_status=_sign_census(win, tol),
-            monotone=_monotone_census(win, tol),
-            tends_to_zero=_tends_to_zero(win.values, tol),
+            sign_status=_sign_census(win),
+            monotone=_monotone_census(win),
+            tends_to_zero=_tends_to_zero(win.values),
         )
         for name, win in named
     )
     statuses = {s.name: s.sign_status for s in summaries}
     degenerate = tuple(s.name for s in summaries if s.sign_status == "degenerate-zero")
-    x_to_zero = _tends_to_zero(sys.x.values, tol)
+    x_to_zero = _tends_to_zero(sys.x.values)
 
     if any(s == "straddling" for s in statuses.values()):
         case = SignCase.UNDETERMINED

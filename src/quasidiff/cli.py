@@ -44,7 +44,7 @@ from .examples import EXAMPLE_NAMES, example_closed_form, example_document, exam
 # relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
 from .model import (EquationSpec, max_relative_residual, relative_residual,  # noqa: F401
                     relative_residuals, residual_range, residual_reads)
-from .numerics import ToleranceProfile
+from .numerics import EPS_RESIDUAL
 from .solver import (
     Trajectory,
     forward_seed_span,
@@ -74,10 +74,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", default=None, help="override beta for bundled examples (num/den)")
         p.add_argument("--lambda", dest="lam", type=int, default=None,
                        help="override the half-delay lambda for bundled examples")
-        p.add_argument("--eps-residual", type=float, default=None)
-        p.add_argument("--eps-sign", type=float, default=None)
-        p.add_argument("--suffix-fraction", type=float, default=None)
-        p.add_argument("--eps-limit", type=float, default=None)
         p.add_argument("--out", default=None, help="write a JSON report to this path")
         p.add_argument("--csv", default=None, help="write an n,x,z,y,w,t CSV to this path")
 
@@ -163,19 +159,6 @@ def _load_equation(args) -> tuple[EquationSpec, str]:
     return build_equation(document), name
 
 
-def _tolerances(args) -> ToleranceProfile:
-    kwargs = {}
-    if args.eps_residual is not None:
-        kwargs["eps_residual"] = args.eps_residual
-    if args.eps_sign is not None:
-        kwargs["eps_sign"] = args.eps_sign
-    if args.suffix_fraction is not None:
-        kwargs["suffix_fraction"] = args.suffix_fraction
-    if args.eps_limit is not None:
-        kwargs["eps_limit"] = args.eps_limit
-    return ToleranceProfile(**kwargs)
-
-
 def _closed_form(args, name: str) -> Callable[[int], float]:
     spec = getattr(args, "closed_form", None)
     if spec is not None:
@@ -245,7 +228,7 @@ def _write_report(path: str | None, report: dict) -> None:
             fh.write("\n")
 
 
-def _solve(args, eq: EquationSpec, name: str, tol: ToleranceProfile) -> Trajectory:
+def _solve(args, eq: EquationSpec, name: str) -> Trajectory:
     """Solve from --seed-values, or from the closed form of a bundled example."""
     forward = eq.forward_mode
     lo, hi = forward_seed_span(eq) if forward else inverse_seed_span(eq)
@@ -259,8 +242,7 @@ def _solve(args, eq: EquationSpec, name: str, tol: ToleranceProfile) -> Trajecto
         seed = Window.from_evaluator(example_closed_form(name), lo, hi)
     else:
         raise ValueError("--seed-values is required to solve a document equation")
-    return solve_forward(eq, seed, args.horizon, tol) if forward else \
-        solve_inverse(eq, seed, args.horizon, tol)
+    return solve_forward(eq, seed, args.horizon) if forward else solve_inverse(eq, seed, args.horizon)
 
 
 def _sample_for_components(eq: EquationSpec, form, horizon: int) -> Trajectory:
@@ -277,8 +259,7 @@ def _sample_for_components(eq: EquationSpec, form, horizon: int) -> Trajectory:
 def cmd_solve(args) -> int:
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
-    tol = _tolerances(args)
-    traj = _solve(args, eq, name, tol)
+    traj = _solve(args, eq, name)
     # None when no index of the window reads only x values it holds.
     worst = max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
 
@@ -313,7 +294,6 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
-    tol = _tolerances(args)
     form = _closed_form(args, name)
     indices = range(eq.n0, eq.n0 + args.horizon)
     _require_finite(form, residual_reads(eq, indices))
@@ -324,16 +304,16 @@ def cmd_verify(args) -> int:
         residuals.append({"n": n, "rel_residual": rel})
         if rel > worst:
             worst, worst_at = rel, n
-    passed = worst <= tol.eps_residual
+    passed = worst <= EPS_RESIDUAL
     _say(f"verify {name}: {'PASS' if passed else 'FAIL'}")
     _say(f"  indices: n = {eq.n0} .. {eq.n0 + args.horizon - 1} ({args.horizon})")
     _say(f"  max relative residual: {worst:.3e} at n = {worst_at}")
-    _say(f"  tolerance: {tol.eps_residual:.1e}")
+    _say(f"  tolerance: {EPS_RESIDUAL:.1e}")
     report = {
         "command": "verify",
         "equation": name,
         "horizon": args.horizon,
-        "eps_residual": tol.eps_residual,
+        "eps_residual": EPS_RESIDUAL,
         "max_rel_residual": worst,
         "argmax": worst_at,
         "pass": passed,
@@ -348,13 +328,12 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
-    tol = _tolerances(args)
     if args.solve:
-        traj = _solve(args, eq, name, tol)
+        traj = _solve(args, eq, name)
     else:
         traj = _sample_for_components(eq, _closed_form(args, name), args.horizon)
 
-    verdict = classify(traj, tol)
+    verdict = classify(traj)
     _say(f"classify {name}: {verdict.kind.value}")
     _say(f"  tends to zero (evidence): {verdict.tends_to_zero}")
     if verdict.degenerate_zero:
@@ -366,7 +345,7 @@ def cmd_classify(args) -> int:
     report = {"command": "classify", "equation": name, "horizon": args.horizon,
               "verdict": verdict.to_dict()}
     if traj.has_components and len(traj.t) >= 16:
-        profile = component_sign_profile(traj, tol)
+        profile = component_sign_profile(traj)
         _say(f"  component profile: {profile.case.value}")
         report["component_profile"] = profile.to_dict()
     _write_report(args.out, report)
@@ -396,18 +375,16 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
                                   "pass --parity to force one")
     rng = random.Random(args.rng_seed)
     span = 16 + max(eq.delta, eq.tau, 0) + max(0, -eq.tau)
-    results = []
-    all_valid = True
+    valid_count = 0
     for _ in range(args.windows):
         q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(span)))
-        cert = sign_conflict_certificate(eq, q, parity, exclusion)
-        results.append(cert.valid)
-        all_valid = all_valid and cert.valid
+        valid_count += sign_conflict_certificate(eq, q, parity, exclusion).valid
+    all_valid = valid_count == args.windows
     _say(f"sign-conflict certificates ({parity.value}): "
-         f"{sum(results)}/{len(results)} valid on random positive q windows")
+         f"{valid_count}/{args.windows} valid on random positive q windows")
     report = {"command": "check", "check": "certificate", "equation": name,
               "parity": parity.value, "windows": args.windows,
-              "valid_count": sum(results), "all_valid": all_valid}
+              "valid_count": valid_count, "all_valid": all_valid}
     return (0 if all_valid else 1), report
 
 

@@ -302,10 +302,6 @@ class SignumMap:
 Nonlinearity = Union[OddPowerMap, SignumMap]
 
 
-def identity_map() -> OddPowerMap:
-    return OddPowerMap(1.0, OddRatio(1, 1))
-
-
 # ---------------------------------------------------------------------------
 # Equation
 # ---------------------------------------------------------------------------

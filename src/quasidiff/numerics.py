@@ -1,4 +1,4 @@
-"""Sign-preserving rational powers and the shared tolerance policy.
+"""Sign-preserving rational powers and the shared numeric tolerances.
 
 Exponents throughout the package are ratios of odd positive integers; for
 those the signed real power x -> sign(x) * |x|**e is total on the real line
@@ -49,10 +49,6 @@ class OddRatio:
             raise ValueError(f"expected 'num/den' of odd positive integers, got {text!r}") from None
         return cls(*numbers)
 
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
     def reciprocal(self) -> "OddRatio":
         return OddRatio(self.denominator, self.numerator)
 
@@ -87,33 +83,14 @@ def spow(x: float, e: OddRatio) -> float:
     return sign * mag
 
 
-def spow_inverse(y: float, e: OddRatio) -> float:
-    """Inverse of ``spow(., e)``: the signed power with reciprocal exponent."""
-    return spow(y, e.reciprocal())
-
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Shared numeric policy for sign tests, residuals, and tail limits.
-
-    eps_sign is an absolute zero threshold, scaled by window magnitude at
-    the point of use; eps_residual is relative to the largest cancelled
-    term; suffix_fraction is the trailing portion of a finite window that
-    stands in for "eventually".
-    """
-
-    eps_sign: float = 1e-12
-    eps_residual: float = 1e-9
-    eps_limit: float = 1e-8
-    suffix_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("eps_sign", "eps_residual", "eps_limit"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
-        if not 0.0 < self.suffix_fraction <= 1.0:
-            raise ValueError(f"suffix_fraction must lie in (0, 1], got {self.suffix_fraction!r}")
-
-
-DEFAULT_TOLERANCE = ToleranceProfile()
+# The one numeric policy that stands in for the paper's asymptotic notions at
+# a finite horizon.  EPS_SIGN is an absolute threshold in the solver (on |d_n|,
+# and on the neutral pivot 1 + p scaled by max(1, |p|)) and a zero band
+# relative to the window's magnitude in analysis; EPS_RESIDUAL is verify's pass
+# threshold on the relative residual; EPS_LIMIT bounds the decay test's final
+# value relative to the initial peak; SUFFIX_FRACTION is the trailing portion
+# of a window that stands in for "eventually".
+EPS_SIGN = 1e-12
+EPS_RESIDUAL = 1e-9
+EPS_LIMIT = 1e-8
+SUFFIX_FRACTION = 0.5

@@ -19,7 +19,7 @@ from .errors import NumericRangeError, PivotError
 # max_relative_residual stays importable here: perfbench/tracing.py rebinds solver.max_relative_residual.
 from .model import (EquationSpec, chain_windows, difference_column, max_relative_residual,  # noqa: F401
                     sign_of, staircase)
-from .numerics import DEFAULT_TOLERANCE, ToleranceProfile, spow
+from .numerics import EPS_SIGN, spow
 from .windows import Window
 
 
@@ -61,9 +61,6 @@ class Trajectory:
         """The first index a truncated march did not produce; None when not truncated."""
         return self.x.end + 1 if self.truncated else None
 
-    def __len__(self) -> int:
-        return len(self.x)
-
     @property
     def has_components(self) -> bool:
         return self.t is not None
@@ -100,7 +97,7 @@ def _finalize(eq: EquationSpec, x: Window, provenance: Provenance, truncated: bo
                       warnings=warnings)
 
 
-def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) -> Trajectory:
+def _march(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
     """Run `horizon` steps of the regime's step rule from a seeded x history.
 
     The step at n moves the frontier (t_n, w_{n+1}, y_{n+2}, z_{n+3}) on by one
@@ -129,7 +126,7 @@ def _march(eq: EquationSpec, seed: Window, horizon: int, tol: ToleranceProfile) 
         d_n = eq.d.at(n)
         if d_break is None and sign_of(d_n) != d_sign:
             d_break = n
-        advanced = step(eq, tol, n, d_n, xs, start, frontier)
+        advanced = step(eq, n, d_n, xs, start, frontier)
         if advanced is None:
             break
         x_next, frontier = advanced
@@ -149,8 +146,8 @@ def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float |
     return spow(ratio, inverse_exponent)
 
 
-def _forward_step(inverse_exponents, eq: EquationSpec, tol: ToleranceProfile, n: int,
-                  d_n: float, xs: list[float], start: int, frontier):
+def _forward_step(inverse_exponents, eq: EquationSpec, n: int, d_n: float, xs: list[float],
+                  start: int, frontier):
     """(x_{n+4}, the next frontier) as solve_forward describes; None at a non-finite value."""
     t_n, w_n1, y_n2, z_n3 = frontier
     inv_alpha, inv_beta, inv_gamma = inverse_exponents
@@ -168,7 +165,7 @@ def _forward_step(inverse_exponents, eq: EquationSpec, tol: ToleranceProfile, n:
         return None
     if eq.delta == 0:
         pivot = 1.0 + eq.p.at(n + 4)
-        if abs(pivot) <= tol.eps_sign * max(1.0, abs(eq.p.at(n + 4))):
+        if abs(pivot) <= EPS_SIGN * max(1.0, abs(eq.p.at(n + 4))):
             raise PivotError(n + 4, pivot)
         x_next = z_next / pivot
     else:
@@ -178,11 +175,10 @@ def _forward_step(inverse_exponents, eq: EquationSpec, tol: ToleranceProfile, n:
     return x_next, (t_next, w_next, y_next, z_next)
 
 
-def _inverse_step(eq: EquationSpec, tol: ToleranceProfile, n: int,
-                  d_n: float, xs: list[float], start: int, frontier):
+def _inverse_step(eq: EquationSpec, n: int, d_n: float, xs: list[float], start: int, frontier):
     """(x_{n-tau}, the next frontier): z_{n+4}, y_{n+3}, w_{n+2} and t_{n+1} from known x,
     then x_{n-tau} = f^{-1}(-D t_n / d_n).  None at a non-finite value."""
-    if abs(d_n) <= tol.eps_sign:
+    if abs(d_n) <= EPS_SIGN:
         raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
     t_n, w_n1, y_n2, z_n3 = frontier
     z_next = xs[n + 4 - start] + eq.p.at(n + 4) * xs[n + 4 - eq.delta - start]
@@ -198,8 +194,7 @@ def _inverse_step(eq: EquationSpec, tol: ToleranceProfile, n: int,
     return x_next, (t_next, w_next, y_next, z_next)
 
 
-def solve_forward(eq: EquationSpec, seed: Window, horizon: int,
-                  tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Trajectory:
+def solve_forward(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
     """March the recursion forward for `horizon` steps from a seeded x history.
 
     Each step advances the staircase t -> w -> y -> z -> x by one index:
@@ -211,11 +206,10 @@ def solve_forward(eq: EquationSpec, seed: Window, horizon: int,
         raise ValueError(f"tau = {eq.tau} is not in the forward regime for delta = {eq.delta}")
     if eq.delta < 0:
         raise ValueError("forward mode does not support advanced neutral terms (delta < 0)")
-    return _march(eq, seed, horizon, tol)
+    return _march(eq, seed, horizon)
 
 
-def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
-                  tol: ToleranceProfile = DEFAULT_TOLERANCE) -> Trajectory:
+def solve_inverse(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
     """Recover far-ahead x values through the inverse of f.
 
     Requires tau < min(-4, delta - 4): the forcing index n - tau leads the
@@ -226,7 +220,7 @@ def solve_inverse(eq: EquationSpec, seed: Window, horizon: int,
         raise ValueError(f"tau = {eq.tau} is not in the inverse regime for delta = {eq.delta}")
     if not eq.f.invertible:
         raise ValueError("inverse mode requires an invertible nonlinearity")
-    return _march(eq, seed, horizon, tol)
+    return _march(eq, seed, horizon)
 
 
 def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:

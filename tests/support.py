@@ -22,7 +22,7 @@ def plain_equation(*, alpha=ONE, beta=ONE, gamma=ONE, tau=1, delta=2,
         a=a if a is not None else qd.Constant(1.0),
         b=b if b is not None else qd.Constant(1.0),
         c=c if c is not None else qd.Constant(1.0),
-        f=f if f is not None else qd.identity_map(),
+        f=f if f is not None else qd.OddPowerMap(1.0, ONE),
         n0=n0 if n0 is not None else max(1, delta, tau),
     )
 

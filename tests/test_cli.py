@@ -217,6 +217,26 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["solve", "example-4", "--horizon", "16", "--eps-sign", "1e-3"], "--eps-sign"),
+    (["check", "example-3", "--quick-exclusion", "--eps-residual", "1"], "--eps-residual"),
+], ids=["solve", "check"])
+def test_tolerance_options_are_unrecognized(argv, option, capsys):
+    # The tolerances are fixed in quasidiff.numerics; no subcommand takes one.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_verify_reports_the_fixed_tolerance(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, out, _ = run(["verify", "example-4", "--horizon", "16", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "  tolerance: 1.0e-09\n" in out
+    assert '"eps_residual": 1e-09,' in out_path.read_text()
+
+
 def test_solve_writes_csv_schema(tmp_path, capsys):
     csv_path = tmp_path / "t.csv"
     code, out, _ = run(["solve", "example-3", "--horizon", "60", "--csv", str(csv_path)], capsys)

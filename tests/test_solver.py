@@ -226,5 +226,5 @@ def test_sample_trajectory_rejects_empty_range():
 def test_trajectory_surface():
     eq = plain_equation(delta=2, tau=1)
     traj = sample_trajectory(eq, lambda n: float(n), 0, 15)
-    assert traj.n_start == 0 and traj.n_end == 15 and len(traj) == 16
+    assert traj.n_start == 0 and traj.n_end == 15 and len(traj.x) == 16
     assert traj.z.start == 2 and traj.t.end == traj.z.end - 3
