@@ -137,8 +137,8 @@ def run(argv: list[str], outdir: str) -> None:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            status = str(main([*argv, "--out", os.path.join(outdir, "out.json"),
-                               "--csv", os.path.join(outdir, "out.csv")]))
+            csv = [] if argv[0] == "check" else ["--csv", os.path.join(outdir, "out.csv")]  # check takes no --csv
+            status = str(main([*argv, "--out", os.path.join(outdir, "out.json"), *csv]))
         except Exception as exc:  # an escaped exception is part of the observed behaviour
             status = f"exception {type(exc).__name__}"
     for name, stream in (("stdout.txt", stdout), ("stderr.txt", stderr)):

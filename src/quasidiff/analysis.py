@@ -18,7 +18,7 @@ are exact, index-by-index checkable objects:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, repeat
 
@@ -180,6 +180,7 @@ class CheckStatus(str, Enum):
     NOT_CHECKABLE = "not-checkable"
 
 
+# The CLI writes the result types below to --out with dataclasses.asdict: field order is the report's key order.
 @dataclass(frozen=True)
 class ConditionEntry:
     condition: str
@@ -188,41 +189,23 @@ class ConditionEntry:
     detail: str
     fail_index: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "status": self.status.value,
-            "satisfied": self.satisfied,
-            "detail": self.detail,
-            "fail_index": self.fail_index,
-        }
-
 
 @dataclass(frozen=True)
 class ConditionReport:
     title: str
     entries: tuple[ConditionEntry, ...]
+    all_hold: bool = field(init=False)
     conclusion: str
     alternation_excluded: bool = False
 
-    @property
-    def all_hold(self) -> bool:
-        return all(e.satisfied is True for e in self.entries)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "all_hold", all(e.satisfied is True for e in self.entries))
 
     def entry(self, condition: str) -> ConditionEntry:
         for e in self.entries:
             if e.condition == condition:
                 return e
         raise KeyError(condition)
-
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "entries": [e.to_dict() for e in self.entries],
-            "all_hold": self.all_hold,
-            "conclusion": self.conclusion,
-            "alternation_excluded": self.alternation_excluded,
-        }
 
 
 def _sign_condition_entry(eq: EquationSpec) -> ConditionEntry:
@@ -603,18 +586,10 @@ class BoundCertificate:
     delta: int
     n1: int
     max_abs_x: float
+    valid: bool = field(init=False)
 
-    @property
-    def valid(self) -> bool:
-        return self.max_abs_x <= self.bound
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.L, "P": self.P, "K": self.K, "bound": self.bound,
-            "n_start": self.n_start, "n_end": self.n_end,
-            "delta": self.delta, "n1": self.n1,
-            "max_abs_x": self.max_abs_x, "valid": self.valid,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "valid", self.max_abs_x <= self.bound)
 
 
 def companion_bound_certificate(z: Window, p: SequenceSpec, p_limit: float, delta: int,
@@ -678,10 +653,6 @@ class ComponentSummary:
     monotone: str  # increasing | decreasing | constant | none
     tends_to_zero: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "sign_status": self.sign_status,
-                "monotone": self.monotone, "tends_to_zero": self.tends_to_zero}
-
 
 @dataclass(frozen=True)
 class SignProfileReport:
@@ -696,15 +667,6 @@ class SignProfileReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "components": [c.to_dict() for c in self.components],
-            "degenerate_zero": list(self.degenerate_zero),
-            "max_abs_x": self.max_abs_x,
-            "x_tends_to_zero": self.x_tends_to_zero,
-        }
 
 
 def _sign_census(w: Window) -> str:

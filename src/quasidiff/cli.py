@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -75,7 +76,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=int, default=None,
                        help="override the half-delay lambda for bundled examples")
         p.add_argument("--out", default=None, help="write a JSON report to this path")
-        p.add_argument("--csv", default=None, help="write an n,x,z,y,w,t CSV to this path")
 
     p_solve = sub.add_parser("solve", help="run the recursion and export the trajectory")
     add_common(p_solve, 200)
@@ -115,6 +115,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--solve", action="store_true",
                             help="classify a solved trajectory instead of a sampled closed form")
     p_classify.add_argument("--seed-values", default=None)
+    for p in (p_solve, p_verify, p_classify):  # check writes no CSV
+        p.add_argument("--csv", default=None, help="write an n,x,z,y,w,t CSV to this path")
 
     sub.add_parser("list-examples", help="list the bundled example equations")
     return parser
@@ -224,7 +226,7 @@ def write_csv(path: str, traj: Trajectory) -> None:
 def _write_report(path: str | None, report: dict) -> None:
     if path:
         with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, default=dataclasses.asdict)
             fh.write("\n")
 
 
@@ -347,7 +349,7 @@ def cmd_classify(args) -> int:
     if traj.has_components and len(traj.t) >= 16:
         profile = component_sign_profile(traj)
         _say(f"  component profile: {profile.case.value}")
-        report["component_profile"] = profile.to_dict()
+        report["component_profile"] = profile
     _write_report(args.out, report)
     if args.csv:
         write_csv(args.csv, traj)
@@ -408,7 +410,7 @@ def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
     _say(f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}")
     _say(f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}")
     report = {"command": "check", "check": "bound", "equation": name,
-              "certificate": cert.to_dict()}
+              "certificate": cert}
     return (0 if cert.valid else 1), report
 
 
@@ -418,13 +420,13 @@ def cmd_check(args) -> int:
         report_obj = check_quick_exclusion(eq)
         _print_condition_report(report_obj)
         report = {"command": "check", "check": "quick-exclusion", "equation": name,
-                  "report": report_obj.to_dict()}
+                  "report": report_obj}
         code = 0 if report_obj.alternation_excluded else 1
     elif args.almost_oscillation:
         report_obj = check_almost_oscillation(eq, horizon=args.horizon)
         _print_condition_report(report_obj)
         report = {"command": "check", "check": "almost-oscillation", "equation": name,
-                  "report": report_obj.to_dict()}
+                  "report": report_obj}
         code = 0 if report_obj.all_hold else 1
     elif args.certificate:
         code, report = _cmd_check_certificate(args, eq, name)

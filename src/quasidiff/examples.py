@@ -65,45 +65,36 @@ def _shifted_power_sum(bases: list[dict], beta: str) -> dict:
     return _combine("+", _combine("+", u2, _combine("*", _const(2.0), u1)), u0)
 
 
+def _second_difference_document(beta: str, lam: int, tau: int, p: dict, bases: list[dict], f: dict) -> dict:
+    delta = 2 * lam
+    return {
+        "exponents": {"alpha": "1/1", "beta": beta, "gamma": "1/1"},
+        "tau": tau,
+        "delta": delta,
+        "n0": max(1, delta, tau),
+        "p": p,
+        "d": _shifted_power_sum(bases, beta),
+        "a": _const(1.0),
+        "b": _const(1.0),
+        "c": _const(1.0),
+        "f": f,
+    }
+
+
 def _example1_document(beta: str, lam: int) -> dict:
     # d_n = (9*2^(n+2) + 2^(2-2L))^B + 2(9*2^(n+1) + 2^(2-2L))^B + (9*2^n + 2^(2-2L))^B
     if lam < -510:  # 2.0 ** 1024 overflows
         raise ValueError(f"example-1 needs lambda >= -510, so that 2^(2-2*lambda) is a finite double; got {lam}")
     offset = _const(2.0 ** (2 - 2 * lam))
     bases = [_combine("+", _geom(9.0 * 2.0 ** k, 2.0), offset) for k in (0, 1, 2)]
-    delta = 2 * lam
-    tau = 3
-    return {
-        "exponents": {"alpha": "1/1", "beta": beta, "gamma": "1/1"},
-        "tau": tau,
-        "delta": delta,
-        "n0": max(1, delta, tau),
-        "p": _geom(1.0, 0.5),
-        "d": _shifted_power_sum(bases, beta),
-        "a": _const(1.0),
-        "b": _const(1.0),
-        "c": _const(1.0),
-        "f": {"kind": "signum", "scale": 1.0},
-    }
+    return _second_difference_document(beta, lam, 3, _geom(1.0, 0.5), bases, {"kind": "signum", "scale": 1.0})
 
 
 def _example2_document(beta: str, lam: int) -> dict:
     # d_n = (4 + 16/3^(n+4))^B + 2(4 + 16/3^(n+3))^B + (4 + 16/3^(n+2))^B
     bases = [_combine("+", _const(4.0), _geom(16.0 / 3.0 ** k, 1.0 / 3.0)) for k in (2, 3, 4)]
-    delta = 2 * lam
-    tau = 1
-    return {
-        "exponents": {"alpha": "1/1", "beta": beta, "gamma": "1/1"},
-        "tau": tau,
-        "delta": delta,
-        "n0": max(1, delta, tau),
-        "p": _geom(1.0, 1.0 / 3.0),
-        "d": _shifted_power_sum(bases, beta),
-        "a": _const(1.0),
-        "b": _const(1.0),
-        "c": _const(1.0),
-        "f": {"kind": "odd-power", "scale": 1.0, "exponent": "1/1"},
-    }
+    return _second_difference_document(beta, lam, 1, _geom(1.0, 1.0 / 3.0), bases,
+                                       {"kind": "odd-power", "scale": 1.0, "exponent": "1/1"})
 
 
 def _quartic_neutral_document(d: dict) -> dict:

@@ -219,7 +219,7 @@ class SignedPower(_Blocks):
             return math.copysign(math.inf, v)
         return spow(v, self.exponent)
 
-    def _fast(self, start: int, count: int) -> list[float]:
+    def _fast(self, start: int, count: int) -> list[float] | None:
         vals, e = self.base.block(start, count), self.exponent
         # The unit power maps every value but a zero (-0.0 -> 0.0) and a NaN (-> +-inf) to float(v).
         if e.numerator == e.denominator and all(map((0.0).__lt__, map(abs, vals))):
@@ -227,7 +227,7 @@ class SignedPower(_Blocks):
         # A positive finite base takes spow's C pow(); an overflow raises into the loop, where spow saturates to inf.
         if all(map((0.0).__lt__, vals)) and max(vals, default=0.0) < math.inf:
             return list(map(math.pow, vals, repeat(e.numerator / e.denominator, count)))
-        return [spow(v, e) if math.isfinite(v) else math.copysign(math.inf, v) for v in vals]
+        return None
 
     @property
     def min_index(self) -> int | None:

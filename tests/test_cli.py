@@ -229,6 +229,14 @@ def test_tolerance_options_are_unrecognized(argv, option, capsys):
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
+def test_check_takes_no_csv(tmp_path, capsys):
+    # check writes no CSV, so it takes no --csv path.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "example-1", "--quick-exclusion", "--csv", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+
 def test_verify_reports_the_fixed_tolerance(tmp_path, capsys):
     out_path = tmp_path / "r.json"
     code, out, _ = run(["verify", "example-4", "--horizon", "16", "--out", str(out_path)], capsys)
@@ -410,6 +418,31 @@ def test_check_quick_exclusion_report(tmp_path, capsys):
     assert ("conclusion: no quickly oscillatory solutions with positive even or positive odd terms"
             in out)
     assert json.loads(out_path.read_text())["report"]["alternation_excluded"] is True
+
+
+REPORT_KEYS = ["title", "entries", "all_hold", "conclusion", "alternation_excluded"]
+ENTRY_KEYS = ["condition", "status", "satisfied", "detail", "fail_index"]
+
+
+@pytest.mark.parametrize("argv, section, keys, item_keys", [
+    (["check", "example-4", "--quick-exclusion"], "report", REPORT_KEYS, ENTRY_KEYS),
+    (["check", "example-4", "--almost-oscillation", "--horizon", "1000"], "report", REPORT_KEYS,
+     ENTRY_KEYS),
+    (["check", "example-4", "--bound", "--horizon", "64"], "certificate",
+     ["L", "P", "K", "bound", "n_start", "n_end", "delta", "n1", "max_abs_x", "valid"], None),
+    (["classify", "example-4", "--horizon", "64"], "component_profile",
+     ["case", "components", "degenerate_zero", "max_abs_x", "x_tends_to_zero"],
+     ["name", "sign_status", "monotone", "tends_to_zero"]),
+], ids=["quick-exclusion", "almost-oscillation", "bound", "classify"])
+def test_out_sections_keep_the_documented_key_order(argv, section, keys, item_keys, tmp_path, capsys):
+    # The README's "Report field names" list, in order: a reordered result field would change it.
+    out_path = tmp_path / "r.json"
+    run([*argv, "--out", str(out_path)], capsys)
+    body = json.loads(out_path.read_text())[section]
+    assert list(body) == keys
+    if item_keys is not None:
+        items = body["entries" if section == "report" else "components"]
+        assert list(items[0]) == item_keys
 
 
 def test_check_quick_exclusion_delta_override_fails(capsys):

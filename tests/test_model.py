@@ -176,7 +176,7 @@ def test_block_matches_the_scalar_loop(seq, start, count):
     ((2.0, 3.0), 0),
     ((1e200, 2.0, 0.5), 3),  # overflows at 3/1 and 5/3: spow saturates to inf
     ((5e-324, 2.0 ** -1070, 1e-310, 2.2250738585072014e-308), 4),
-    ((2.0, 0.0, 3.0), 3),  # a block that is not all positive and finite maps spow
+    ((2.0, 0.0, 3.0), 3),  # a block that is not all positive and finite runs the scalar loop
     ((2.0, -0.5, 3.0), 3),
     ((2.0, math.nan, 3.0), 3),
     ((2.0, math.inf, 3.0), 3),
