@@ -593,13 +593,12 @@ class BoundCertificate:
 
 
 def companion_bound_certificate(z: Window, p: SequenceSpec, p_limit: float, delta: int,
-                                n1: int, startup: Window,
-                                L: float | None = None) -> BoundCertificate:
+                                n1: int, startup: Window) -> BoundCertificate:
     """Certify boundedness of x reconstructed from a bounded companion window.
 
     Requires |p_limit| < 1 and |p_n| <= P = (1 + |p_limit|)/2 for n >= n1 on
-    the window; startup must supply x on [n1, n1 + delta + 1].  L defaults to
-    the observed sup of |z| and may only be supplied larger.
+    the window; startup must supply x on [n1, n1 + delta + 1].  L is the
+    observed sup of |z| on [n1, z.end].
     """
     if delta < 1:
         raise ValueError(f"bound reconstruction needs delta >= 1, got {delta}")
@@ -616,12 +615,7 @@ def companion_bound_certificate(z: Window, p: SequenceSpec, p_limit: float, delt
         if abs(p.at(n)) > P:
             raise HypothesisViolation(f"|p({n})| = {abs(p.at(n))!r} exceeds P = {P}", index=n)
 
-    observed_L = max(abs(z[n]) for n in range(n1, z.end + 1))
-    if L is None:
-        L = observed_L
-    elif L < observed_L:
-        raise ValueError(f"supplied L = {L} is below the observed sup |z| = {observed_L}")
-
+    L = max(abs(z[n]) for n in range(n1, z.end + 1))
     K = max(abs(startup[n]) for n in range(n1, block_end + 1))
     xs = {n: startup[n] for n in range(n1, block_end + 1)}
     max_abs = K
@@ -701,12 +695,11 @@ def component_sign_profile(sys: Trajectory) -> SignProfileReport:
     both patterns are visible.  Identically zero components are reported as
     degenerate rather than forced into either case.
     """
-    if not sys.has_components:
-        raise ValueError("sign profile needs materialized chain components")
-    if len(sys.t) < 16:
-        raise ValueError(f"sign profile needs at least 16 chain values, got {len(sys.t)}")
+    _, y, w, t = sys.chain
+    if len(t) < 16:
+        raise ValueError(f"sign profile needs at least 16 chain values, got {len(t)}")
 
-    named = (("x", sys.x), ("y", sys.y), ("w", sys.w), ("t", sys.t))
+    named = (("x", sys.x), ("y", y), ("w", w), ("t", t))
     summaries = tuple(
         ComponentSummary(
             name=name,

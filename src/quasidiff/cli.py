@@ -210,15 +210,16 @@ def _say(line: str) -> None:
 
 
 def write_csv(path: str, traj: Trajectory) -> None:
-    components = {"z": traj.z, "y": traj.y, "w": traj.w, "t": traj.t}
+    # The chain is read before the file is opened, so a chain that fails leaves no file.
+    columns = [win.values for win in traj.chain]
+    first = traj.x.start
+    lag = traj.chain[0].start - first  # every chain column starts lag values into x
     with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
         fh.write("n,x,z,y,w,t\n")
-        for n, xv in traj.x.items():
-            cells = [str(n), _fmt(xv)]
-            for key in ("z", "y", "w", "t"):
-                win = components[key]
-                cells.append(_fmt(win[n]) if win is not None and n in win else "")
-            fh.write(",".join(cells) + "\n")
+        for i, xv in enumerate(traj.x.values):
+            k = i - lag
+            cells = [_fmt(col[k]) if 0 <= k < len(col) else "" for col in columns]
+            fh.write(f"{first + i},{_fmt(xv)},{','.join(cells)}\n")
         if traj.truncated:
             fh.write(f"# truncated: first non-finite value at n = {traj.truncation_index}\n")
 
@@ -334,6 +335,7 @@ def cmd_classify(args) -> int:
         traj = _solve(args, eq, name)
     else:
         traj = _sample_for_components(eq, _closed_form(args, name), args.horizon)
+    t = traj.chain[3]  # a chain that fails ends the request before any output
 
     verdict = classify(traj)
     _say(f"classify {name}: {verdict.kind.value}")
@@ -346,7 +348,7 @@ def cmd_classify(args) -> int:
              f"{q.positive_parity.value}")
     report = {"command": "classify", "equation": name, "horizon": args.horizon,
               "verdict": verdict.to_dict()}
-    if traj.has_components and len(traj.t) >= 16:
+    if len(t) >= 16:
         profile = component_sign_profile(traj)
         _say(f"  component profile: {profile.case.value}")
         report["component_profile"] = profile
@@ -399,13 +401,12 @@ def _estimate_p_limit(eq: EquationSpec, horizon: int) -> float:
 
 
 def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
-    horizon = min(args.horizon, 512)
-    traj = _sample_for_components(eq, _closed_form(args, name), horizon)
-    if traj.z is None:
-        raise HypothesisViolation("window too short to materialize the companion sequence")
+    _check_horizon(args.horizon)
+    traj = _sample_for_components(eq, _closed_form(args, name), min(args.horizon, 512))
+    z = traj.chain[0]
     p_limit = _estimate_p_limit(eq, max(args.horizon, 1000))
     startup = traj.x.slice(eq.n0, eq.n0 + eq.delta + 1)
-    cert = companion_bound_certificate(traj.z, eq.p, p_limit, eq.delta, eq.n0, startup)
+    cert = companion_bound_certificate(z, eq.p, p_limit, eq.delta, eq.n0, startup)
     _say(f"companion bound certificate: {'valid' if cert.valid else 'NOT VALID'}")
     _say(f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}")
     _say(f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}")

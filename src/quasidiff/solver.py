@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import NumericRangeError, PivotError
 # max_relative_residual stays importable here: perfbench/tracing.py rebinds solver.max_relative_residual.
@@ -31,22 +31,24 @@ class Provenance(str, Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A finite solution window plus its materialized chain components.
+    """A finite solution window of the equation eq; its chain is computed on first read.
 
-    x covers [x.start, x.end] contiguously; z, y, w, t cover the sub-range
-    where the chain is defined (None when the window is too short).  When a
-    recursion overflows, the trajectory holds everything up to the last
-    finite value and carries a truncation marker instead of failing.
+    x covers [x.start, x.end] contiguously.  When a recursion overflows, the
+    trajectory holds everything up to the last finite value and carries a
+    truncation marker instead of failing.
     """
 
+    eq: EquationSpec
     x: Window
     provenance: Provenance
-    z: Window | None = None
-    y: Window | None = None
-    w: Window | None = None
-    t: Window | None = None
     truncated: bool = False
     warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def chain(self) -> tuple[Window, Window, Window, Window]:
+        """(z, y, w, t) over the sub-range of x where they are defined; a ValueError
+        when x is too short to give z four indices."""
+        return chain_windows(self.eq, self.x)
 
     @property
     def n_start(self) -> int:
@@ -60,10 +62,6 @@ class Trajectory:
     def truncation_index(self) -> int | None:
         """The first index a truncated march did not produce; None when not truncated."""
         return self.x.end + 1 if self.truncated else None
-
-    @property
-    def has_components(self) -> bool:
-        return self.t is not None
 
 
 def forward_seed_span(eq: EquationSpec) -> tuple[int, int]:
@@ -85,16 +83,6 @@ def _check_seed(seed: Window, lo: int, hi: int, mode: str) -> None:
         )
     if not seed.all_finite():
         raise ValueError("seed values must all be finite")
-
-
-def _finalize(eq: EquationSpec, x: Window, provenance: Provenance, truncated: bool = False,
-              d_break: int | None = None) -> Trajectory:
-    """Wrap x with its chain; d_break is where the solver saw d leave its sign."""
-    # chain_windows needs z on at least four indices
-    z, y, w, t = chain_windows(eq, x) if len(x) >= 4 + abs(eq.delta) else (None,) * 4
-    warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
-    return Trajectory(x=x, provenance=provenance, z=z, y=y, w=w, t=t, truncated=truncated,
-                      warnings=warnings)
 
 
 def _march(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
@@ -131,9 +119,9 @@ def _march(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
             break
         x_next, frontier = advanced
         xs.append(x_next)
-    x = Window(start, tuple(xs))
-    provenance = Provenance.FORWARD if forward else Provenance.INVERSE
-    return _finalize(eq, x, provenance, advanced is None, d_break)
+    warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
+    return Trajectory(eq, Window(start, tuple(xs)), Provenance.FORWARD if forward else Provenance.INVERSE,
+                      advanced is None, warnings)
 
 
 def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float | None:
@@ -224,7 +212,7 @@ def solve_inverse(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
 
 
 def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
-    """Wrap a closed-form evaluator as a trajectory with materialized chain.
+    """Wrap a closed-form evaluator as a trajectory.
 
     The evaluator must be total on [start, end]; non-finite samples are a
     range error carrying the index.
@@ -240,4 +228,4 @@ def sample_trajectory(eq: EquationSpec, x, start: int, end: int) -> Trajectory:
         if not math.isfinite(v):
             raise NumericRangeError(f"evaluator returned non-finite value at n = {n}", index=n)
         values.append(v)
-    return _finalize(eq, Window(start, tuple(values)), Provenance.SAMPLED)
+    return Trajectory(eq, Window(start, tuple(values)), Provenance.SAMPLED)

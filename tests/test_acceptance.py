@@ -189,7 +189,7 @@ def test_criterion_08_companion_bound_certificates():
         z = Window(n1, tuple(rng.uniform(-L, L) for _ in range(count)))
         startup = Window(n1, tuple(rng.uniform(-2.0, 2.0) for _ in range(delta + 2)))
         cert = qd.companion_bound_certificate(
-            z, Table(p_values, n1, "hold-last"), p_limit, delta, n1, startup, L=L)
+            z, Table(p_values, n1, "hold-last"), p_limit, delta, n1, startup)
         assert cert.valid
         assert cert.max_abs_x <= cert.K + cert.L / (1.0 - cert.P)
     print("\nACCEPTANCE 08 PASS 100 random bound instances (delta in {1,2,5}, 500 indices): "

@@ -85,11 +85,11 @@ class TestClassify:
     def test_noise_floor_wobble_is_undetermined(self):
         # one large entry sets the scale; the decided suffix wobbles at 1e-17
         values = [1.0] + [(-1e-17) ** ((n % 2) + 1) for n in range(39)]
-        traj = qd.Trajectory(x=Window(0, tuple(values)), provenance=qd.Provenance.SAMPLED)
+        traj = qd.Trajectory(plain_equation(), Window(0, tuple(values)), qd.Provenance.SAMPLED)
         assert classify(traj).kind is VerdictKind.UNDETERMINED
 
     def test_needs_eight_values(self):
-        traj = qd.Trajectory(x=Window(0, (1.0,) * 7), provenance=qd.Provenance.SAMPLED)
+        traj = qd.Trajectory(plain_equation(), Window(0, (1.0,) * 7), qd.Provenance.SAMPLED)
         with pytest.raises(ValueError, match="at least 8"):
             classify(traj)
 
@@ -108,7 +108,7 @@ def test_quick_decomposition_reconstructs_the_suffix(q_values, sigma):
     # x_n = (-1)^n q_n must reproduce the window exactly
     x = Window(0, tuple((1.0 if (n + sigma) % 2 == 0 else -1.0) * v
                         for n, v in enumerate(q_values)))
-    traj = qd.Trajectory(x=x, provenance=qd.Provenance.SAMPLED)
+    traj = qd.Trajectory(plain_equation(), x, qd.Provenance.SAMPLED)
     v = classify(traj)
     assert v.kind is VerdictKind.QUICKLY_OSCILLATORY
     for n, qv in v.quick.q.items():
@@ -331,11 +331,6 @@ class TestCompanionBound:
         with pytest.raises(HypothesisViolation) as err:
             companion_bound_certificate(z, p, 0.1, 1, 1, Window(1, (1.0,) * 3))
         assert err.value.index == 11
-
-    def test_rejects_supplied_l_below_observed(self):
-        z = Window(1, (2.0,) * 20)
-        with pytest.raises(ValueError, match="below the observed"):
-            companion_bound_certificate(z, Constant(0.0), 0.0, 1, 1, Window(1, (1.0,) * 3), L=1.0)
 
     def test_rejects_short_startup(self):
         z = Window(1, (1.0,) * 20)
@@ -625,8 +620,9 @@ class TestComponentSignProfile:
         assert component_sign_profile(traj).max_abs_x == pytest.approx(0.1)
 
     def test_requires_materialized_window(self):
-        traj = qd.Trajectory(x=Window(0, (1.0,) * 40), provenance=qd.Provenance.SAMPLED)
-        with pytest.raises(ValueError, match="materialized"):
+        # delta = 2: five x values give z on three indices, one short of the chain's four
+        traj = sample_trajectory(plain_equation(), lambda n: 1.0, 0, 4)
+        with pytest.raises(ValueError, match="too short to materialize the chain"):
             component_sign_profile(traj)
 
     def test_requires_sixteen_chain_values(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import quasidiff as qd
-from quasidiff import analysis, cli, model
-from quasidiff.cli import main
+from quasidiff import analysis, cli, model, solver
+from quasidiff.cli import main, write_csv
+from support import plain_equation, seeded_forward
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -209,6 +211,14 @@ def test_short_horizon_exits_2(capsys):
     code, _, err = run(["solve", "example-3", "--horizon", "4"], capsys)
     assert code == 2
     assert "at least 8" in err
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_check_bound_short_horizon_exits_2(horizon, capsys):
+    code, out, err = run(["check", "example-4", "--bound", "--horizon", str(horizon)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: horizon must be at least 8, got {horizon}\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -625,3 +635,87 @@ def test_short_p_table_is_not_checkable_for_quick_exclusion(tmp_path, capsys):
     assert code == 1
     assert "[   ?] p-nonnegative (not-checkable): p not evaluable on sample [2, 257]: table ends at 41" in out
     assert "conclusion: hypotheses not satisfied" in out
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["solve", "example-4", "--horizon", "40"], 0),
+    (["solve", "example-4", "--horizon", "40", "--csv", "CSV"], 1),
+    (["verify", "example-4", "--horizon", "40"], 0),
+    (["verify", "example-4", "--horizon", "40", "--csv", "CSV"], 1),
+    (["classify", "example-4", "--horizon", "40", "--solve", "--csv", "CSV"], 1),
+    (["check", "example-4", "--bound", "--horizon", "64"], 1),
+], ids=["solve", "solve-csv", "verify", "verify-csv", "classify-solve-csv", "check-bound"])
+def test_chain_is_computed_where_it_is_read_once_per_request(argv, calls, monkeypatch, tmp_path, capsys):
+    # classify's component profile and its CSV share one chain.
+    seen = []
+    chain_windows = solver.chain_windows
+    monkeypatch.setattr(solver, "chain_windows", lambda eq, x: seen.append(x) or chain_windows(eq, x))
+    code, _, _ = run([str(tmp_path / "t.csv") if a == "CSV" else a for a in argv], capsys)
+    assert code == 0
+    assert len(seen) == calls
+
+
+def test_chain_below_n0_fails_only_when_read(tmp_path, capsys):
+    # tau > delta: the chain starts at n0 - tau + delta = 0, where a = n**-1 is not evaluable,
+    # while the march itself reads a only from n0 + 1 on.
+    doc = {
+        "exponents": {"alpha": "1/1", "beta": "1/1", "gamma": "1/1"},
+        "tau": 1, "delta": 0, "n0": 1,
+        "p": {"kind": "constant", "value": 0.0},
+        "d": {"kind": "constant", "value": 1.0},
+        "a": {"kind": "power", "scale": 1.0, "exponent": -1.0},
+        "b": {"kind": "constant", "value": 1.0},
+        "c": {"kind": "constant", "value": 1.0},
+        "f": {"kind": "odd-power", "scale": 1.0, "exponent": "1/1"},
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    csv_path = tmp_path / "edge.csv"
+    argv = ["solve", str(path), "--horizon", "20", "--seed-values", "1,0.5,0.25,0.125,0.0625"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "  x range: n = 0 .. 24\n" in out
+    failure = "numeric failure: n**-1.0 not evaluable at n = 0\n"
+    code, out, err = run([*argv, "--csv", str(csv_path)], capsys)
+    assert (code, err) == (3, failure)
+    assert out.startswith("solve ")
+    assert not csv_path.exists()
+    code, out, err = run(["classify", *argv[1:], "--solve"], capsys)
+    assert (code, out, err) == (3, "", failure)
+
+
+def _reference_csv(traj) -> str:
+    """The CSV as a per-cell membership test on each chain window writes it."""
+    lines = ["n,x,z,y,w,t"]
+    for n, xv in traj.x.items():
+        cells = [str(n), format(xv, ".17g")]
+        cells += [format(win[n], ".17g") if n in win else "" for win in traj.chain]
+        lines.append(",".join(cells))
+    if traj.truncated:
+        lines.append(f"# truncated: first non-finite value at n = {traj.truncation_index}")
+    return "\n".join(lines) + "\n"
+
+
+def _sampled_with_delta(delta):
+    eq = plain_equation(delta=delta, p=qd.Constant(0.5))
+    return qd.sample_trajectory(eq, lambda n: math.cos(n) * 1.5 ** -n, 3, 30)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _sampled_with_delta(2),
+    lambda: _sampled_with_delta(0),
+    lambda: _sampled_with_delta(-2),
+    lambda: seeded_forward(qd.example_equation("example-1"), qd.example_closed_form("example-1"), 1100),
+], ids=["delta-positive", "delta-zero", "delta-negative", "truncated"])
+def test_csv_cells_line_up_with_the_chain_at_both_ends(make, tmp_path):
+    # delta > 0 leaves the first rows' chain cells blank, delta < 0 the last rows' z cells.
+    traj = make()
+    path = tmp_path / "t.csv"
+    write_csv(str(path), traj)
+    text = path.read_text()
+    assert text == _reference_csv(traj)
+    rows = text.splitlines()
+    assert rows[-1].startswith("# truncated:") is traj.truncated
+    rows = rows[1:-1] if traj.truncated else rows[1:]
+    assert (rows[0].split(",")[2] == "") is (traj.eq.delta > 0)
+    assert (rows[-1].split(",")[2] == "") is (traj.eq.delta < 0)

@@ -58,7 +58,7 @@ def test_forward_is_deterministic():
     a = seeded_forward(eq, form, 40)
     b = seeded_forward(eq, form, 40)
     assert a.x.values == b.x.values
-    assert a.t.values == b.t.values
+    assert a.chain[3].values == b.chain[3].values
 
 
 def test_forward_seed_must_cover_span():
@@ -184,11 +184,11 @@ def test_sample_trajectory_materializes_components():
     form = qd.example_closed_form("example-4")
     traj = sample_trajectory(eq, form, 0, 40)
     assert traj.provenance is Provenance.SAMPLED
-    assert traj.has_components
+    z, y, _, t = traj.chain
     # components satisfy the defining relations of the system
-    for n in range(traj.t.start, traj.t.end):
-        assert traj.z[n] == pytest.approx(form(n) + 0.25 * form(n - 2), rel=1e-12)
-        assert traj.y[n] == pytest.approx(traj.z[n + 1] - traj.z[n], rel=1e-12)
+    for n in range(t.start, t.end):
+        assert z[n] == pytest.approx(form(n) + 0.25 * form(n - 2), rel=1e-12)
+        assert y[n] == pytest.approx(z[n + 1] - z[n], rel=1e-12)
 
 
 def test_sample_trajectory_alternating_growth_pattern():
@@ -197,7 +197,7 @@ def test_sample_trajectory_alternating_growth_pattern():
     eq = qd.example_equation("example-1")
     form = qd.example_closed_form("example-1")
     traj = sample_trajectory(eq, form, 0, 30)
-    t = traj.t
+    t = traj.chain[3]
     for n in range(t.start, t.end):
         assert t[n] * t[n + 1] < 0.0
     mags = [abs(v) for v in t.values]
@@ -227,4 +227,5 @@ def test_trajectory_surface():
     eq = plain_equation(delta=2, tau=1)
     traj = sample_trajectory(eq, lambda n: float(n), 0, 15)
     assert traj.n_start == 0 and traj.n_end == 15 and len(traj.x) == 16
-    assert traj.z.start == 2 and traj.t.end == traj.z.end - 3
+    z, _, _, t = traj.chain
+    assert z.start == 2 and t.end == z.end - 3
