@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -180,13 +181,16 @@ def _closed_form(args, name: str) -> Callable[[int], float]:
     raise ValueError("a closed form is required for a document equation (--closed-form)")
 
 
-def _require_finite(form: Callable[[int], float], reads: range) -> None:
-    """A closed-form value that is inf or NaN at an index the residuals read is
-    a numeric failure at that index.  An OverflowError the form raises escapes."""
+def _sample_finite(form: Callable[[int], float], reads: range) -> Window:
+    """The form over the indices the residuals read.  A value that is inf or NaN is a numeric
+    failure at its index, raised before any later index is evaluated; an OverflowError escapes."""
+    values = []
     for n in reads:
         v = form(n)
         if not math.isfinite(v):
             raise NumericRangeError(f"closed form is not finite at n = {n}: x = {v!r}", index=n)
+        values.append(v)
+    return Window(reads.start, values)
 
 
 def _check_horizon(horizon: int) -> None:
@@ -199,10 +203,6 @@ def _check_horizon(horizon: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _say(line: str) -> None:
     # Here and in the --csv and --out writers, a reader that left (as `| head` does) gets no more output.
     with contextlib.suppress(BrokenPipeError):
@@ -211,15 +211,13 @@ def _say(line: str) -> None:
 
 def write_csv(path: str, traj: Trajectory) -> None:
     # The chain is read before the file is opened, so a chain that fails leaves no file.
-    columns = [win.values for win in traj.chain]
-    first = traj.x.start
-    lag = traj.chain[0].start - first  # every chain column starts lag values into x
+    x = traj.x
+    lag = traj.chain[0].start - x.start  # every chain column starts lag values into x
+    columns = [(None,) * lag + win.values + (None,) * (len(x) - lag - len(win)) for win in traj.chain]
     with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
         fh.write("n,x,z,y,w,t\n")
-        for i, xv in enumerate(traj.x.values):
-            k = i - lag
-            cells = [_fmt(col[k]) if 0 <= k < len(col) else "" for col in columns]
-            fh.write(f"{first + i},{_fmt(xv)},{','.join(cells)}\n")
+        for n, *row in zip(range(x.start, x.end + 1), x.values, *columns):
+            fh.write(f"{n},{','.join('' if v is None else '%.17g' % v for v in row)}\n")
         if traj.truncated:
             fh.write(f"# truncated: first non-finite value at n = {traj.truncation_index}\n")
 
@@ -288,6 +286,8 @@ def cmd_solve(args) -> int:
         "truncation_index": traj.truncation_index,
         "warnings": list(traj.warnings),
     }
+    if args.csv:
+        traj.chain  # read before --out is written, so that a chain that fails leaves neither file
     _write_report(args.out, report)
     if args.csv:
         write_csv(args.csv, traj)
@@ -299,32 +299,22 @@ def cmd_verify(args) -> int:
     eq, name = _load_equation(args)
     form = _closed_form(args, name)
     indices = range(eq.n0, eq.n0 + args.horizon)
-    _require_finite(form, residual_reads(eq, indices))
-    residuals = []
-    worst = 0.0
-    worst_at = eq.n0
-    for n, rel in zip(indices, relative_residuals(eq, form, indices)):
-        residuals.append({"n": n, "rel_residual": rel})
-        if rel > worst:
-            worst, worst_at = rel, n
+    x = _sample_finite(form, residual_reads(eq, indices))
+    rels = relative_residuals(eq, x, indices)
+    # the first index of the largest residual; a NaN never wins, and a zero maximum is reported at n0
+    worst, worst_at = max([(0.0, eq.n0), *zip(rels, indices)], key=operator.itemgetter(0))
     passed = worst <= EPS_RESIDUAL
     _say(f"verify {name}: {'PASS' if passed else 'FAIL'}")
     _say(f"  indices: n = {eq.n0} .. {eq.n0 + args.horizon - 1} ({args.horizon})")
     _say(f"  max relative residual: {worst:.3e} at n = {worst_at}")
     _say(f"  tolerance: {EPS_RESIDUAL:.1e}")
-    report = {
-        "command": "verify",
-        "equation": name,
-        "horizon": args.horizon,
-        "eps_residual": EPS_RESIDUAL,
-        "max_rel_residual": worst,
-        "argmax": worst_at,
-        "pass": passed,
-        "residuals": residuals,
-    }
-    _write_report(args.out, report)
-    if args.csv:
-        write_csv(args.csv, _sample_for_components(eq, form, args.horizon))
+    if args.out:  # the per-index residuals are built only to be written
+        _write_report(args.out, {"command": "verify", "equation": name, "horizon": args.horizon,
+                                 "eps_residual": EPS_RESIDUAL, "max_rel_residual": worst, "argmax": worst_at,
+                                 "pass": passed,
+                                 "residuals": [{"n": n, "rel_residual": rel} for n, rel in zip(indices, rels)]})
+    if args.csv:  # its chain reads no coefficient that the residuals did not read
+        write_csv(args.csv, _sample_for_components(eq, x, args.horizon))
     return 0 if passed else 1
 
 

@@ -469,11 +469,15 @@ def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
     return power if v > 0 else -power
 
 
-def difference_column(coeff: SequenceSpec, prev, e: OddRatio, lo: int,
-                      num: Callable = float, power: Callable = _xpow) -> list:
-    """The next staircase column after prev (which starts at index lo):
-    coeff_m * (prev_{m+1} - prev_m)**e for m = lo .. lo + len(prev) - 2."""
-    return [num(coeff.at(lo + i)) * power(prev[i + 1] - prev[i], e) for i in range(len(prev) - 1)]
+def _coefficients(seq: SequenceSpec, lo: int, count: int, num: Callable):
+    """num(seq.at(n)) for n in [lo, lo + count): a Constant converted once, else one block; when the block
+    raises, read index by index as consumed, so that a map over them raises where the per-index loop did."""
+    if isinstance(seq, Constant):
+        return repeat(num(seq.at(lo)), count)
+    try:
+        return map(num, seq.block(lo, count))
+    except EVALUATION_ERRORS:
+        return (num(seq.at(n)) for n in range(lo, lo + count))
 
 
 def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
@@ -485,17 +489,27 @@ def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
     values; `power` is the signed power of that type (the totalized `_xpow`
     for float, `_dec_spow` for Decimal under the caller's context).
     """
-    p, delta = eq.p, eq.delta
-    z = [xs[j - x0] + num(p.at(j)) * xs[j - delta - x0] for j in range(lo, hi + 1)]
-    y = difference_column(eq.c, z, eq.gamma, lo, num, power)
-    w = difference_column(eq.b, y, eq.beta, lo, num, power)
-    return z, y, w, difference_column(eq.a, w, eq.alpha, lo, num, power)
+    count, lag = hi - lo + 1, lo - eq.delta - x0
+    columns = [list(map(operator.add, xs[lo - x0:lo - x0 + count],  # z_j = x_j + p_j * x_{j-delta}
+                        map(operator.mul, _coefficients(eq.p, lo, count, num), xs[lag:lag + count])))]
+    for seq, e in ((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)):
+        prev = columns[-1]  # the next column is seq_m * power(prev_{m+1} - prev_m, e)
+        powers = map(power, map(operator.sub, prev[1:], prev[:-1]), repeat(e))
+        columns.append(list(map(operator.mul, _coefficients(seq, lo, len(prev) - 1, num), powers)))
+    return tuple(columns)
+
+
+def _x_values(x: Evaluator, lo: int, hi: int):
+    """x on [lo, hi]: a slice of a Window that covers it, else x(m) at each m as it is consumed."""
+    if isinstance(x, Window) and x.covers(lo, hi):
+        return x.values[lo - x.start:hi - x.start + 1]
+    return map(x, range(lo, hi + 1))
 
 
 def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -> tuple[list, int]:
     """(x converted by num over the indices z on [lo, hi] reads, the first of those indices)."""
     x0 = lo - max(eq.delta, 0)
-    return [num(float(x(m))) for m in range(x0, hi + max(-eq.delta, 0) + 1)], x0
+    return list(map(num, map(float, _x_values(x, x0, hi + max(-eq.delta, 0))))), x0
 
 
 RESIDUAL_BLOCK = 256
@@ -514,19 +528,18 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     same inputs as in a one-index call, so the results do not depend on the
     range.
     """
-    forcing_f = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in range(lo, hi + 1)]
+    d = _coefficients(eq.d, lo, hi - lo + 1, float)
+    forcing_f = list(map(operator.mul, d, map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
     try:
         with localcontext() as ctx:
             ctx.prec = 40
             xs, x0 = _sample_x(eq, x, lo, hi + 4, Decimal)
             t = staircase(eq, xs, x0, lo, hi + 4, Decimal, _dec_spow)[3]
-            parts = []
-            for i, f in enumerate(forcing_f):
-                forcing = Decimal(f)
-                r = t[i + 1] - t[i] + forcing
-                scale = max(abs(t[i + 1]), abs(t[i]), abs(forcing))
-                parts.append((float(r), float(scale)))
-            return parts
+            forcing = list(map(Decimal, forcing_f))
+            r = map(operator.add, map(operator.sub, t[1:], t[:-1]), forcing)
+            abs_t = list(map(abs, t))
+            scale = map(max, abs_t[1:], abs_t[:-1], map(abs, forcing))
+            return list(zip(map(float, r), map(float, scale)))  # consumed under the 40-digit context
     except (InvalidOperation, DecimalOverflow, DecimalDivisionByZero):
         # Non-finite values in the window (possible past an overflow
         # truncation): redo a range index by index, and report an index
@@ -539,15 +552,9 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
         return [((t[1] - t[0]) + f, max(abs(t[1]), abs(t[0]), abs(f)))]
 
 
-def _relative(r: float, scale: float) -> float:
-    if scale == 0.0:
-        return 0.0 if r == 0.0 else math.inf
-    return abs(r) / scale
-
-
 def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
     """Residual scaled by the largest cancelled term; exact zero stays zero."""
-    return _relative(*_residual_parts(eq, x, n, n)[0])
+    return relative_residuals(eq, x, range(n, n + 1))[0]
 
 
 def chain_windows(eq: EquationSpec, x: Window) -> tuple[Window, Window, Window, Window]:
@@ -578,10 +585,11 @@ def residual_reads(eq: EquationSpec, indices: range) -> range:
 
 
 def relative_residuals(eq: EquationSpec, x: Evaluator, indices: range) -> list[float]:
-    """relative_residual at each index of a step-1 range, bit for bit, built on
-    one decimal staircase per RESIDUAL_BLOCK indices."""
-    return [_relative(*parts) for lo in indices[::RESIDUAL_BLOCK]
-            for parts in _residual_parts(eq, x, lo, min(lo + RESIDUAL_BLOCK, indices.stop) - 1)]
+    """The relative residual |r| / scale at each index of a step-1 range (0 for an exact zero, inf for a
+    non-zero residual over a zero scale).  One decimal staircase serves RESIDUAL_BLOCK indices, and each
+    value equals that of a one-index range."""
+    return [abs(r) / scale if scale else (0.0 if r == 0.0 else math.inf) for lo in indices[::RESIDUAL_BLOCK]
+            for r, scale in _residual_parts(eq, x, lo, min(lo + RESIDUAL_BLOCK, indices.stop) - 1)]
 
 
 def max_relative_residual(eq: EquationSpec, x: Window) -> tuple[float, int | None]:

@@ -17,7 +17,7 @@ from functools import cached_property, partial
 
 from .errors import NumericRangeError, PivotError
 # max_relative_residual stays importable here: perfbench/tracing.py rebinds solver.max_relative_residual.
-from .model import (EquationSpec, chain_windows, difference_column, max_relative_residual,  # noqa: F401
+from .model import (EquationSpec, _xpow, chain_windows, max_relative_residual,  # noqa: F401
                     sign_of, staircase)
 from .numerics import EPS_SIGN, spow
 from .windows import Window
@@ -170,9 +170,9 @@ def _inverse_step(eq: EquationSpec, n: int, d_n: float, xs: list[float], start: 
         raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
     t_n, w_n1, y_n2, z_n3 = frontier
     z_next = xs[n + 4 - start] + eq.p.at(n + 4) * xs[n + 4 - eq.delta - start]
-    y_next, = difference_column(eq.c, (z_n3, z_next), eq.gamma, n + 3)
-    w_next, = difference_column(eq.b, (y_n2, y_next), eq.beta, n + 2)
-    t_next, = difference_column(eq.a, (w_n1, w_next), eq.alpha, n + 1)
+    y_next = float(eq.c.at(n + 3)) * _xpow(z_next - z_n3, eq.gamma)  # the staircase's node formula
+    w_next = float(eq.b.at(n + 2)) * _xpow(y_next - y_n2, eq.beta)
+    t_next = float(eq.a.at(n + 1)) * _xpow(w_next - w_n1, eq.alpha)
     target = (t_n - t_next) / d_n
     if not math.isfinite(target):
         return None

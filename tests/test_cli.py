@@ -80,6 +80,31 @@ def test_verify_non_finite_candidate_is_a_numeric_failure(f, tmp_path, capsys):
     assert err == "numeric failure: closed form is not finite at n = 1: x = inf\n"
 
 
+def test_verify_reports_the_first_non_finite_read_before_a_later_overflow(capsys):
+    # 1e300 * 10**n is inf from n = 9 on, and 10.0 ** n raises from n = 309 on
+    eq = qd.example_equation("example-3")
+    reads = model.residual_reads(eq, range(eq.n0, eq.n0 + 400))
+    assert reads.start < 9 and reads.stop > 309
+    code, out, err = run(["verify", "example-3", "--horizon", "400", "--closed-form", "geometric:1e300,10"],
+                         capsys)
+    assert (code, out, err) == (3, "", "numeric failure: closed form is not finite at n = 9: x = inf\n")
+
+
+def test_verify_evaluates_the_closed_form_once_per_read_index(monkeypatch, tmp_path, capsys):
+    form = qd.example_closed_form("example-2")
+    seen = []
+
+    def counting(n):
+        seen.append(n)
+        return form(n)
+
+    monkeypatch.setattr(cli, "example_closed_form", lambda name: counting)
+    argv = ["verify", "example-2", "--horizon", "300", "--csv", str(tmp_path / "x.csv")]
+    assert run(argv, capsys)[0] == 0
+    eq = qd.example_equation("example-2")
+    assert seen == list(model.residual_reads(eq, range(eq.n0, eq.n0 + 300)))
+
+
 def test_verify_raised_overflow_escapes(capsys):
     # 2.0 ** n raises past n = 1023 (overflow-escapes-main); it is not a non-finite value
     with pytest.raises(OverflowError):
@@ -655,7 +680,7 @@ def test_chain_is_computed_where_it_is_read_once_per_request(argv, calls, monkey
     assert len(seen) == calls
 
 
-def test_chain_below_n0_fails_only_when_read(tmp_path, capsys):
+def _chain_below_n0_document(tmp_path) -> str:
     # tau > delta: the chain starts at n0 - tau + delta = 0, where a = n**-1 is not evaluable,
     # while the march itself reads a only from n0 + 1 on.
     doc = {
@@ -670,8 +695,13 @@ def test_chain_below_n0_fails_only_when_read(tmp_path, capsys):
     }
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_chain_below_n0_fails_only_when_read(tmp_path, capsys):
     csv_path = tmp_path / "edge.csv"
-    argv = ["solve", str(path), "--horizon", "20", "--seed-values", "1,0.5,0.25,0.125,0.0625"]
+    argv = ["solve", _chain_below_n0_document(tmp_path), "--horizon", "20",
+            "--seed-values", "1,0.5,0.25,0.125,0.0625"]
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert "  x range: n = 0 .. 24\n" in out
@@ -682,6 +712,16 @@ def test_chain_below_n0_fails_only_when_read(tmp_path, capsys):
     assert not csv_path.exists()
     code, out, err = run(["classify", *argv[1:], "--solve"], capsys)
     assert (code, out, err) == (3, "", failure)
+
+
+def test_failed_csv_leaves_no_out_report(tmp_path, capsys):
+    # the chain is read before --out is written: a request that exits 3 leaves neither file
+    out_path, csv_path = tmp_path / "edge.json.out", tmp_path / "edge.csv"
+    code, _, err = run(["solve", _chain_below_n0_document(tmp_path), "--horizon", "20",
+                        "--seed-values", "1,0.5,0.25,0.125,0.0625", "--out", str(out_path),
+                        "--csv", str(csv_path)], capsys)
+    assert (code, err) == (3, "numeric failure: n**-1.0 not evaluable at n = 0\n")
+    assert not out_path.exists() and not csv_path.exists()
 
 
 def _reference_csv(traj) -> str:

@@ -3,7 +3,8 @@
 import json
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ import quasidiff as qd
 from quasidiff import model
 from quasidiff.cli import main
 from quasidiff.model import RESIDUAL_BLOCK, staircase
-from support import inverse_fixture, plain_equation, seeded_forward
+from support import SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences
 
 
 def per_index_max(eq, x):
@@ -110,6 +111,150 @@ def test_kernel_columns_agree_with_one_index_chain():
         one_index = staircase(eq, list(x.values), x.start, n, n + 3)
         assert tuple(column[0] for column in one_index) == (z[n], y[n], w[n], t_n)
     assert (z.start, z.end, y.end, w.end, t.end) == (4, 40, 39, 38, 37)
+
+
+# ---------------------------------------------------------------------------
+# The column kernel against the per-index formula
+# ---------------------------------------------------------------------------
+
+
+def reference_staircase(eq, xs, x0, lo, hi, num=float, power=model._xpow):
+    """The staircase index by index: z by one comprehension, each later column by difference_column."""
+    def difference_column(coeff, prev, e):
+        return [num(coeff.at(lo + i)) * power(prev[i + 1] - prev[i], e) for i in range(len(prev) - 1)]
+
+    z = [xs[j - x0] + num(eq.p.at(j)) * xs[j - eq.delta - x0] for j in range(lo, hi + 1)]
+    y = difference_column(eq.c, z, eq.gamma)
+    w = difference_column(eq.b, y, eq.beta)
+    return z, y, w, difference_column(eq.a, w, eq.alpha)
+
+
+def reference_parts(eq, x, lo, hi):
+    """model._residual_parts with every x, coefficient and tail value read and computed index by index."""
+    forcing_f = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in range(lo, hi + 1)]
+    x0 = lo - max(eq.delta, 0)
+    try:
+        with localcontext() as ctx:
+            ctx.prec = 40
+            xs = [Decimal(float(x(m))) for m in range(x0, hi + 5 + max(-eq.delta, 0))]
+            t = reference_staircase(eq, xs, x0, lo, hi + 4, Decimal, model._dec_spow)[3]
+            parts = []
+            for i, f in enumerate(forcing_f):
+                forcing = Decimal(f)
+                r = t[i + 1] - t[i] + forcing
+                scale = max(abs(t[i + 1]), abs(t[i]), abs(forcing))
+                parts.append((float(r), float(scale)))
+            return parts
+    except (InvalidOperation, Overflow, DivisionByZero):
+        if lo < hi:
+            return [part for n in range(lo, hi + 1) for part in reference_parts(eq, x, n, n)]
+        xs = [float(x(m)) for m in range(x0, lo + 5 + max(-eq.delta, 0))]
+        t = reference_staircase(eq, xs, x0, lo, lo + 4)[3]
+        f = forcing_f[0]
+        return [((t[1] - t[0]) + f, max(abs(t[1]), abs(t[0]), abs(f)))]
+
+
+def shown(fn, show=repr):
+    """What fn() does: its nested lists of values through show, or the type, message and index it raises."""
+    try:
+        result = fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc), getattr(exc, "index", None)
+    return "returns", [[show(v) for v in item] for item in result]
+
+
+FINITE_X = st.floats(-1e3, 1e3, allow_nan=False)
+ANY_X = st.one_of(st.sampled_from(SPECIAL_VALUES), FINITE_X)
+ODD_RATIOS = st.sampled_from([qd.OddRatio(1), qd.OddRatio(3), qd.OddRatio(1, 3), qd.OddRatio(5, 3)])
+# random trees (often failing or non-finite somewhere in the range), and positive ones that are neither
+COEFFICIENTS = st.one_of(sequences, st.builds(qd.Constant, st.floats(0.5, 3.0)),
+                         st.builds(qd.Affine, st.floats(0.0, 1.0), st.floats(0.5, 3.0)))
+
+
+@st.composite
+def staircase_problems(draw, x_values=ANY_X):
+    """An unvalidated stand-in equation with random coefficient trees, and x over the indices z reads."""
+    eq = SimpleNamespace(p=draw(sequences), a=draw(COEFFICIENTS), b=draw(COEFFICIENTS), c=draw(COEFFICIENTS),
+                         d=draw(COEFFICIENTS), f=qd.OddPowerMap(1.0, draw(ODD_RATIOS)),
+                         alpha=draw(ODD_RATIOS), beta=draw(ODD_RATIOS), gamma=draw(ODD_RATIOS),
+                         delta=draw(st.integers(-2, 3)), tau=draw(st.integers(-3, 3)))
+    lo = draw(st.integers(-3, 12))
+    hi = lo + draw(st.integers(3, 30))
+    x0 = lo - max(eq.delta, 0, eq.tau)
+    values = draw(st.lists(x_values, min_size=hi + 6 + max(-eq.delta, -eq.tau, 0) - x0,
+                           max_size=hi + 6 + max(-eq.delta, -eq.tau, 0) - x0))
+    return eq, qd.Window(x0, tuple(values)), lo, hi
+
+
+@given(staircase_problems())
+@settings(max_examples=150, deadline=None)
+def test_columns_equal_the_per_index_formula_in_both_number_types(problem):
+    # -0.0, inf, NaN, tables that end or start inside the range, PowerLaw below min_index
+    eq, x, lo, hi = problem
+    xs, x0 = list(x.values), x.start
+    assert shown(lambda: staircase(eq, xs, x0, lo, hi), float.hex) == \
+        shown(lambda: reference_staircase(eq, xs, x0, lo, hi), float.hex)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ds = [Decimal(v) for v in xs]
+        assert shown(lambda: staircase(eq, ds, x0, lo, hi, Decimal, model._dec_spow)) == \
+            shown(lambda: reference_staircase(eq, ds, x0, lo, hi, Decimal, model._dec_spow))
+
+
+@given(staircase_problems(st.one_of(st.just(-0.0), FINITE_X)), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_residual_parts_equal_the_per_index_formula(problem, callable_x):
+    # f(inf) raises, so x stays finite here; the coefficients still reach inf, NaN and failures
+    eq, x, lo, hi = problem
+    if callable_x:
+        x = x.__call__  # not a Window: read one index at a time
+    assert shown(lambda: [model._residual_parts(eq, x, lo, hi)]) == shown(lambda: [reference_parts(eq, x, lo, hi)])
+
+
+@pytest.mark.parametrize("inf_at, raised", [(7, InvalidOperation), (9, model.SequenceDomainError),
+                                            (11, model.SequenceDomainError)])
+def test_failing_coefficient_raises_where_the_per_index_loop_does(inf_at, raised):
+    # c ends at n = 8; z_n = 2 x_n is inf at inf_at and inf_at + 1, so the Decimal y meets
+    # inf - inf at n = inf_at: before the missing c(9) when inf_at < 9, after it otherwise.
+    eq = SimpleNamespace(p=qd.Constant(1.0), delta=0, c=qd.Table((1.0,) * 6, start=3),
+                         b=qd.Constant(1.0), a=qd.Constant(1.0),
+                         alpha=qd.OddRatio(1), beta=qd.OddRatio(1), gamma=qd.OddRatio(1))
+    xs = [math.inf if n in (inf_at, inf_at + 1) else 1.0 for n in range(3, 20)]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ds = [Decimal(v) for v in xs]
+        got = shown(lambda: staircase(eq, ds, 3, 3, 19, Decimal, model._dec_spow))
+        assert got == shown(lambda: reference_staircase(eq, ds, 3, 3, 19, Decimal, model._dec_spow))
+    assert got[1] is raised
+    expected = ("raises", model.SequenceDomainError, "table ends at 8, asked for 9", 9)
+    assert shown(lambda: staircase(eq, xs, 3, 3, 19)) == expected
+
+
+@pytest.mark.parametrize("name, beta", [("example-2", "5/3"), ("example-4", "1/1"), ("example-1", "3/5")])
+def test_residuals_do_not_depend_on_the_callers_context(name, beta):
+    # every map is consumed inside the 40-digit context, none at the caller's 10 digits
+    eq = qd.example_equation(name, beta=beta)
+    indices = range(eq.n0, eq.n0 + 300)
+    reads = model.residual_reads(eq, indices)
+    x = qd.Window.from_evaluator(qd.example_closed_form(name), reads.start, reads.stop - 1)
+    expected = [r.hex() for r in model.relative_residuals(eq, x, indices)]
+    with localcontext() as ctx:
+        ctx.prec = 10
+        assert [r.hex() for r in model.relative_residuals(eq, x, indices)] == expected
+
+
+def test_one_index_ranges_and_the_fallback_block_equal_the_reference():
+    eq = qd.example_equation("example-2", beta="5/3")
+    x = qd.Window.from_evaluator(qd.example_closed_form("example-2"), 0, 60)
+    for n in (eq.n0, 30, 50):
+        assert shown(lambda: [model._residual_parts(eq, x, n, n)]) == shown(lambda: [reference_parts(eq, x, n, n)])
+        assert model.relative_residuals(eq, x, range(n, n + 1)) == [qd.relative_residual(eq, x, n)]
+    # a = 2^n is infinite from n = 1024: the block [900, 1155] is redone index by index
+    eq = plain_equation(a=qd.Geometric(1.0, 2.0))
+    x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1300)
+    got = model._residual_parts(eq, x, 900, 1155)
+    assert shown(lambda: [got]) == shown(lambda: [reference_parts(eq, x, 900, 1155)])
+    assert math.isfinite(got[0][0]) and not math.isfinite(got[-1][0])
 
 
 def decimal_magnitudes(seed: int, count: int) -> list[Decimal]:
