@@ -311,8 +311,9 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     `terms.block(start, count)` is [terms.at(n) ...] over those indices, or
     None.  The terms are summed a block at a time, in the same left-to-right
     order, so the partial sums are those of the per-term loop bit for bit.
-    That loop is the exact path for a chunk that trips (its block raises or
-    returns None, or it holds a NaN or passes the threshold).
+    That loop is the exact path for a chunk that trips: over the block's own
+    values when it holds a NaN or passes the threshold, and over `terms.at`
+    when its block raises or returns None.
 
     Terms that are one double c (a `Constant`, or a reciprocal power of one)
     are summed in closed form when c is finite and non-zero and, with
@@ -346,7 +347,9 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
             vals = terms.block(start + summed, count)
         except EVALUATION_ERRORS:
             vals = None  # the per-term loop may stop before the failing term
-        if vals is not None:
+        if vals is None:
+            vals = map(terms.at, range(start + summed, start + summed + count))
+        else:
             sums = list(accumulate(vals, initial=total))
             if not math.isnan(sums[-1]) and max(sums) <= threshold >= -min(sums):
                 if summed < two_thirds <= summed + count:
@@ -354,8 +357,7 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
                 total = sums[-1]
                 summed += count
                 continue
-        for n in range(start + summed, start + summed + count):
-            v = terms.at(n)
+        for v in vals:  # a chunk that trips replays its block's values
             if math.isnan(v):
                 return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
             total += v

@@ -263,6 +263,8 @@ def cmd_solve(args) -> int:
     traj = _solve(args, eq, name)
     # None when no index of the window reads only x values it holds.
     worst = max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
+    if args.csv:
+        traj.chain  # read before the first line and --out, so that a chain that fails leaves no output
 
     _say(f"solve {name} ({traj.provenance.value})")
     _say(f"  x range: n = {traj.n_start} .. {traj.n_end}")
@@ -286,8 +288,6 @@ def cmd_solve(args) -> int:
         "truncation_index": traj.truncation_index,
         "warnings": list(traj.warnings),
     }
-    if args.csv:
-        traj.chain  # read before --out is written, so that a chain that fails leaves neither file
     _write_report(args.out, report)
     if args.csv:
         write_csv(args.csv, traj)

@@ -41,8 +41,22 @@ class _Blocks:
     a NaN made of two NaNs) or raises what that loop raises first: the loop runs if `_fast` gives None or raises."""
 
     min_index = None
+    settled: tuple[float, float] | None = None  # (N, v): at(n) is v bit for bit, and raises nothing, for n >= N
+
+    def _set_settled(self) -> None:
+        """Work out `settled` once, at construction, from the children's (N = -inf: every n)."""
+        try:
+            object.__setattr__(self, "settled", self._settle())
+        except (ArithmeticError, TypeError, ValueError):  # at() raises at the values: not settled
+            pass
+
+    def _fast(self, start: int, count: int) -> list[float] | None:
+        return None  # no one-pass block: the loop runs
 
     def block(self, start: int, count: int) -> list[float]:
+        settled = self.settled
+        if settled is not None and start >= settled[0]:
+            return [settled[1]] * count
         try:
             vals = self._fast(start, count)
         except EVALUATION_ERRORS:
@@ -59,8 +73,11 @@ class Constant(_Blocks):
     def at(self, n: int) -> float:
         return float(self.value)
 
-    def _fast(self, start: int, count: int) -> list[float]:
-        return [float(self.value)] * count
+    def __post_init__(self) -> None:
+        self._set_settled()
+
+    def _settle(self) -> tuple[float, float]:  # its blocks repeat the value
+        return -math.inf, float(self.value)
 
 
 @dataclass(frozen=True)
@@ -182,6 +199,7 @@ class Combine(_Blocks):
     def __post_init__(self) -> None:
         if self.op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown combination op {self.op!r}")
+        self._set_settled()
 
     def at(self, n: int) -> float:
         lv = self.left.at(n)
@@ -200,6 +218,16 @@ class Combine(_Blocks):
     def _fast(self, start: int, count: int) -> list[float]:
         return list(map(self._OPERATORS[self.op], self.left.block(start, count), self.right.block(start, count)))
 
+    def _settle(self) -> tuple[float, float] | None:
+        left, right = self.left.settled, self.right.settled
+        if left is not None and right is not None:  # as at() combines the values; '/' by zero raises
+            return max(left[0], right[0]), self._OPERATORS[self.op](left[1], right[1])
+        if self.op in "+-" and left is not None:
+            return _absorbed(left, self.right, 1.0)
+        if self.op in "+-" and right is not None:
+            return _absorbed(right, self.left, -1.0 if self.op == "-" else 1.0)
+        return None
+
     @property
     def min_index(self) -> int | None:
         los = [lo for lo in (self.left.min_index, self.right.min_index) if lo is not None]
@@ -212,6 +240,9 @@ class SignedPower(_Blocks):
 
     base: "SequenceSpec"
     exponent: OddRatio
+
+    def __post_init__(self) -> None:
+        self._set_settled()
 
     def at(self, n: int) -> float:
         v = self.base.at(n)
@@ -229,12 +260,37 @@ class SignedPower(_Blocks):
             return list(map(math.pow, vals, repeat(e.numerator / e.denominator, count)))
         return None
 
+    def _settle(self) -> tuple[float, float] | None:
+        if self.base.settled is None:
+            return None
+        lo, v = self.base.settled  # as at() takes the power
+        return lo, spow(v, self.exponent) if math.isfinite(v) else math.copysign(math.inf, v)
+
     @property
     def min_index(self) -> int | None:
         return self.base.min_index
 
 
 SequenceSpec = Union[Constant, Geometric, Affine, PowerLaw, Table, Combine, SignedPower]
+
+
+def _absorbed(settled: tuple[float, float], g: SequenceSpec, sign: float) -> tuple[float, float] | None:
+    """The settled tail of c + g, c - g (sign 1) or g - c (sign -1) for settled = (N_c, c) and a geometric g:
+    from the first n >= 1, within 64 of the logs' estimate, whose term computes to at most eps = ulp(c)/16.  The
+    exact terms never grow, and a pow error below 10% and the subnormal rounding of the product (eps >= 2**-1004)
+    and of the power (|scale| * 2**-1074 <= eps) keep later terms below ulp(c)/4: c + v rounds to c."""
+    lo, c = settled
+    eps = math.ulp(c) / 16
+    if not (isinstance(g, Geometric) and math.isfinite(c) and c and eps >= 2.0 ** -1004
+            and abs(g.ratio) < 1.0 and abs(g.scale) * 5e-324 <= eps):
+        return None
+    start = max(1, lo)
+    if g.scale and g.ratio:  # else every term from n = 1 on is a zero; logs, as eps / scale may underflow
+        start = max(start, math.floor((math.log(eps) - math.log(abs(g.scale))) / math.log(abs(g.ratio))))
+    for n in range(start, start + 64):
+        if abs(g.at(n)) <= eps:
+            return n, sign * c
+    return None
 
 
 # ---------------------------------------------------------------------------

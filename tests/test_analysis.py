@@ -480,6 +480,29 @@ class TestChunkedSeriesProbe:
         assert probe.status is SeriesStatus.UNDETERMINED
         assert (probe.partial_sum, probe.terms_summed) == (100.0, 100)
 
+    @pytest.mark.parametrize("beta, horizon", [
+        ("1/1", 62_499), ("1/1", 62_500), ("1/1", 62_501),  # d settles at 16: the 1e6 threshold is at the end
+        ("3/1", 100_000),  # trips at term 3907, in a settled chunk
+        ("1/3", 100_000),
+    ])
+    def test_settled_example_2_d(self, beta, horizon):
+        eq = qd.example_equation("example-2", beta=beta)
+        assert eq.d.settled is not None
+        assert_probe_matches_per_term_loop(eq.d, eq.n0, horizon)
+
+    @pytest.mark.parametrize("terms, horizon, terms_summed", [
+        (qd.example_equation("example-2", beta="3/1").d, 100_000, 3907),  # the chunk [1986, 4034) is settled
+        (Affine(1.0, 0.0), 5000, 1413),  # no settled tail
+    ], ids=["example-2-d-3/1", "affine"])
+    def test_tripping_chunk_replays_its_block(self, monkeypatch, terms, horizon, terms_summed):
+        expected = per_term_probe(terms, 2, horizon)
+        assert expected.terms_summed == terms_summed
+        calls = []
+        at = type(terms).at
+        monkeypatch.setattr(type(terms), "at", lambda seq, n: calls.append(n) or at(seq, n))
+        assert check_series_divergence(terms, 2, horizon) == expected
+        assert calls == []
+
     @settings(max_examples=150, deadline=None)
     @given(sequences, st.integers(-5, 30), st.integers(3, 3000),
            st.sampled_from((1e6, 10.0, 0.5, 1e300, math.inf)))

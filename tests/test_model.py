@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
-from quasidiff import analysis, model
+from quasidiff import analysis, examples, model
 from quasidiff import (
     Affine,
     Combine,
@@ -194,6 +194,82 @@ def test_block_of_a_tree_too_deep_for_two_frames_per_level():
         seq = Combine("*", seq, Constant(1.0))
     assert seq.block(0, 3) == [1.0] * 3
     plain_equation(a=seq)  # the validation sample reads blocks of a
+
+
+# Constant +- Geometric trees whose tails settle in doubles: ratios 1/3, -0.9, 0.5 and 0.0, a scale of
+# 1e308 (only a large c absorbs it), and constants whose ulp is below 2**-1000 (they never settle).
+_absorbing_constants = st.sampled_from((4.0, -4.0, 1.0, 3.0, -2.5, 1e300, 2.0 ** -990, -(2.0 ** -1060)))
+_absorbed_geometrics = st.builds(Geometric, st.sampled_from((16.0 / 9.0, 1.0, -3.0, 1e308, 0.0)),
+                                 st.sampled_from((1.0 / 3.0, -0.9, 0.5, 0.0)))
+
+
+def _absorption(c, g, op, c_left):
+    return Combine(op, Constant(c), g) if c_left else Combine(op, g, Constant(c))
+
+
+settling_trees = st.recursive(
+    st.builds(_absorption, _absorbing_constants, _absorbed_geometrics, st.sampled_from("+-"), st.booleans()),
+    lambda inner: st.one_of(
+        st.builds(SignedPower, inner, st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3), OddRatio(5, 3)))),
+        st.builds(Combine, st.just("*"), inner, st.builds(Constant, _absorbing_constants)),
+        st.builds(Combine, st.sampled_from("+-"), inner, inner),
+        st.builds(Combine, st.sampled_from("+-"), inner, _absorbed_geometrics),  # c settles late itself
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(settling_trees, st.integers(-3, 2000), st.integers(0, 70))
+@example(Combine("+", Constant(4.0), Geometric(16.0 / 9.0, 1.0 / 3.0)), 34, 5)  # settles at 35
+@example(Combine("-", Constant(3.0), Geometric(1.0, -0.9)), 355, 10)  # c on the left of '-' settles to c
+@example(Combine("-", Geometric(1.0, -0.9), Constant(3.0)), 355, 10)  # on the right, to -c
+@example(Combine("+", Constant(1e300), Geometric(1e308, 0.5)), 80, 10)  # settles at 84
+@example(Combine("+", Constant(4.0), Geometric(1e308, 0.5)), 1070, 10)  # not settled: 1e308 * 2**-1074 > ulp(4)/16
+@example(Combine("+", Constant(2.0 ** -990), Geometric(1.0, 0.5)), 1990, 10)
+@example(Combine("-", Constant(1.0), Geometric(-3.0, 0.0)), 0, 3)  # 0**0 is 1: the tail starts at n = 1
+@example(SignedPower(Combine("+", Constant(4.0), Geometric(16.0 / 81.0, 1.0 / 3.0)), OddRatio(1, 3)), 30, 10)
+@example(Combine("+", Combine("+", Constant(4.0), Geometric(1.0, -0.9)), Geometric(1.0, 0.5)), 100, 10)
+@example(Constant("not a number"), 0, 3)  # no settled tail and no one-pass block: the loop raises what at() does
+def test_settled_block_matches_the_scalar_loop(seq, start, count):
+    assert outcome(lambda: seq.block(start, count)) == outcome(lambda: scalar_block(seq, start, count))
+    if seq.settled is not None:
+        lo, v = seq.settled
+        assert outcome(lambda: scalar_block(seq, max(lo, start), count)) == outcome(lambda: [v] * count)
+
+
+class _NeverSmall(Geometric):
+    def at(self, n):
+        return self.scale
+
+
+def test_settled_tails():
+    assert Constant(2.5).settled == (-math.inf, 2.5)
+    assert Combine("+", Constant(4.0), Geometric(16.0 / 9.0, 1.0 / 3.0)).settled == (35, 4.0)
+    assert Combine("-", Geometric(1.0, -0.9), Constant(3.0)).settled == (362, -3.0)
+    assert Combine("+", Constant(4.0), Geometric(1.0, 0.0)).settled == (1, 4.0)
+    assert SignedPower(Combine("+", Constant(4.0), Geometric(1.0, 0.5)), OddRatio(1, 3)).settled[1] == 4.0 ** (1 / 3)
+    for unsettled in (Geometric(1.0, 0.5), Combine("+", Constant(4.0), Geometric(1.0, 1.0)),
+                      Combine("*", Constant(4.0), Geometric(1.0, 0.5)),
+                      Combine("+", Constant(0.0), Geometric(1.0, 0.5)),
+                      Combine("+", Constant(math.inf), Geometric(1.0, 0.5)),
+                      Combine("+", Constant(4.0), Geometric(math.inf, 0.5)),
+                      Combine("+", Constant(2.0 ** -990), Geometric(1.0, 0.5)),  # ulp(c) < 2**-1000
+                      Combine("+", Constant(4.0), Geometric(1e308, 0.5)),  # 1e308 * 2**-1074 > ulp(4)/16
+                      Combine("/", Constant(4.0), Constant(0.0)),  # at() raises
+                      SignedPower(Affine(1.0, 0.0), OddRatio(3)),
+                      Combine("+", Constant(4.0), _NeverSmall(1.0, 0.5))):  # no crossing within 64 steps
+        assert unsettled.settled is None
+    d = examples.example_equation("example-2", beta="1/3").d
+    lo, v = d.settled
+    assert lo <= 40 and d.at(lo) == d.at(10 ** 6) == v
+
+
+def test_settled_tail_of_a_tree_deeper_than_the_recursion_limit():
+    seq = Constant(1.0)
+    for _ in range(2 * sys.getrecursionlimit()):
+        seq = Combine("+", seq, Geometric(1.0, 0.5))
+    assert seq.settled == (56, 1.0)  # worked out as the tree is built, without walking it
 
 
 @settings(max_examples=200, deadline=None)
