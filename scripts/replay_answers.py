@@ -68,21 +68,27 @@ def answer(request) -> dict:
     return record
 
 
-def replay(workload: str, seed: int, rounds: int, out: str) -> int:
-    out = os.path.abspath(out)
-    count = 0
-    with tempfile.TemporaryDirectory(prefix="replay-") as scratch, \
-            open(out, "w", encoding="utf-8") as fh:
+@contextlib.contextmanager
+def workload_requests(workload: str, seed: int, rounds: int):
+    """The requests of the first ROUNDS rounds, in the order the benchmark sends them, while the working
+    directory is a fresh temporary directory that holds the generated documents under ``work/``."""
+    with tempfile.TemporaryDirectory(prefix="replay-") as scratch:
         cwd = os.getcwd()
         os.chdir(scratch)
         try:
             os.mkdir(WORKDIR)
-            for batch in itertools.islice(Workload(workload, seed, WORKDIR).rounds(), rounds):
-                for request in batch:
-                    fh.write(json.dumps(answer(request)) + "\n")
-                    count += 1
+            batches = itertools.islice(Workload(workload, seed, WORKDIR).rounds(), rounds)
+            yield (request for batch in batches for request in batch)
         finally:
             os.chdir(cwd)
+
+
+def replay(workload: str, seed: int, rounds: int, out: str) -> int:
+    count = 0
+    with open(out, "w", encoding="utf-8") as fh, workload_requests(workload, seed, rounds) as requests:
+        for request in requests:
+            fh.write(json.dumps(answer(request)) + "\n")
+            count += 1
     return count
 
 

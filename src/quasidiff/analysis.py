@@ -231,7 +231,7 @@ def check_quick_exclusion(eq: EquationSpec) -> ConditionReport:
     d_sign = eq.d_sign()
     entries = []
     try:
-        bad = first_failure(eq.p, eq.n0, VALIDATION_SAMPLE, (0.0).__le__)
+        bad = None if eq.p.sign_from(eq.n0) == 1 else first_failure(eq.p, eq.n0, VALIDATION_SAMPLE, (0.0).__le__)
     except SequenceDomainError as exc:
         entries.append(ConditionEntry("p-nonnegative", CheckStatus.NOT_CHECKABLE, None,
                                       f"p not evaluable on sample {span}: {exc}"))
@@ -307,9 +307,10 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     TAIL_SETTLE; undetermined in between.  This is evidence about partial
     sums, never a proof about the series.
 
-    terms is a sequence: `terms.at(n)` is the term at n, and
+    terms is a sequence: `terms.at(n)` is the term at n,
     `terms.block(start, count)` is [terms.at(n) ...] over those indices, or
-    None.  The terms are summed a block at a time, in the same left-to-right
+    None, and `terms.sign_from(start)` is a proved sign or None (a
+    reciprocal power has no such method: its blocks are >= 0).  The terms are summed a block at a time, in the same left-to-right
     order, so the partial sums are those of the per-term loop bit for bit.
     That loop is the exact path for a chunk that trips: over the block's own
     values when it holds a NaN or passes the threshold, and over `terms.at`
@@ -321,6 +322,11 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     double, so the loop's roundings are exact and it sums k*c.  The trip
     index k is found in integers from the threshold's ratio tn/td, as the
     least k with k*|num|*td > tn*den.
+
+    Terms known to be all >= 0 or all <= 0 and never NaN (a reciprocal
+    power's block, or a sequence whose sign `sign_from(start)` proves) have
+    monotone partial sums, because each rounding is monotone: a chunk's
+    threshold test reads only the total before it and its last partial sum.
     """
     if horizon < 3:
         raise ValueError(f"series probe needs a horizon of at least 3, got {horizon}")
@@ -328,6 +334,7 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     total = 0.0
     checkpoint = 0.0
     summed = 0
+    one_signed = isinstance(terms, _ReciprocalPower) or terms.sign_from(start) is not None
     if threshold >= 0.0 and isinstance(terms.seq if isinstance(terms, _ReciprocalPower) else terms, Constant):
         c = terms.at(start)  # raises what the loop's first term raises
         num, den = c.as_integer_ratio() if math.isfinite(c) else (0, 1)
@@ -351,7 +358,8 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
             vals = map(terms.at, range(start + summed, start + summed + count))
         else:
             sums = list(accumulate(vals, initial=total))
-            if not math.isnan(sums[-1]) and max(sums) <= threshold >= -min(sums):
+            ends = (total, sums[-1]) if one_signed else sums  # where monotone sums take their max and min
+            if not math.isnan(sums[-1]) and max(ends) <= threshold >= -min(ends):
                 if summed < two_thirds <= summed + count:
                     checkpoint = sums[two_thirds - summed]
                 total = sums[-1]
@@ -434,17 +442,23 @@ class _ReciprocalPower:
 
     def __init__(self, seq: SequenceSpec, e: OddRatio, name: str):
         self.seq, self.exponent, self.name = seq, -e.denominator / e.numerator, name
+        self.positive_from = None  # n0 of the first block, when seq.sign_from(n0) proves seq positive; else inf
 
     def at(self, n: int) -> float:
         v = self.seq.at(n)
         if not v > 0.0:
             raise SequenceDomainError(f"nonpositive coefficient {self.name}({n}) = {v!r}", index=n)
-        return math.pow(v, self.exponent)
+        try:
+            return math.pow(v, self.exponent)
+        except OverflowError:
+            return math.inf
 
     def block(self, start: int, count: int) -> list[float] | None:
-        """[self.at(n) ...] over the block when every seq value is positive, else None."""
+        """[self.at(n) ...] over the block when every seq value is positive, else None; an overflow raises."""
+        if self.positive_from is None:  # worked out once per probe, at its first block
+            self.positive_from = start if self.seq.sign_from(start) == 1 else math.inf
         vals = self.seq.block(start, count)
-        if not all(map((0.0).__lt__, vals)):
+        if start < self.positive_from and not all(map((0.0).__lt__, vals)):
             return None
         return list(map(math.pow, vals, repeat(self.exponent, count)))
 

@@ -53,6 +53,11 @@ class _Blocks:
     def _fast(self, start: int, count: int) -> list[float] | None:
         return None  # no one-pass block: the loop runs
 
+    def sign_from(self, n0: int) -> int | None:
+        """+1 or -1 when, at every n >= n0 that a double holds, at(n) raises nothing and has that strict
+        sign (never 0, never NaN); None when that is not proved."""
+        return None
+
     def block(self, start: int, count: int) -> list[float]:
         settled = self.settled
         if settled is not None and start >= settled[0]:
@@ -79,6 +84,9 @@ class Constant(_Blocks):
     def _settle(self) -> tuple[float, float]:  # its blocks repeat the value
         return -math.inf, float(self.value)
 
+    def sign_from(self, n0: int) -> int | None:
+        return sign_of(float(self.value)) or None
+
 
 @dataclass(frozen=True)
 class Geometric(_Blocks):
@@ -101,6 +109,10 @@ class Geometric(_Blocks):
         scale, ratio = self.scale, self.ratio
         return [scale * ratio ** n for n in range(start, start + count)]
 
+    def sign_from(self, n0: int) -> int | None:  # ratio**n >= 1, or an overflow that at() saturates to inf
+        proved = math.isfinite(self.scale) and self.ratio >= 1.0 and n0 >= 0
+        return sign_of(self.scale) or None if proved else None
+
 
 @dataclass(frozen=True)
 class Affine(_Blocks):
@@ -115,6 +127,11 @@ class Affine(_Blocks):
     def _fast(self, start: int, count: int) -> list[float]:
         slope, intercept = self.slope, self.intercept
         return [slope * n + intercept for n in range(start, start + count)]
+
+    def sign_from(self, n0: int) -> int | None:  # n -> fl(fl(slope * n) + intercept) is monotone: each rounding is
+        finite = math.isfinite(self.slope) and math.isfinite(self.intercept)
+        s = sign_of(self.slope * n0 + self.intercept) if finite else 0  # the sign of at(n0)
+        return s if s and sign_of(self.slope) in (0, s) else None
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,10 @@ class PowerLaw(_Blocks):
             return None
         scale, exponent = self.scale, self.exponent
         return [scale * float(n) ** exponent for n in range(start, start + count)]
+
+    def sign_from(self, n0: int) -> int | None:  # float(n)**e >= 1, or an overflow that at() saturates to inf
+        proved = math.isfinite(self.scale) and self.exponent >= 0 and n0 >= 1
+        return sign_of(self.scale) or None if proved else None
 
     @property
     def min_index(self) -> int | None:
@@ -227,6 +248,10 @@ class Combine(_Blocks):
         if self.op in "+-" and right is not None:
             return _absorbed(right, self.left, -1.0 if self.op == "-" else 1.0)
         return None
+
+    def sign_from(self, n0: int) -> int | None:  # two values of one strict sign add up to that sign
+        s = self.left.sign_from(n0) if self.op in "+-" else None
+        return s if s and self.right.sign_from(n0) == (s if self.op == "+" else -s) else None
 
     @property
     def min_index(self) -> int | None:
@@ -395,7 +420,8 @@ class EquationSpec:
     (where the recursion defines nothing) is rejected here, so the solvers
     never see it.  Positivity of a, b, c and one-signedness of d are checked
     on a sampled prefix, not proven; a sequence that cannot be evaluated on
-    that prefix is rejected.
+    that prefix is rejected.  A sequence whose sign `sign_from(n0)` proves
+    (+1 for a, b and c, either sign for d) skips the sample, which it holds.
     """
 
     alpha: OddRatio
@@ -430,12 +456,14 @@ class EquationSpec:
         try:
             for name in ("a", "b", "c"):
                 seq = getattr(self, name)
+                if seq.sign_from(self.n0) == 1:
+                    continue  # proved: the sample holds
                 n = first_failure(seq, self.n0, VALIDATION_SAMPLE, (0.0).__lt__)
                 if n is not None:
                     raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
             name = "d"
             same_sign = (0.0).__lt__ if self.d_sign() > 0 else (0.0).__gt__  # a zero or NaN at n0 fails both
-            bad = first_failure(self.d, self.n0, VALIDATION_SAMPLE, same_sign)
+            bad = None if self.d.sign_from(self.n0) else first_failure(self.d, self.n0, VALIDATION_SAMPLE, same_sign)
         except SequenceDomainError as exc:
             raise ValueError(f"sequence {name} not evaluable on the validation sample "
                              f"[{self.n0}, {self.n0 + VALIDATION_SAMPLE - 1}]: {exc}") from None

@@ -256,3 +256,18 @@ def test_reproduce_paper_examples_script_passes():
                            "--horizon", "50"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("-> PASS") == 4
+
+
+def test_request_costs_script_times_one_hypotheses_round(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "request_costs.py"), "hypotheses", "1", "1"],
+                          capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("hypotheses seed 1, 1 rounds: 70 requests, ")
+    assert lines[1].split() == ["kind", "target", "count", "median", "ms", "total", "ms", "share"]
+    rows = [line.split() for line in lines[2:]]
+    assert ["check-almost", "example-3", "5"] in [row[:3] for row in rows]
+    assert sum(int(row[2]) for row in rows) == 70
+    assert list(tmp_path.iterdir()) == []  # the exports and documents lived in a temporary directory

@@ -33,7 +33,7 @@ from quasidiff import (
     sample_trajectory,
     sign_conflict_certificate,
 )
-from support import outcome, plain_equation, sequences
+from support import outcome, plain_equation, sequences, signed_sequences
 
 # ---------------------------------------------------------------------------
 # Classification
@@ -466,6 +466,18 @@ class TestChunkedSeriesProbe:
         (Table((1e4,) * 150, 0, "error"), 0, 1000, 1e6),  # trips at 101, the table ends at 149
         (Table((1.0,) * 150, 0, "error"), 0, 1000, 1e6),  # no trip: raises past the end
         (Affine(1.0, -50.0), 0, 5000, 1e6),
+        # examples 3 and 4: a = n is proved positive from n0 = 2, so the harmonic chunks skip the sign pass
+        # and the max and min; two_thirds is 3333, inside the chunk [1984, 4032), then 4032 and 1984, its ends
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 5000, 1e6),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 6048, 1e6),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 2976, 1e6),
+        (Affine(-1.0, 1.0), 2, 100_000, 1e6),  # examples 3 and 4's d are proved and trip mid-chunk
+        (Affine(20.0, 10.0), 2, 100_000, 1e6),
+        (Affine(20.0, 10.0), 2, 100_000, -1.0),  # a negative threshold trips at the first term
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 1000, -0.5),
+        (Affine(1e300, 1e300), 2, 100_000, math.inf),  # proved terms whose sums reach inf and never trip
+        (Geometric(1.0, 2.0), 0, 3000, math.inf),  # proved terms that overflow: the block raises from n = 1024
+        (Table((2e6, -2e6, 0.0), 0, "hold-last"), 0, 1000, 1e6),  # not one-signed: the sums trip and come back
     ])
     def test_matches_per_term_loop(self, terms, start, horizon, threshold):
         assert_probe_matches_per_term_loop(terms, start, horizon, threshold)
@@ -510,11 +522,17 @@ class TestChunkedSeriesProbe:
         assert_probe_matches_per_term_loop(seq, start, horizon, threshold)
 
     @settings(max_examples=100, deadline=None)
-    @given(sequences, st.integers(-5, 30), st.integers(3, 3000),
+    @given(st.one_of(sequences, signed_sequences), st.integers(-5, 30), st.integers(3, 3000),
            st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3))))
     def test_random_reciprocal_powers(self, seq, start, horizon, e):
         terms = analysis._ReciprocalPower(seq, e, "a")
         assert_probe_matches_per_term_loop(terms, start, horizon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(signed_sequences, st.integers(-5, 30), st.integers(3, 3000),
+           st.sampled_from((1e6, 10.0, 0.5, 1e300, math.inf, -1.0)))
+    def test_random_one_signed_sequences(self, seq, start, horizon, threshold):
+        assert_probe_matches_per_term_loop(seq, start, horizon, threshold)
 
 
 _DYADIC = st.builds(lambda i, k: math.ldexp(i, k), st.integers(-2 ** 20, 2 ** 20), st.integers(-1074, 40))
@@ -540,9 +558,10 @@ class TestConstantSeriesProbe:
         (Constant(math.nan), 1000, 1e6),
         (analysis._ReciprocalPower(Constant(4.0), OddRatio(1), "a"), 5000, 1e6),
         (analysis._ReciprocalPower(Constant(2.0 ** -20), OddRatio(1), "a"), 5000, 1e6),  # trips at the first term
-        (analysis._ReciprocalPower(Constant(1e-300), OddRatio(1, 3), "a"), 1000, 1e6),  # the loop raises OverflowError
+        (analysis._ReciprocalPower(Constant(1e-300), OddRatio(1, 3), "a"), 1000, 1e6),  # at() saturates to inf
         (analysis._ReciprocalPower(Constant(-1.0), OddRatio(1), "a"), 1000, 1e6),  # SequenceDomainError
         (analysis._ReciprocalPower(Constant(1e300), OddRatio(1, 3), "a"), 1000, 1e6),  # c underflows to 0.0
+        (analysis._ReciprocalPower(Constant(5e-324), OddRatio(1), "a"), 1000, math.inf),  # at() saturates to inf
     ])
     def test_matches_per_term_loop(self, terms, horizon, threshold):
         assert_probe_matches_per_term_loop(terms, 3, horizon, threshold)

@@ -514,6 +514,20 @@ def test_check_almost_oscillation_tiny_constant_d_diverges(tmp_path, capsys):
             "over 100000 terms from n = 2, tail ratio 3.333e-01\n") in out
 
 
+@pytest.mark.parametrize("a, alpha", [(5e-324, "1/1"), (1e-300, "1/7")])
+def test_check_almost_oscillation_overflowing_reciprocal_coefficient(a, alpha, tmp_path, capsys):
+    # a**(-1/alpha) overflows: the term saturates to inf, as PowerLaw's does, instead of escaping main
+    doc = qd.example_document("example-3")
+    doc["a"] = {"kind": "constant", "value": a}
+    doc["exponents"]["alpha"] = alpha
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["check", str(path), "--almost-oscillation", "--horizon", "1000"], capsys)
+    assert code in (0, 1)
+    assert ("  [  ok] series-A-divergent (heuristic-evidence): heuristic-divergent: partial sum inf "
+            "over 1 terms from n = 2, tail ratio 1.000e+00\n") in out
+
+
 def test_check_certificates(capsys):
     code, out, err = run(["check", "example-1", "--certificate", "--windows", "50"], capsys)
     assert code == 1

@@ -26,7 +26,7 @@ from quasidiff import (
     check_almost_oscillation,
     relative_residual,
 )
-from support import outcome, plain_equation, sequences
+from support import outcome, plain_equation, sequences, signed_sequences
 
 # ---------------------------------------------------------------------------
 # Windows
@@ -309,6 +309,78 @@ def test_validation_reports_what_the_index_scan_finds(a, d):
         return "valid"
 
     assert outcome(build) == outcome(scan)
+
+
+def assert_sign_is_sound(seq, n0):
+    """Where sign_from(n0) gives s, at(n) and block(n, count) raise nothing and every value has strict sign s."""
+    s = seq.sign_from(n0)
+    if s is None:
+        return
+    assert s in (1, -1)
+    indices = [n0 + k for k in (0, 1, 2, 3, 10, 100, 1000, 10 ** 6)] + [n for n in (2 ** 40, 2 ** 52) if n >= n0]
+    assert [model.sign_of(seq.at(n)) for n in indices] == [s] * len(indices)
+    for start, count in ((n0, 300), (n0 + 2048, 64), (max(n0, 2 ** 40), 8), (max(n0, 2 ** 52), 8)):
+        assert [model.sign_of(v) for v in seq.block(start, count)] == [s] * count
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(sequences, signed_sequences), st.integers(-10, 40))
+@example(Affine(5e-324, -0.0), 1)  # the least positive slope
+@example(Affine(1e308, 1e308), 2)  # slope * n and the sum overflow to inf
+@example(PowerLaw(5e-324, 0.5), 1)  # a subnormal scale times a power >= 1 does not round to 0
+@example(PowerLaw(-1.0, 300.0), 1)  # n**300 overflows from n = 11: at() saturates to -inf
+@example(Geometric(1.0, math.inf), 0)
+@example(Combine("-", Combine("+", Constant(1e308), PowerLaw(1e308, 2.0)), Affine(-1.0, -1e308)), 1)
+def test_a_proved_sign_holds_at_every_index(seq, n0):
+    assert_sign_is_sound(seq, n0)
+
+
+@pytest.mark.parametrize("seq, n0, sign", [
+    (Constant(0.25), 0, 1), (Constant(-3.0), 0, -1), (Constant(0.0), 0, None), (Constant(-0.0), 0, None),
+    (Constant(math.nan), 0, None), (Constant(math.inf), 0, 1),
+    (Affine(1.0, 0.0), 2, 1), (Affine(1.0, 0.0), 0, None),  # example-3's a: 0 at n = 0
+    (Affine(-1.0, 1.0), 2, -1), (Affine(-1.0, 1.0), 1, None),  # example-3's d: 0 at n = 1
+    (Affine(20.0, 10.0), 2, 1), (Affine(0.0, -2.0), 0, -1),
+    (Affine(1.0, -5.0), 2, None), (Affine(-1.0, 5.0), 2, None),  # a slope against the sign at n0 crosses 0
+    (Affine(math.inf, 1.0), 2, None), (Affine(1.0, math.nan), 2, None),
+    (PowerLaw(2.0, 0.5), 1, 1), (PowerLaw(-2.0, 3.0), 1, -1), (PowerLaw(2.0, 0.0), 1, 1),
+    (PowerLaw(2.0, 0.5), 0, None), (PowerLaw(2.0, -2.0), 1, None),  # n**-2 underflows to 0
+    (PowerLaw(0.0, 1.0), 1, None), (PowerLaw(math.inf, 1.0), 1, None),
+    (Geometric(3.0, 1.0), 0, 1), (Geometric(-3.0, 2.0), 0, -1), (Geometric(3.0, 2.0), -1, None),
+    (Geometric(3.0, 0.5), 0, None), (Geometric(3.0, -2.0), 0, None),  # a ratio < 1 underflows or alternates
+    (Combine("+", Constant(1.0), Affine(1.0, 0.0)), 2, 1), (Combine("-", Constant(1.0), Affine(-1.0, 1.0)), 2, 1),
+    (Combine("-", Affine(-1.0, 1.0), Constant(1.0)), 2, -1), (Combine("+", Constant(1.0), Constant(-1.0)), 0, None),
+    (Combine("-", Constant(1.0), Constant(1.0)), 0, None), (Combine("*", Constant(1.0), Constant(1.0)), 0, None),
+    (Combine("/", Constant(1.0), Constant(1.0)), 0, None), (SignedPower(Constant(2.0), OddRatio(3)), 0, None),
+    (Table((1.0, 2.0), 0, "hold-last"), 0, None),
+])
+def test_sign_from(seq, n0, sign):
+    assert seq.sign_from(n0) == sign
+    assert_sign_is_sound(seq, n0)
+
+
+def test_building_a_proved_equation_scans_no_sample(monkeypatch):
+    calls = []
+    for module in (model, analysis):
+        scan = module.first_failure
+        monkeypatch.setattr(module, "first_failure", lambda *args, scan=scan: calls.append(args) or scan(*args))
+    eq = examples.example_equation("example-3")  # a = n, b = c = 1, d = 1 - n and p = 1/4 are proved from n0 = 2
+    report = qd.check_quick_exclusion(eq)
+    assert calls == []
+    assert report.entry("p-nonnegative").detail == "p >= 0 on sample [2, 257]"
+    eq = examples.example_equation("example-1")  # a, b and c are proved; d (a product inside) and p are not
+    qd.check_quick_exclusion(eq)
+    assert [args[0] for args in calls] == [eq.d, eq.p]
+
+
+@pytest.mark.parametrize("a, message", [
+    (Affine(1.0, -5.0), "sequence a must be strictly positive; a(2) = -3.0"),
+    (Affine(-1.0, 5.0), "sequence a must be strictly positive; a(5) = 0.0"),  # positive at n0, then not
+])
+def test_an_unproved_coefficient_is_still_sampled(a, message):
+    with pytest.raises(ValueError) as err:
+        plain_equation(a=a)  # n0 = 2
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
