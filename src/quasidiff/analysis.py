@@ -440,9 +440,9 @@ class _ReciprocalPower:
     """n -> seq_n ** (-1/e): the coefficients A = a**(-1/alpha), B and C whose
     series the almost-oscillation hypotheses require to diverge."""
 
-    def __init__(self, seq: SequenceSpec, e: OddRatio, name: str):
+    def __init__(self, seq: SequenceSpec, e: OddRatio, name: str, n0: int):
         self.seq, self.exponent, self.name = seq, -e.denominator / e.numerator, name
-        self.positive_from = None  # n0 of the first block, when seq.sign_from(n0) proves seq positive; else inf
+        self.positive_from = n0 if seq.sign_from(n0) == 1 else math.inf  # blocks from here skip the positivity pass
 
     def at(self, n: int) -> float:
         v = self.seq.at(n)
@@ -455,8 +455,6 @@ class _ReciprocalPower:
 
     def block(self, start: int, count: int) -> list[float] | None:
         """[self.at(n) ...] over the block when every seq value is positive, else None; an overflow raises."""
-        if self.positive_from is None:  # worked out once per probe, at its first block
-            self.positive_from = start if self.seq.sign_from(start) == 1 else math.inf
         vals = self.seq.block(start, count)
         if start < self.positive_from and not all(map((0.0).__lt__, vals)):
             return None
@@ -485,9 +483,9 @@ def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000) -> Condit
         _p_limit_entry(eq, horizon),
         _sign_condition_entry(eq),
         _continuity_entry(eq),
-        _series_entry("series-A-divergent", _ReciprocalPower(eq.a, eq.alpha, "a"), eq.n0, horizon),
-        _series_entry("series-B-divergent", _ReciprocalPower(eq.b, eq.beta, "b"), eq.n0, horizon),
-        _series_entry("series-C-divergent", _ReciprocalPower(eq.c, eq.gamma, "c"), eq.n0, horizon),
+        _series_entry("series-A-divergent", _ReciprocalPower(eq.a, eq.alpha, "a", eq.n0), eq.n0, horizon),
+        _series_entry("series-B-divergent", _ReciprocalPower(eq.b, eq.beta, "b", eq.n0), eq.n0, horizon),
+        _series_entry("series-C-divergent", _ReciprocalPower(eq.c, eq.gamma, "c", eq.n0), eq.n0, horizon),
         _series_entry("series-d-divergent", eq.d, eq.n0, horizon),
     )
     failing = [e for e in entries if e.satisfied is not True]

@@ -220,6 +220,8 @@ class Combine(_Blocks):
     def __post_init__(self) -> None:
         if self.op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown combination op {self.op!r}")
+        los = [lo for lo in (self.left.min_index, self.right.min_index) if lo is not None]
+        object.__setattr__(self, "min_index", max(los) if los else None)  # from the children's, without a walk
         self._set_settled()
 
     def at(self, n: int) -> float:
@@ -249,15 +251,6 @@ class Combine(_Blocks):
             return _absorbed(right, self.left, -1.0 if self.op == "-" else 1.0)
         return None
 
-    def sign_from(self, n0: int) -> int | None:  # two values of one strict sign add up to that sign
-        s = self.left.sign_from(n0) if self.op in "+-" else None
-        return s if s and self.right.sign_from(n0) == (s if self.op == "+" else -s) else None
-
-    @property
-    def min_index(self) -> int | None:
-        los = [lo for lo in (self.left.min_index, self.right.min_index) if lo is not None]
-        return max(los) if los else None
-
 
 @dataclass(frozen=True)
 class SignedPower(_Blocks):
@@ -267,6 +260,7 @@ class SignedPower(_Blocks):
     exponent: OddRatio
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "min_index", self.base.min_index)
         self._set_settled()
 
     def at(self, n: int) -> float:
@@ -290,10 +284,6 @@ class SignedPower(_Blocks):
             return None
         lo, v = self.base.settled  # as at() takes the power
         return lo, spow(v, self.exponent) if math.isfinite(v) else math.copysign(math.inf, v)
-
-    @property
-    def min_index(self) -> int | None:
-        return self.base.min_index
 
 
 SequenceSpec = Union[Constant, Geometric, Affine, PowerLaw, Table, Combine, SignedPower]

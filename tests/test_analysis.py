@@ -462,19 +462,19 @@ class TestChunkedSeriesProbe:
         (PowerLaw(1.0, -1.0), 1, 97, 1e6),
         (PowerLaw(1.0, -2.0), 1, 10_000, 1e6),
         (Geometric(1.0, 0.5), 0, 5000, 1e6),
-        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 1, 5000, 1e6),  # the harmonic series A
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a", 1), 1, 5000, 1e6),  # the harmonic series A
         (Table((1e4,) * 150, 0, "error"), 0, 1000, 1e6),  # trips at 101, the table ends at 149
         (Table((1.0,) * 150, 0, "error"), 0, 1000, 1e6),  # no trip: raises past the end
         (Affine(1.0, -50.0), 0, 5000, 1e6),
         # examples 3 and 4: a = n is proved positive from n0 = 2, so the harmonic chunks skip the sign pass
         # and the max and min; two_thirds is 3333, inside the chunk [1984, 4032), then 4032 and 1984, its ends
-        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 5000, 1e6),
-        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 6048, 1e6),
-        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 2976, 1e6),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a", 2), 2, 5000, 1e6),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a", 2), 2, 6048, 1e6),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a", 2), 2, 2976, 1e6),
         (Affine(-1.0, 1.0), 2, 100_000, 1e6),  # examples 3 and 4's d are proved and trip mid-chunk
         (Affine(20.0, 10.0), 2, 100_000, 1e6),
         (Affine(20.0, 10.0), 2, 100_000, -1.0),  # a negative threshold trips at the first term
-        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a"), 2, 1000, -0.5),
+        (analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a", 2), 2, 1000, -0.5),
         (Affine(1e300, 1e300), 2, 100_000, math.inf),  # proved terms whose sums reach inf and never trip
         (Geometric(1.0, 2.0), 0, 3000, math.inf),  # proved terms that overflow: the block raises from n = 1024
         (Table((2e6, -2e6, 0.0), 0, "hold-last"), 0, 1000, 1e6),  # not one-signed: the sums trip and come back
@@ -525,7 +525,7 @@ class TestChunkedSeriesProbe:
     @given(st.one_of(sequences, signed_sequences), st.integers(-5, 30), st.integers(3, 3000),
            st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3))))
     def test_random_reciprocal_powers(self, seq, start, horizon, e):
-        terms = analysis._ReciprocalPower(seq, e, "a")
+        terms = analysis._ReciprocalPower(seq, e, "a", start)
         assert_probe_matches_per_term_loop(terms, start, horizon)
 
     @settings(max_examples=150, deadline=None)
@@ -556,12 +556,12 @@ class TestConstantSeriesProbe:
         (Constant(1.0), 1000, math.nan),
         (Constant(math.inf), 1000, 1e6),
         (Constant(math.nan), 1000, 1e6),
-        (analysis._ReciprocalPower(Constant(4.0), OddRatio(1), "a"), 5000, 1e6),
-        (analysis._ReciprocalPower(Constant(2.0 ** -20), OddRatio(1), "a"), 5000, 1e6),  # trips at the first term
-        (analysis._ReciprocalPower(Constant(1e-300), OddRatio(1, 3), "a"), 1000, 1e6),  # at() saturates to inf
-        (analysis._ReciprocalPower(Constant(-1.0), OddRatio(1), "a"), 1000, 1e6),  # SequenceDomainError
-        (analysis._ReciprocalPower(Constant(1e300), OddRatio(1, 3), "a"), 1000, 1e6),  # c underflows to 0.0
-        (analysis._ReciprocalPower(Constant(5e-324), OddRatio(1), "a"), 1000, math.inf),  # at() saturates to inf
+        (analysis._ReciprocalPower(Constant(4.0), OddRatio(1), "a", 3), 5000, 1e6),
+        (analysis._ReciprocalPower(Constant(2.0 ** -20), OddRatio(1), "a", 3), 5000, 1e6),  # trips at the first term
+        (analysis._ReciprocalPower(Constant(1e-300), OddRatio(1, 3), "a", 3), 1000, 1e6),  # at() saturates to inf
+        (analysis._ReciprocalPower(Constant(-1.0), OddRatio(1), "a", 3), 1000, 1e6),  # SequenceDomainError
+        (analysis._ReciprocalPower(Constant(1e300), OddRatio(1, 3), "a", 3), 1000, 1e6),  # c underflows to 0.0
+        (analysis._ReciprocalPower(Constant(5e-324), OddRatio(1), "a", 3), 1000, math.inf),  # at() saturates to inf
     ])
     def test_matches_per_term_loop(self, terms, horizon, threshold):
         assert_probe_matches_per_term_loop(terms, 3, horizon, threshold)
@@ -570,7 +570,7 @@ class TestConstantSeriesProbe:
         # a trillion terms: only the closed form answers at once
         probe = check_series_divergence(Constant(1.0), 0, 10 ** 12, math.inf)
         assert (probe.status, probe.partial_sum, probe.terms_summed) == (SeriesStatus.DIVERGENT, 1e12, 10 ** 12)
-        probe = check_series_divergence(analysis._ReciprocalPower(Constant(0.25), OddRatio(1), "a"), 0, 10 ** 12)
+        probe = check_series_divergence(analysis._ReciprocalPower(Constant(0.25), OddRatio(1), "a", 3), 0, 10 ** 12)
         assert (probe.partial_sum, probe.terms_summed, probe.threshold_exceeded) == (1e6 + 4, 250_001, True)
 
     @settings(max_examples=300, deadline=None)
@@ -579,7 +579,7 @@ class TestConstantSeriesProbe:
            st.integers(3, 5000),
            st.one_of(st.sampled_from((0.0, 0.5, 100.5, 1e6, 1e300, math.inf, -1.0, math.nan)), _DYADIC.map(abs)))
     def test_random_constants(self, value, e, horizon, threshold):
-        terms = Constant(value) if e is None else analysis._ReciprocalPower(Constant(value), e, "a")
+        terms = Constant(value) if e is None else analysis._ReciprocalPower(Constant(value), e, "a", 0)
         assert_probe_matches_per_term_loop(terms, 0, horizon, threshold)
 
 

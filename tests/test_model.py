@@ -272,6 +272,15 @@ def test_settled_tail_of_a_tree_deeper_than_the_recursion_limit():
     assert seq.settled == (56, 1.0)  # worked out as the tree is built, without walking it
 
 
+def test_an_equation_with_a_tree_deeper_than_the_recursion_limit():
+    seq = Constant(1.0)
+    for _ in range(2 * sys.getrecursionlimit()):
+        seq = Combine("+", seq, Geometric(1.0, 0.5))
+    eq = plain_equation(a=seq, n0=56)  # validated and probed through the settled blocks
+    report = analysis.check_almost_oscillation(eq, horizon=3000)
+    assert [e.satisfied for e in report.entries] == [True] * len(report.entries)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sequences, st.integers(-10, 40), st.integers(0, 70),
        st.sampled_from(((0.0).__lt__, (0.0).__le__, (0.0).__gt__)))
@@ -330,7 +339,6 @@ def assert_sign_is_sound(seq, n0):
 @example(PowerLaw(5e-324, 0.5), 1)  # a subnormal scale times a power >= 1 does not round to 0
 @example(PowerLaw(-1.0, 300.0), 1)  # n**300 overflows from n = 11: at() saturates to -inf
 @example(Geometric(1.0, math.inf), 0)
-@example(Combine("-", Combine("+", Constant(1e308), PowerLaw(1e308, 2.0)), Affine(-1.0, -1e308)), 1)
 def test_a_proved_sign_holds_at_every_index(seq, n0):
     assert_sign_is_sound(seq, n0)
 
@@ -348,10 +356,7 @@ def test_a_proved_sign_holds_at_every_index(seq, n0):
     (PowerLaw(0.0, 1.0), 1, None), (PowerLaw(math.inf, 1.0), 1, None),
     (Geometric(3.0, 1.0), 0, 1), (Geometric(-3.0, 2.0), 0, -1), (Geometric(3.0, 2.0), -1, None),
     (Geometric(3.0, 0.5), 0, None), (Geometric(3.0, -2.0), 0, None),  # a ratio < 1 underflows or alternates
-    (Combine("+", Constant(1.0), Affine(1.0, 0.0)), 2, 1), (Combine("-", Constant(1.0), Affine(-1.0, 1.0)), 2, 1),
-    (Combine("-", Affine(-1.0, 1.0), Constant(1.0)), 2, -1), (Combine("+", Constant(1.0), Constant(-1.0)), 0, None),
-    (Combine("-", Constant(1.0), Constant(1.0)), 0, None), (Combine("*", Constant(1.0), Constant(1.0)), 0, None),
-    (Combine("/", Constant(1.0), Constant(1.0)), 0, None), (SignedPower(Constant(2.0), OddRatio(3)), 0, None),
+    (SignedPower(Constant(2.0), OddRatio(3)), 0, None),
     (Table((1.0, 2.0), 0, "hold-last"), 0, None),
 ])
 def test_sign_from(seq, n0, sign):
@@ -575,9 +580,9 @@ def test_relative_residual_detects_perturbation():
 
 
 def reciprocal_coefficients(eq):
-    return (analysis._ReciprocalPower(eq.a, eq.alpha, "a"),
-            analysis._ReciprocalPower(eq.b, eq.beta, "b"),
-            analysis._ReciprocalPower(eq.c, eq.gamma, "c"))
+    return (analysis._ReciprocalPower(eq.a, eq.alpha, "a", eq.n0),
+            analysis._ReciprocalPower(eq.b, eq.beta, "b", eq.n0),
+            analysis._ReciprocalPower(eq.c, eq.gamma, "c", eq.n0))
 
 
 class TestDerivedCoefficients:
