@@ -13,7 +13,8 @@ request kind and target gives the count, the median and total milliseconds
 and the share of all the time spent in ``main``, largest total first.  The
 working directory is a temporary directory, and the CSV and JSON exports a
 request writes are deleted after it; nothing is written under
-``perfbench/``.
+``perfbench/``.  A last line gives the hits, misses and entries of the
+equation cache (``cli.EQUATION_CACHE_SIZE``) over those requests.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from collections import defaultdict
 
 from replay_answers import WORKLOADS, workload_requests
 
-from quasidiff.cli import main
+from quasidiff.cli import _cached_equation, main
 
 
 def target(argv: list[str]) -> str:
@@ -69,6 +70,9 @@ def main_costs() -> int:
     for (kind, name), ms in sorted(costs.items(), key=lambda item: -sum(item[1])):
         print(f"{kind:<20}{name:<16}{len(ms):>7}{statistics.median(ms):>11.3f}{sum(ms):>11.1f}"
               f"{sum(ms) / total:>8.1%}")
+    cache = _cached_equation.cache_info()
+    print(f"equation cache: {cache.hits} hits, {cache.misses} misses, {cache.currsize} entries "
+          f"(maxsize {cache.maxsize})")
     return 0
 
 

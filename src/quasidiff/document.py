@@ -70,6 +70,17 @@ def _number(value: Any, path: str) -> float:
     return number
 
 
+def _table_values(values: list, path: str) -> tuple[float, ...]:
+    """A table's values as doubles; the JSON path is built only for the value that is rejected."""
+    numbers = []
+    try:
+        for value in values:
+            numbers.append(_number(value, ""))  # an empty path leaves the bare message
+    except DocumentError as exc:
+        raise DocumentError(str(exc), f"{path}.values[{len(numbers)}]") from None
+    return tuple(numbers)
+
+
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"expected an integer, got {value!r}", path)
@@ -103,7 +114,7 @@ def build_sequence(obj: Any, path: str) -> SequenceSpec:
             values = _need(obj, "values", path)
             if not isinstance(values, list) or not values:
                 raise DocumentError("expected a non-empty array", f"{path}.values")
-            return Table(tuple(_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)),
+            return Table(_table_values(values, path),
                          _integer(_need(obj, "start", path), f"{path}.start"),
                          str(obj.get("out_of_range", "error")))
         if kind == "combine":

@@ -7,6 +7,7 @@ lines.  Tolerances are fixed here, not configurable.
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -267,7 +268,11 @@ def test_request_costs_script_times_one_hypotheses_round(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("hypotheses seed 1, 1 rounds: 70 requests, ")
     assert lines[1].split() == ["kind", "target", "count", "median", "ms", "total", "ms", "share"]
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:-1]]
     assert ["check-almost", "example-3", "5"] in [row[:3] for row in rows]
     assert sum(int(row[2]) for row in rows) == 70
+    # 70 loads of the round's distinct equations, each built on its first load
+    assert re.fullmatch(r"equation cache: (\d+) hits, (\d+) misses, \2 entries \(maxsize 64\)", lines[-1])
+    hits, misses = map(int, re.findall(r"\d+", lines[-1])[:2])
+    assert hits + misses == 70
     assert list(tmp_path.iterdir()) == []  # the exports and documents lived in a temporary directory

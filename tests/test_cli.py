@@ -232,6 +232,78 @@ def test_missing_field_exits_2(tmp_path, capsys):
     assert "tau" in err
 
 
+def _document_file(tmp_path, name: str, **fields) -> str:
+    """Example-3's document with `fields` set, or removed where the value is None, as a file."""
+    doc = qd.example_document("example-3")
+    for key, value in fields.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fields, argv, override, message", [
+    ({"n0": None}, ["check", "--quick-exclusion"], ["--delta", "4"], "$: missing field 'n0'"),
+    ({"tau": None}, ["check", "--quick-exclusion"], ["--delta", "4"], "$: missing field 'tau'"),
+    ({"n0": "2"}, ["check", "--quick-exclusion"], ["--delta", "4"], "$.n0: expected an integer, got '2'"),
+    ({"d": None}, ["verify", "--closed-form", "geometric:-1,0.5"], ["--perturb-d", "2"], "$: missing field 'd'"),
+], ids=["no-n0", "no-tau", "string-n0", "no-d"])
+def test_an_override_on_a_malformed_document_reports_the_document(fields, argv, override, message, tmp_path,
+                                                                 capsys):
+    path = _document_file(tmp_path, "malformed.json", **fields)
+    plain = run([argv[0], path, *argv[1:]], capsys)
+    assert plain == (2, "", f"error: {message}\n")
+    assert run([argv[0], path, *argv[1:], *override], capsys) == plain
+
+
+@pytest.fixture
+def equation_cache():
+    cli._cached_equation.cache_clear()
+    return cli._cached_equation
+
+
+def test_identical_requests_build_once(equation_cache, monkeypatch, capsys):
+    builds = []
+    build = cli.build_equation
+    monkeypatch.setattr(cli, "build_equation", lambda document: builds.append(document) or build(document))
+    first = run(["verify", "example-1", "--horizon", "20"], capsys)
+    second = run(["verify", "example-1", "--horizon", "20"], capsys)
+    assert len(builds) == 1
+    assert first == second and first[0] == 0
+
+
+def test_a_rewritten_file_is_built_again(equation_cache, tmp_path, capsys):
+    path = tmp_path / "eq.json"
+    answers = {}
+    for name in ("example-3", "example-4"):
+        path.write_text(json.dumps(qd.example_document(name)))
+        answers[name] = run(["check", str(path), "--quick-exclusion"], capsys)
+        assert answers[name] == run(["check", name, "--quick-exclusion"], capsys)
+    assert answers["example-3"][0] == 0 and answers["example-4"][0] == 1
+    assert equation_cache.cache_info().currsize == 4
+
+
+def test_a_failing_document_is_not_cached(equation_cache, tmp_path, capsys):
+    path = short_table_document(tmp_path, "d", 1.0)
+    answers = [run(["check", path, "--quick-exclusion"], capsys) for _ in range(3)]
+    assert answers[0][0] == 2 and answers[0][2].startswith("error: $: invalid equation: sequence d")
+    assert answers == [answers[0]] * 3
+    assert equation_cache.cache_info().currsize == 0
+
+
+def test_each_override_is_its_own_entry(equation_cache, capsys):
+    requests = [[], ["--beta", "5/3"], ["--lambda", "2"], ["--delta", "4"]]
+    for _ in range(2):
+        for extra in requests:
+            run(["check", "example-1", "--quick-exclusion", *extra], capsys)
+        run(["verify", "example-1", "--horizon", "20", "--perturb-d", "2"], capsys)
+    info = equation_cache.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (5, 5, 5)
+
+
 def test_short_horizon_exits_2(capsys):
     code, _, err = run(["solve", "example-3", "--horizon", "4"], capsys)
     assert code == 2

@@ -110,6 +110,18 @@ def test_non_finite_table_value_names_its_index():
         build_equation(doc)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("x", "expected a number, got 'x'"),
+    (float("inf"), "expected a finite number, got inf"),
+])
+def test_rejected_table_value_names_its_index(value, message):
+    doc = minimal_document()
+    doc["d"] = {"kind": "table", "values": [1.0, 2, 3.0, value, "y"], "start": 0, "out_of_range": "hold-last"}
+    with pytest.raises(DocumentError) as err:
+        build_equation(doc)
+    assert str(err.value) == f"$.d.values[3]: {message}"
+
+
 def test_invalid_equation_is_a_document_error():
     doc = minimal_document()
     doc["tau"] = -4
