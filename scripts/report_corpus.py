@@ -13,6 +13,9 @@ forces each certificate parity on every example, verifies the negated
 closed forms of the alternating examples (the equation is odd in x, so they
 are exact solutions too), and runs solve, verify and classify --solve on
 examples 1 and 2 at beta 1/3 and 5/3, exponents that are not exact decimals.
+Last come almost-oscillation reports of example 2 whose settled d series
+trips just past, at and before the horizon, or never, and one long
+certificate run (400 windows on example 3).
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -76,6 +79,11 @@ SIGN_BREAK_DOCUMENT = {**INVERSE_DOCUMENT, "tau": 1, "delta": 2, "n0": 2,
                        "d": {"kind": "affine", "slope": -0.001, "intercept": 0.2595}}
 SIGN_BREAK_SEED = "0.5,0.6,0.7,0.8,0.9,1.0"
 
+# Example-2's d is one double from n = 35 on, so its series sums a settled tail: at beta 1/1 (d near 16)
+# the partial sums pass the 1e6 threshold at term 62,500, and the horizons end one term before, at and
+# after it; at beta 3/1 they pass it at term 3,907, and at beta 1/3 never.
+SETTLED_SERIES = (("1/1", (62_499, 62_500, 62_501)), ("3/1", (100_000,)), ("1/3", (100_000,)))
+
 DOCUMENTS = {INVERSE_PATH: INVERSE_DOCUMENT, "fractional.json": FRACTIONAL_DOCUMENT,
              "fading-d.json": FADING_D_DOCUMENT, "pivot.json": PIVOT_DOCUMENT,
              "sign-break.json": SIGN_BREAK_DOCUMENT}
@@ -121,6 +129,10 @@ def corpus() -> list[list[str]]:
             for h in INEXACT_HORIZONS:
                 common = [name, "--beta", beta, "--lambda", "1", "--horizon", str(h)]
                 runs += [["solve", *common], ["verify", *common], ["classify", "--solve", *common]]
+    for beta, horizons in SETTLED_SERIES:
+        runs += [["check", "example-2", "--beta", beta, "--horizon", str(h), "--almost-oscillation"]
+                 for h in horizons]
+    runs.append(["check", "example-3", "--certificate", "--windows", "400"])
     return runs
 
 

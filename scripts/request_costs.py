@@ -14,7 +14,8 @@ and the share of all the time spent in ``main``, largest total first.  The
 working directory is a temporary directory, and the CSV and JSON exports a
 request writes are deleted after it; nothing is written under
 ``perfbench/``.  A last line gives the hits, misses and entries of the
-equation cache (``cli.EQUATION_CACHE_SIZE``) over those requests.
+equation cache (``cli.EQUATION_CACHE_SIZE``) over those requests.  A reader
+that leaves early (``| head``) ends the output without a traceback.
 """
 
 import argparse
@@ -22,13 +23,12 @@ import contextlib
 import io
 import os
 import statistics
-import sys
 import time
 from collections import defaultdict
 
 from replay_answers import WORKLOADS, workload_requests
 
-from quasidiff.cli import _cached_equation, main
+from quasidiff.cli import _cached_equation, _say, entry, main
 
 
 def target(argv: list[str]) -> str:
@@ -64,17 +64,17 @@ def main_costs() -> int:
         parser.error(f"rounds must be at least 1, got {args.rounds}")
     costs = request_costs(args.workload, args.seed, args.rounds)
     total = sum(map(sum, costs.values()))
-    print(f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
+    _say(f"{args.workload} seed {args.seed}, {args.rounds} rounds: "
           f"{sum(map(len, costs.values()))} requests, {total:.1f} ms in main")
-    print(f"{'kind':<20}{'target':<16}{'count':>7}{'median ms':>11}{'total ms':>11}{'share':>8}")
+    _say(f"{'kind':<20}{'target':<16}{'count':>7}{'median ms':>11}{'total ms':>11}{'share':>8}")
     for (kind, name), ms in sorted(costs.items(), key=lambda item: -sum(item[1])):
-        print(f"{kind:<20}{name:<16}{len(ms):>7}{statistics.median(ms):>11.3f}{sum(ms):>11.1f}"
+        _say(f"{kind:<20}{name:<16}{len(ms):>7}{statistics.median(ms):>11.3f}{sum(ms):>11.1f}"
               f"{sum(ms) / total:>8.1%}")
     cache = _cached_equation.cache_info()
-    print(f"equation cache: {cache.hits} hits, {cache.misses} misses, {cache.currsize} entries "
+    _say(f"equation cache: {cache.hits} hits, {cache.misses} misses, {cache.currsize} entries "
           f"(maxsize {cache.maxsize})")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_costs())
+    entry(main_costs)

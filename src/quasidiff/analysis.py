@@ -18,12 +18,14 @@ are exact, index-by-index checkable objects:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, repeat
+from functools import cached_property
+from itertools import accumulate, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, Constant, EquationSpec, SequenceSpec, first_failure,
+from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, EquationSpec, SequenceSpec, _coefficients, first_failure,
                     residual_range, staircase)
 from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
@@ -309,19 +311,15 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
 
     terms is a sequence: `terms.at(n)` is the term at n,
     `terms.block(start, count)` is [terms.at(n) ...] over those indices, or
-    None, and `terms.sign_from(start)` is a proved sign or None (a
-    reciprocal power has no such method: its blocks are >= 0).  The terms are summed a block at a time, in the same left-to-right
-    order, so the partial sums are those of the per-term loop bit for bit.
-    That loop is the exact path for a chunk that trips: over the block's own
-    values when it holds a NaN or passes the threshold, and over `terms.at`
-    when its block raises or returns None.
-
-    Terms that are one double c (a `Constant`, or a reciprocal power of one)
-    are summed in closed form when c is finite and non-zero and, with
-    c = num/den, |num| * horizon < 2**53: every partial sum k*c is then a
-    double, so the loop's roundings are exact and it sums k*c.  The trip
-    index k is found in integers from the threshold's ratio tn/td, as the
-    least k with k*|num|*td > tn*den.
+    None, `terms.settled` is (N, v) when every term from N on is v, else None,
+    and `terms.sign_from(start)` is a proved sign or None (a reciprocal power
+    has no such method: its blocks are >= 0).  The terms are summed a block at
+    a time, in the same left-to-right order, so the partial sums are those of
+    the per-term loop bit for bit.  That loop is the exact path for a chunk
+    that trips: over the block's own values when it holds a NaN or passes the
+    threshold, and over `terms.at` when its block raises or returns None.
+    The first chunk that starts at or past N hands the rest of the horizon to
+    `_settled_tail`, which sums it a binade at a time.
 
     Terms known to be all >= 0 or all <= 0 and never NaN (a reciprocal
     power's block, or a sequence whose sign `sign_from(start)` proves) have
@@ -335,18 +333,11 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     checkpoint = 0.0
     summed = 0
     one_signed = isinstance(terms, _ReciprocalPower) or terms.sign_from(start) is not None
-    if threshold >= 0.0 and isinstance(terms.seq if isinstance(terms, _ReciprocalPower) else terms, Constant):
-        c = terms.at(start)  # raises what the loop's first term raises
-        num, den = c.as_integer_ratio() if math.isfinite(c) else (0, 1)
-        if num and abs(num) * horizon < 2**53:
-            if threshold < math.inf:
-                tn, td = threshold.as_integer_ratio()
-                k = (tn * den) // (abs(num) * td) + 1
-                if k <= horizon:
-                    return SeriesProbe(SeriesStatus.DIVERGENT, k * c, 1.0, k, True)
-            total, checkpoint, summed = horizon * c, two_thirds * c, horizon
+    settled = terms.settled
     size = CHUNK_FIRST
     while summed < horizon:
+        if settled is not None and start + summed >= settled[0]:
+            return _settled_tail(settled[1], total, checkpoint, summed, horizon, two_thirds, threshold)
         count = min(size, horizon - summed)
         size = min(2 * size, CHUNK_CAP)
         vals = sums = None  # free the last chunk before the next is evaluated
@@ -374,6 +365,11 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
                 checkpoint = total
             if abs(total) > threshold:
                 return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
+    return _probe_at_horizon(total, checkpoint, summed)
+
+
+def _probe_at_horizon(total: float, checkpoint: float, summed: int) -> SeriesProbe:
+    """The verdict of a probe that summed every term without a NaN term or a trip."""
     if math.isnan(total):
         return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
     # The floor is the least positive double: any non-zero total divides by itself.
@@ -385,6 +381,46 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     else:
         status = SeriesStatus.UNDETERMINED
     return SeriesProbe(status, total, ratio, summed, False)
+
+
+def _settled_tail(v: float, total: float, checkpoint: float, summed: int, horizon: int, two_thirds: int,
+                  threshold: float) -> SeriesProbe:
+    """check_series_divergence's per-term loop over terms that all are v, from `summed` < horizon on, bit
+    for bit, a run of terms at a time.  A total that fl(total + v) leaves as it is stays.  While a total T
+    of v's sign stays below its binade's top, where doubles are the multiples of one u, fl(T + v) - T is v
+    rounded to a multiple of u (Goldberg, ACM Computing Surveys 1991); a tie (v an odd multiple of u/2)
+    rounds to the even one, so it keeps the increment from an even T/u.  A v on that grid, or after a zero
+    T, adds exactly, so its run goes on while the sums, multiples of the largest power of two g dividing T
+    and v, stay below 2**53 g (past the largest double, loop and run both give inf).  A run's trip and
+    checkpoint are solved on its grid.  One term is added at a time at an opposite-signed total, at a
+    grid's top, at a tie from an odd T/u, and for a non-finite v."""
+    if math.isnan(v):
+        return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
+    while summed < horizon:
+        step, run, inc = total + v, 1, 0.0  # T_j = step + (j - 1) * inc for j in [1, run]
+        if math.isnan(total) or step == total and (step or math.copysign(1.0, step) == math.copysign(1.0, total)):
+            run = horizon - summed
+        elif math.isfinite(step) and (total >= 0.0 < v or total <= 0.0 > v):
+            e = math.frexp(total)[1]  # T lies in [2**(e-1), 2**e), or its negative
+            bits = min(53, e + 1074)  # the binade holds 2**bits multiples of u, fewer among subnormals
+            u = math.ldexp(1.0, e - bits)
+            if not total or math.fmod(v, u) == 0.0:  # no rounding: the grid is g's
+                u, bits = min((n & -n) / d for n, d in (total.as_integer_ratio(), v.as_integer_ratio()) if n), 53
+            a, b = int(abs(total) / u), abs(step) / u
+            if b < 1 << bits and (a % 2 == 0 or abs(math.fmod(v, u)) * 2 != u):
+                i = int(b) - a
+                run, inc = min(((1 << bits) - 1 - a) // i, horizon - summed), step - total
+        if summed < two_thirds <= summed + run:
+            checkpoint = step + (two_thirds - summed - 1) * inc if inc else step
+        last = step + (run - 1) * inc if inc else step
+        if abs(last) > threshold:  # |T_j| grows along a run: it trips at the least j past the threshold
+            j = 1
+            if inc and not abs(step) > threshold:  # |T_1| <= threshold < |last|: threshold / u is exact
+                j = int(threshold / u - a) // i + 1  # the least j with a + j*i > threshold / u
+            return SeriesProbe(SeriesStatus.DIVERGENT, step + (j - 1) * inc if inc else step, 1.0,
+                               summed + j, True)
+        total, summed = last, summed + run
+    return _probe_at_horizon(total, checkpoint, summed)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +479,16 @@ class _ReciprocalPower:
     def __init__(self, seq: SequenceSpec, e: OddRatio, name: str, n0: int):
         self.seq, self.exponent, self.name = seq, -e.denominator / e.numerator, name
         self.positive_from = n0 if seq.sign_from(n0) == 1 else math.inf  # blocks from here skip the positivity pass
+        lo, v = seq.settled or (0, math.nan)  # a positive tail, where at() raises nothing, is settled too
+        self.settled = (lo, self._power(v)) if v > 0.0 else None
 
     def at(self, n: int) -> float:
         v = self.seq.at(n)
         if not v > 0.0:
             raise SequenceDomainError(f"nonpositive coefficient {self.name}({n}) = {v!r}", index=n)
+        return self._power(v)
+
+    def _power(self, v: float) -> float:
         try:
             return math.pow(v, self.exponent)
         except OverflowError:
@@ -511,20 +552,18 @@ class ContradictionCertificate:
     chain_side_n = -(t_{n+1} - t_n) and forcing_side_n = d_n f(x_{n-tau}).
     The certificate is valid exactly when every staircase value is finite and
     non-zero (chain_finite_nonzero) and the two sides have opposite signs at
-    every certified index.
+    every certified index.  The six windows are built from `columns` on first read.
     """
 
     parity: QuickParity
     n_start: int
     n_end: int
-    z: Window
-    y: Window
-    w: Window
-    t: Window
-    chain_side: Window
-    forcing_side: Window
     conflicts: tuple[bool, ...]
     chain_finite_nonzero: bool
+    columns: tuple[list, ...] = field(hash=False)  # z, y, w, t, chain_side, forcing_side
+
+    z, y, w, t, chain_side, forcing_side = (cached_property(lambda cert, i=i: Window(cert.n_start, cert.columns[i]))
+                                            for i in range(6))
 
     @property
     def valid(self) -> bool:
@@ -547,7 +586,7 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     if not report.all_hold:
         bad = next(e for e in report.entries if e.satisfied is not True)
         raise HypothesisViolation(f"certificate refused: condition '{bad.condition}' fails ({bad.detail})")
-    if any(v <= 0.0 for v in q.values):
+    if not 0.0 < min(q.values) and any(map((0.0).__ge__, q.values)):  # min is NaN if a NaN comes first
         raise HypothesisViolation("certificate requires a strictly positive q window")
 
     certified = residual_range(eq, q)
@@ -557,22 +596,18 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
             f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]"
         )
 
-    sigma = 0 if parity is QuickParity.EVEN_POSITIVE else 1
-    xs = [v if (m + sigma) % 2 == 0 else -v for m, v in q.items()]
+    xs = list(q.values)  # x_m = -q_m at the indices m of the other parity
+    negated = slice((q.start + (parity is QuickParity.EVEN_POSITIVE)) % 2, None, 2)
+    xs[negated] = map(operator.neg, xs[negated])
     z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4)
-    chain_side = Window(n_lo, tuple(t[i] - t[i + 1] for i in range(n_hi - n_lo + 1)))
-    forcing_side = Window(n_lo, tuple(
-        eq.d.at(n) * eq.f.apply(xs[n - eq.tau - q.start]) for n in range(n_lo, n_hi + 1)
-    ))
-    conflicts = tuple(
-        (a > 0.0 > b) or (a < 0.0 < b)
-        for a, b in zip(chain_side.values, forcing_side.values)
-    )
+    chain_side = list(map(operator.sub, t[:-1], t[1:]))
+    forcing_side = list(map(operator.mul, _coefficients(eq.d, n_lo, len(chain_side), float),  # d_n, then
+                            map(eq.f.apply, xs[n_lo - eq.tau - q.start:])))  # f(x_{n-tau}), as far as d goes
+    conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side))
     return ContradictionCertificate(
-        parity=parity, n_start=n_lo, n_end=n_hi,
-        z=Window(n_lo, z), y=Window(n_lo, y), w=Window(n_lo, w), t=Window(n_lo, t),
-        chain_side=chain_side, forcing_side=forcing_side, conflicts=conflicts,
-        chain_finite_nonzero=all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col),
+        parity=parity, n_start=n_lo, n_end=n_hi, conflicts=conflicts,
+        chain_finite_nonzero=all(map(math.isfinite, chain := z + y + w + t)) and all(chain),  # finite, then non-zero
+        columns=(z, y, w, t, chain_side, forcing_side),
     )
 
 
@@ -625,17 +660,19 @@ def companion_bound_certificate(z: Window, p: SequenceSpec, p_limit: float, delt
     if not z.covers(n1, block_end):
         raise ValueError(f"z window must cover the startup block [{n1}, {block_end}]")
 
-    for n in range(n1, z.end + 1):
-        if abs(p.at(n)) > P:
-            raise HypothesisViolation(f"|p({n})| = {abs(p.at(n))!r} exceeds P = {P}", index=n)
+    # p up to the first |p_n| > P, from one block; where that raises, p.at(n) index by index raises first
+    ps = list(takewhile(lambda v: not abs(v) > P, _coefficients(p, n1, z.end - n1 + 1, float)))
+    if n1 + len(ps) <= z.end:
+        raise HypothesisViolation(f"|p({n1 + len(ps)})| = {abs(p.at(n1 + len(ps)))!r} exceeds P = {P}",
+                                  index=n1 + len(ps))
 
-    L = max(abs(z[n]) for n in range(n1, z.end + 1))
-    K = max(abs(startup[n]) for n in range(n1, block_end + 1))
-    xs = {n: startup[n] for n in range(n1, block_end + 1)}
-    max_abs = K
-    for n in range(block_end + 1, z.end + 1):
-        xs[n] = z[n] - p.at(n) * xs[n - delta]
-        max_abs = max(max_abs, abs(xs[n]))
+    zs = z.values[n1 - z.start:]
+    L = max(map(abs, zs))
+    xs = list(startup.values[n1 - startup.start:block_end - startup.start + 1])
+    K = max(map(abs, xs))
+    for i in range(len(xs), len(zs)):  # x_n = z_n - p_n x_{n-delta}, at i = n - n1
+        xs.append(zs[i] - ps[i] * xs[i - delta])
+    max_abs = max(map(abs, xs))  # K, then the reconstructed values
 
     bound = K + L / (1.0 - P)
     return BoundCertificate(L=L, P=P, K=K, bound=bound, n_start=n1, n_end=z.end,

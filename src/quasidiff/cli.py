@@ -33,7 +33,7 @@ from .analysis import (
     p_tail,
     sign_conflict_certificate,
 )
-from .document import _integer, _need, build_equation, load_document
+from .document import _integer, _need, build_equation, build_sequence, load_document
 from .errors import (
     DocumentError,
     HypothesisViolation,
@@ -171,7 +171,8 @@ def _cached_equation(example: str | None, text: str | None, beta: str | None, la
     if perturb_d is not None:
         if not math.isfinite(perturb_d):
             raise ValueError(f"--perturb-d must be a finite factor, got {perturb_d!r}")
-        if "d" in document:  # a missing d is left to build_equation, in its order
+        with contextlib.suppress(DocumentError):  # a missing or malformed d is left to build_equation, in its order
+            build_sequence(_need(document, "d", "$"), "$.d")
             document = dict(document, d={"kind": "combine", "op": "*", "left": document["d"],
                                          "right": {"kind": "constant", "value": perturb_d}})
     return build_equation(document)  # looked up at each call, so that a rebinding of it sees every build
@@ -382,11 +383,11 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
     else:
         raise HypothesisViolation(f"no parity to certify: {exclusion.conclusion}; "
                                   "pass --parity to force one")
-    rng = random.Random(args.rng_seed)
+    rand = random.Random(args.rng_seed).random
     span = 16 + max(eq.delta, eq.tau, 0) + max(0, -eq.tau)
     valid_count = 0
-    for _ in range(args.windows):
-        q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(span)))
+    for _ in range(args.windows):  # q_n = 10 ** uniform(-3, 3), which is -3 + 6 * random()
+        q = Window(eq.n0, tuple(map((10.0).__pow__, [-3.0 + 6.0 * rand() for _ in range(span)])))
         valid_count += sign_conflict_certificate(eq, q, parity, exclusion).valid
     all_valid = valid_count == args.windows
     _say(f"sign-conflict certificates ({parity.value}): "
@@ -473,8 +474,8 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry() -> None:
-    code = main()
+def entry(run: Callable[[], int] = main) -> None:  # sys.exit(run()), with no traceback for a reader who left
+    code = run()
     try:
         sys.stdout.flush()
     except BrokenPipeError:  # nobody reads the rest: the flush at shutdown then writes it nowhere

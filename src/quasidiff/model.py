@@ -561,14 +561,16 @@ def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
     The one definition of the staircase z -> y -> w -> t.  xs[i] is x_{x0+i},
     already of the number type `num`, which also converts the coefficient
     values; `power` is the signed power of that type (the totalized `_xpow`
-    for float, `_dec_spow` for Decimal under the caller's context).
+    for float, `_dec_spow` for Decimal under the caller's context); a unit
+    exponent's power is what both give, v or num(0) for a zero, with no call.
     """
-    count, lag = hi - lo + 1, lo - eq.delta - x0
+    count, lag, zero = hi - lo + 1, lo - eq.delta - x0, num(0)
     columns = [list(map(operator.add, xs[lo - x0:lo - x0 + count],  # z_j = x_j + p_j * x_{j-delta}
                         map(operator.mul, _coefficients(eq.p, lo, count, num), xs[lag:lag + count])))]
     for seq, e in ((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)):
         prev = columns[-1]  # the next column is seq_m * power(prev_{m+1} - prev_m, e)
-        powers = map(power, map(operator.sub, prev[1:], prev[:-1]), repeat(e))
+        diffs = map(operator.sub, prev[1:], prev)  # the map stops with prev[1:]
+        powers = (v if v else zero for v in diffs) if e.numerator == e.denominator else map(power, diffs, repeat(e))
         columns.append(list(map(operator.mul, _coefficients(seq, lo, len(prev) - 1, num), powers)))
     return tuple(columns)
 

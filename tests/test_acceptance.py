@@ -276,3 +276,14 @@ def test_request_costs_script_times_one_hypotheses_round(tmp_path):
     hits, misses = map(int, re.findall(r"\d+", lines[-1])[:2])
     assert hits + misses == 70
     assert list(tmp_path.iterdir()) == []  # the exports and documents lived in a temporary directory
+
+
+def test_request_costs_script_stops_quietly_when_its_reader_leaves(tmp_path):
+    # as `request_costs.py ... | head` does: the reader is gone before the first line is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "request_costs.py"), "sweep", "1", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

@@ -277,6 +277,42 @@ class TestSignConflictCertificate:
         assert cert.t.covers(cert.n_start, cert.n_end + 1)
         assert len(cert.conflicts) == cert.n_end - cert.n_start + 1
 
+    @pytest.mark.parametrize("name", ["example-1", "example-2", "example-3", "example-4"])
+    @pytest.mark.parametrize("lam", [1, 2])
+    def test_lazy_windows_equal_the_eager_ones(self, name, lam):
+        eq = qd.example_equation(name, lam=lam)
+        rng = random.Random(lam)
+        span = 16 + max(eq.delta, eq.tau, 0) + max(0, -eq.tau)
+        for _ in range(10):
+            q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(span)))
+            for parity in QuickParity:
+                cert = sign_conflict_certificate(eq, q, parity)
+                eager = eager_certificate(eq, q, parity)
+                assert cert.__dict__.keys().isdisjoint(WINDOWS)  # no window is built before it is read
+                assert {name: getattr(cert, name) for name in eager} == eager
+                assert cert == sign_conflict_certificate(eq, q, parity)
+                assert cert != sign_conflict_certificate(eq, Window(q.start, tuple(2 * v for v in q.values)), parity)
+
+
+WINDOWS = ("z", "y", "w", "t", "chain_side", "forcing_side")
+
+
+def eager_certificate(eq, q, parity) -> dict:
+    """Every attribute of a sign-conflict certificate, each window built at once, as before it was lazy."""
+    n_lo, n_hi = qd.residual_range(eq, q).start, qd.residual_range(eq, q).stop - 1
+    sigma = 0 if parity is QuickParity.EVEN_POSITIVE else 1
+    xs = [v if (m + sigma) % 2 == 0 else -v for m, v in q.items()]
+    z, y, w, t = qd.chain_windows(eq, Window(q.start, tuple(xs)))
+    z, y, w, t = (Window(n_lo, col.values[n_lo - col.start:]) for col in (z, y, w, t))
+    chain_side = Window(n_lo, tuple(t[n] - t[n + 1] for n in range(n_lo, n_hi + 1)))
+    forcing_side = Window(n_lo, tuple(eq.d.at(n) * eq.f.apply(xs[n - eq.tau - q.start])
+                                      for n in range(n_lo, n_hi + 1)))
+    conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side.values, forcing_side.values))
+    return {"z": z, "y": y, "w": w, "t": t, "chain_side": chain_side, "forcing_side": forcing_side,
+            "conflicts": conflicts, "n_start": n_lo, "n_end": n_hi,
+            "chain_finite_nonzero": all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col.values),
+            "valid": all(conflicts) and all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col.values)}
+
 
 # ---------------------------------------------------------------------------
 # Companion bound
@@ -331,6 +367,21 @@ class TestCompanionBound:
         with pytest.raises(HypothesisViolation) as err:
             companion_bound_certificate(z, p, 0.1, 1, 1, Window(1, (1.0,) * 3))
         assert err.value.index == 11
+
+    @pytest.mark.parametrize("p, raised, index", [
+        (Table((0.1,) * 10 + (0.9,), 1, "error"), HypothesisViolation, 11),  # |p(11)| > P, then p ends at 12
+        (Table((0.1,) * 5, 1, "error"), qd.SequenceDomainError, 6),  # p ends before any |p| > P
+    ])
+    def test_what_p_raises_first_comes_first(self, p, raised, index):
+        z = Window(1, (1.0,) * 20)
+        with pytest.raises(raised) as err:
+            companion_bound_certificate(z, p, 0.1, 1, 1, Window(1, (1.0,) * 3))
+        assert err.value.index == index
+
+    def test_a_window_that_ends_with_the_startup_block(self):
+        cert = companion_bound_certificate(Window(1, (1.0, -2.0, 3.0)), Constant(0.5), 0.5, 1, 1,
+                                           Window(1, (1.0, 4.0, 2.0)))
+        assert (cert.L, cert.K, cert.max_abs_x, cert.n_end) == (3.0, 4.0, 4.0, 3)
 
     def test_rejects_short_startup(self):
         z = Window(1, (1.0,) * 20)
@@ -581,6 +632,109 @@ class TestConstantSeriesProbe:
     def test_random_constants(self, value, e, horizon, threshold):
         terms = Constant(value) if e is None else analysis._ReciprocalPower(Constant(value), e, "a", 0)
         assert_probe_matches_per_term_loop(terms, 0, horizon, threshold)
+
+
+def per_term_tail(v, total, checkpoint, summed, horizon, two_thirds, threshold):
+    """The per-term loop of the probe over terms that all are v, from its state after `summed` terms."""
+    while summed < horizon:
+        if math.isnan(v):
+            return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
+        total += v
+        summed += 1
+        if summed == two_thirds:
+            checkpoint = total
+        if abs(total) > threshold:
+            return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
+    return analysis._probe_at_horizon(total, checkpoint, summed)
+
+
+def packed(p: SeriesProbe) -> tuple:
+    return (p.status, struct.pack("d", p.partial_sum), struct.pack("d", p.tail_ratio), p.terms_summed,
+            p.threshold_exceeded)
+
+
+def assert_tail_matches_per_term_loop(v, total, summed, horizon, threshold, checkpoint=0.0):
+    state = (v, total, checkpoint, summed, horizon, (2 * horizon) // 3, threshold)
+    assert packed(analysis._settled_tail(*state)) == packed(per_term_tail(*state))
+
+
+@st.composite
+def settled_tails(draw):
+    """(v, total, summed, horizon): totals of any sign near and across binade tops, and terms that are
+    ties on the total's grid, exact multiples of it, subnormal, huge or anything."""
+    total = draw(st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0 ** 53, 1e308, math.inf, -math.inf,
+                                            math.nan, 5e-324, -2.0 ** -1022)),
+                           st.floats(-1e6, 1e6), _DYADIC, st.floats()))
+    u = math.ulp(total) if math.isfinite(total) and total else 2.0 ** -1074
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    v = draw(st.one_of(
+        st.integers(0, 40).map(lambda k: sign * (k + 0.5) * u),  # a tie on the grid of the total's binade
+        st.integers(1, 2 ** 20).map(lambda k: sign * k * u),  # a multiple of it: runs end at binade tops
+        st.integers(-52, 52).map(lambda k: sign * (abs(total) or 1.0) * 2.0 ** k),  # a power of 2 of it
+        st.integers(1, 2 ** 30).map(lambda k: sign * math.ldexp(k, -1074)),  # subnormal and near
+        st.sampled_from((0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 1.0, 0.1)),
+        st.floats()))
+    horizon = draw(st.integers(3, 4000))
+    return v, total, draw(st.integers(0, horizon - 1)), horizon
+
+
+class TestSettledTail:
+    """_settled_tail returns what the per-term loop returns over terms that all are v, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(settled_tails(), st.sampled_from((1e6, 0.0, -1.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 0.5)),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_per_term_loop(self, tail, threshold, checkpoint):
+        v, total, summed, horizon = tail
+        assert_tail_matches_per_term_loop(v, total, summed, horizon, threshold, checkpoint)
+
+    @settings(max_examples=300, deadline=None)
+    @given(settled_tails(), st.integers(1, 4000))
+    def test_a_threshold_hit_exactly(self, tail, k):
+        # the threshold is |T_k|, a total of the loop's, or the double just below or above it
+        v, total, summed, horizon = tail
+        t = total
+        for _ in range(min(k, horizon - summed)):
+            t += v
+        if not math.isnan(t):
+            for threshold in (abs(t), math.nextafter(abs(t), 0.0), math.nextafter(abs(t), math.inf)):
+                assert_tail_matches_per_term_loop(v, total, summed, horizon, threshold)
+
+    @pytest.mark.parametrize("v, total, summed, horizon, threshold", [
+        (1.0, -2500.0, 0, 3000, 1e6),  # the total moves through zero one term at a time, past the checkpoint
+        (-3.0, 10.0, 0, 3000, 1e6),  # moves through zero from the other side: runs start at -2
+        (1.0, -0.0, 0, 1000, 1e6),  # -0.0 + 1.0 is 1.0
+        (-0.0, -0.0, 0, 1000, 1e6),  # stays -0.0 for good
+        (0.0, -0.0, 0, 1000, 1e6),  # -0.0 + 0.0 is 0.0, which then stays
+        (2.0 ** -53, 1.0, 0, 1000, 1e6),  # a tie from an even total: 1.0 for good
+        (2.0 ** -53, 1.0 + 2.0 ** -52, 0, 1000, 1e6),  # from an odd total: one step to 1 + 2**-51, then stays
+        (3 * 2.0 ** -53, 1.0 + 2.0 ** -52, 0, 3000, 1e6),  # a tie that moves: +2**-51 from the even total on
+        (5e-324, 0.0, 0, 3000, 1e6),  # subnormal totals: the grid is 2**-1074 throughout
+        (1e307, 0.0, 0, 100, math.inf),  # overflows to inf at term 18, which then stays
+        (1e307, 0.0, 0, 100, 1e308),  # trips before the overflow
+        (math.inf, 1.0, 0, 100, math.inf),
+        (math.nan, 1.0, 50, 100, 1e6),
+        (16.0, 0.0, 0, 62_500, 1e6),  # |T| = 1e6 exactly at the horizon: no trip
+        (16.0, 0.0, 0, 62_501, 1e6),  # the trip at the last term
+        (0.1, 0.0, 0, 3000, 1e6),  # rounded increments a binade at a time; the checkpoint falls inside a run
+        (0.1, 0.0, 0, 3000, 100.0),  # the 0.1 sums pass 100 inside a run
+        (1.0, 2.0 ** 53 - 5, 0, 100, math.inf),  # exact sums up to 2**53, then 2**53 for good
+        (2.0 ** 1020, 0.0, 0, 100, math.inf),  # exact sums of 2**1020 up to 15 * 2**1020, then inf
+        (2.0 ** 1020, 0.0, 0, 100, 2.0 ** 1023),  # 9 * 2**1020 trips
+        (0.75, 0.0, 0, 3000, 100.5),  # exact sums: 134 * 0.75 is the threshold itself, 135 trips
+    ])
+    def test_matches_per_term_loop_at(self, v, total, summed, horizon, threshold):
+        assert_tail_matches_per_term_loop(v, total, summed, horizon, threshold)
+
+    def test_a_trillion_terms_trip_without_summing(self):
+        probe = analysis._settled_tail(16.0, 0.0, 0.0, 0, 10 ** 12, 2 * 10 ** 12 // 3, 1e6)
+        assert (probe.partial_sum, probe.terms_summed, probe.threshold_exceeded) == (1e6 + 16, 62_501, True)
+
+    def test_a_checkpoint_inside_a_stepped_run(self):
+        # opposite-signed totals step one term at a time: the checkpoint at 2000 falls among them
+        probe = analysis._settled_tail(1.0, -2500.0, 0.0, 0, 3000, 2000, 1e6)
+        assert (probe.partial_sum, probe.tail_ratio) == (500.0, 2.0)  # the checkpoint is -500
+        assert_tail_matches_per_term_loop(1.0, -2500.0, 0, 3000, 1e6)
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,12 @@ def _document_file(tmp_path, name: str, **fields) -> str:
     ({"tau": None}, ["check", "--quick-exclusion"], ["--delta", "4"], "$: missing field 'tau'"),
     ({"n0": "2"}, ["check", "--quick-exclusion"], ["--delta", "4"], "$.n0: expected an integer, got '2'"),
     ({"d": None}, ["verify", "--closed-form", "geometric:-1,0.5"], ["--perturb-d", "2"], "$: missing field 'd'"),
-], ids=["no-n0", "no-tau", "string-n0", "no-d"])
+    ({"d": 5}, ["verify", "--closed-form", "geometric:-1,0.5"], ["--perturb-d", "2"], "$.d: expected an object"),
+    ({"d": {"kind": "table", "values": [1.0, "x"], "start": 0}}, ["verify", "--closed-form", "geometric:-1,0.5"],
+     ["--perturb-d", "2"], "$.d.values[1]: expected a number, got 'x'"),
+    ({"d": 5, "p": 5}, ["verify", "--closed-form", "geometric:-1,0.5"], ["--perturb-d", "2"],
+     "$.p: expected an object"),  # p is read before d, with the option too
+], ids=["no-n0", "no-tau", "string-n0", "no-d", "number-d", "bad-table-d", "bad-p-and-d"])
 def test_an_override_on_a_malformed_document_reports_the_document(fields, argv, override, message, tmp_path,
                                                                  capsys):
     path = _document_file(tmp_path, "malformed.json", **fields)
