@@ -14,8 +14,10 @@ closed forms of the alternating examples (the equation is odd in x, so they
 are exact solutions too), and runs solve, verify and classify --solve on
 examples 1 and 2 at beta 1/3 and 5/3, exponents that are not exact decimals.
 Last come almost-oscillation reports of example 2 whose settled d series
-trips just past, at and before the horizon, or never, and one long
-certificate run (400 windows on example 3).
+trips just past, at and before the horizon, or never, one long
+certificate run (400 windows on example 3), runs through the --delta and
+--perturb-d overrides, a classify --solve from a zero seed (the
+degenerate-zero note), and one usage error (exit 2) per command.
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -133,6 +135,15 @@ def corpus() -> list[list[str]]:
         runs += [["check", "example-2", "--beta", beta, "--horizon", str(h), "--almost-oscillation"]
                  for h in horizons]
     runs.append(["check", "example-3", "--certificate", "--windows", "400"])
+    runs += [["check", "example-3", "--quick-exclusion", "--delta", "3"],
+             ["check", "example-3", "--certificate", "--delta", "4", "--windows", "5"],
+             ["verify", "example-4", "--perturb-d", "2"],
+             ["verify", "example-1", "--perturb-d", "1.01"],
+             ["classify", "--solve", "example-3", "--seed-values", "0,0,0,0,0,0"]]
+    runs += [["verify", "example-3", "--closed-form", "bogus"],
+             ["classify", "example-3", "--horizon", "4"],
+             ["solve", "example-3", "--seed-values", "1,2"],
+             ["check", "example-3", "--certificate", "--windows", "0"]]
     return runs
 
 

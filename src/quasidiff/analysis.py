@@ -25,8 +25,7 @@ from functools import cached_property
 from itertools import accumulate, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import (EVALUATION_ERRORS, VALIDATION_SAMPLE, EquationSpec, SequenceSpec, _coefficients, first_failure,
-                    residual_range, staircase)
+from .model import VALIDATION_SAMPLE, EquationSpec, SequenceSpec, _Blocks, first_failure, residual_range, staircase
 from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
 from .windows import Window
@@ -233,7 +232,7 @@ def check_quick_exclusion(eq: EquationSpec) -> ConditionReport:
     d_sign = eq.d_sign()
     entries = []
     try:
-        bad = None if eq.p.sign_from(eq.n0) == 1 else first_failure(eq.p, eq.n0, VALIDATION_SAMPLE, (0.0).__le__)
+        bad = first_failure(eq.p, eq.n0, VALIDATION_SAMPLE, (0.0).__le__)
     except SequenceDomainError as exc:
         entries.append(ConditionEntry("p-nonnegative", CheckStatus.NOT_CHECKABLE, None,
                                       f"p not evaluable on sample {span}: {exc}"))
@@ -309,22 +308,21 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     TAIL_SETTLE; undetermined in between.  This is evidence about partial
     sums, never a proof about the series.
 
-    terms is a sequence: `terms.at(n)` is the term at n,
-    `terms.block(start, count)` is [terms.at(n) ...] over those indices, or
-    None, `terms.settled` is (N, v) when every term from N on is v, else None,
-    and `terms.sign_from(start)` is a proved sign or None (a reciprocal power
-    has no such method: its blocks are >= 0).  The terms are summed a block at
-    a time, in the same left-to-right order, so the partial sums are those of
+    terms is a sequence (a `SequenceSpec`, or a reciprocal power): each chunk
+    is `terms.read(start, count)`, the block [terms.at(n) ...] as a list or,
+    where the block raises, the terms as they are consumed.  A block is summed
+    at once, in the same left-to-right order, so the partial sums are those of
     the per-term loop bit for bit.  That loop is the exact path for a chunk
-    that trips: over the block's own values when it holds a NaN or passes the
-    threshold, and over `terms.at` when its block raises or returns None.
-    The first chunk that starts at or past N hands the rest of the horizon to
-    `_settled_tail`, which sums it a binade at a time.
+    that trips (its block holds a NaN or passes the threshold) and for a chunk
+    that is read term by term.  `terms.settled` is (N, v) when every term from
+    N on is v, else None: the first chunk that starts at or past N hands the
+    rest of the horizon to `_settled_tail`, which sums it a binade at a time.
 
     Terms known to be all >= 0 or all <= 0 and never NaN (a reciprocal
-    power's block, or a sequence whose sign `sign_from(start)` proves) have
-    monotone partial sums, because each rounding is monotone: a chunk's
-    threshold test reads only the total before it and its last partial sum.
+    power's block, as its at() raises on a base that is not positive, or a
+    sequence whose sign `sign_from(start)` proves) have monotone partial
+    sums, because each rounding is monotone: a chunk's threshold test reads
+    only the total before it and its last partial sum.
     """
     if horizon < 3:
         raise ValueError(f"series probe needs a horizon of at least 3, got {horizon}")
@@ -341,13 +339,8 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
         count = min(size, horizon - summed)
         size = min(2 * size, CHUNK_CAP)
         vals = sums = None  # free the last chunk before the next is evaluated
-        try:
-            vals = terms.block(start + summed, count)
-        except EVALUATION_ERRORS:
-            vals = None  # the per-term loop may stop before the failing term
-        if vals is None:
-            vals = map(terms.at, range(start + summed, start + summed + count))
-        else:
+        vals = terms.read(start + summed, count)
+        if isinstance(vals, list):  # else the per-term loop may stop before the term that raises
             sums = list(accumulate(vals, initial=total))
             ends = (total, sums[-1]) if one_signed else sums  # where monotone sums take their max and min
             if not math.isnan(sums[-1]) and max(ends) <= threshold >= -min(ends):
@@ -356,7 +349,7 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
                 total = sums[-1]
                 summed += count
                 continue
-        for v in vals:  # a chunk that trips replays its block's values
+        for v in vals:  # a chunk that trips replays its block's values; one read term by term is summed here
             if math.isnan(v):
                 return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
             total += v
@@ -472,7 +465,7 @@ def _continuity_entry(eq: EquationSpec) -> ConditionEntry:
                           "nonlinearity is discontinuous")
 
 
-class _ReciprocalPower:
+class _ReciprocalPower(_Blocks):
     """n -> seq_n ** (-1/e): the coefficients A = a**(-1/alpha), B and C whose
     series the almost-oscillation hypotheses require to diverge."""
 
@@ -494,8 +487,8 @@ class _ReciprocalPower:
         except OverflowError:
             return math.inf
 
-    def block(self, start: int, count: int) -> list[float] | None:
-        """[self.at(n) ...] over the block when every seq value is positive, else None; an overflow raises."""
+    def _fast(self, start: int, count: int) -> list[float] | None:
+        """One pow per value where every seq value is positive, else None; an overflow raises into at()'s loop."""
         vals = self.seq.block(start, count)
         if start < self.positive_from and not all(map((0.0).__lt__, vals)):
             return None
@@ -577,16 +570,17 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     The candidate has positive terms at the indices of the given parity, and
     its chain comes from model.staircase.  Refused (HypothesisViolation)
     unless the quick-exclusion hypotheses hold for the equation and q is
-    strictly positive on its window.  The window must reach delta (and tau)
-    indices behind and four (and -tau, and -delta) ahead of the certified
-    range.  `exclusion` is check_quick_exclusion(eq) when the caller holds
-    it already (one report serves every window of a request); None runs it.
+    finite and strictly positive on its window.  The window must reach
+    delta (and tau) indices behind and four (and -tau, and -delta) ahead of
+    the certified range.  `exclusion` is check_quick_exclusion(eq) when the
+    caller holds it already (one report serves every window of a request);
+    None runs it.
     """
     report = check_quick_exclusion(eq) if exclusion is None else exclusion
     if not report.all_hold:
         bad = next(e for e in report.entries if e.satisfied is not True)
         raise HypothesisViolation(f"certificate refused: condition '{bad.condition}' fails ({bad.detail})")
-    if not 0.0 < min(q.values) and any(map((0.0).__ge__, q.values)):  # min is NaN if a NaN comes first
+    if not (all(map(math.isfinite, q.values)) and min(q.values) > 0.0):
         raise HypothesisViolation("certificate requires a strictly positive q window")
 
     certified = residual_range(eq, q)
@@ -601,7 +595,7 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     xs[negated] = map(operator.neg, xs[negated])
     z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4)
     chain_side = list(map(operator.sub, t[:-1], t[1:]))
-    forcing_side = list(map(operator.mul, _coefficients(eq.d, n_lo, len(chain_side), float),  # d_n, then
+    forcing_side = list(map(operator.mul, eq.d.read(n_lo, len(chain_side)),  # d_n, then
                             map(eq.f.apply, xs[n_lo - eq.tau - q.start:])))  # f(x_{n-tau}), as far as d goes
     conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side))
     return ContradictionCertificate(
@@ -660,8 +654,8 @@ def companion_bound_certificate(z: Window, p: SequenceSpec, p_limit: float, delt
     if not z.covers(n1, block_end):
         raise ValueError(f"z window must cover the startup block [{n1}, {block_end}]")
 
-    # p up to the first |p_n| > P, from one block; where that raises, p.at(n) index by index raises first
-    ps = list(takewhile(lambda v: not abs(v) > P, _coefficients(p, n1, z.end - n1 + 1, float)))
+    # p up to the first |p_n| > P; where the read raises, p.at(n) index by index raises first
+    ps = list(takewhile(lambda v: not abs(v) > P, p.read(n1, z.end - n1 + 1)))
     if n1 + len(ps) <= z.end:
         raise HypothesisViolation(f"|p({n1 + len(ps)})| = {abs(p.at(n1 + len(ps)))!r} exceeds P = {P}",
                                   index=n1 + len(ps))

@@ -7,6 +7,10 @@ Exit codes are a stable contract:
   3  numeric failure that prevented producing a result (overflow in the seed
      chain, a near-zero neutral pivot, a zero coefficient to invert through,
      a verify candidate that is inf or NaN at an index its residuals read)
+
+Each command computes its whole answer (exit code, stdout lines, --out report,
+--csv trajectory) and then ends with `_finish`: it reads the --csv chain, so that
+a chain that fails prints and writes nothing, prints, writes --out, then --csv.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, example_closed_form, example_document, example_summary
 # relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
-from .model import (EquationSpec, max_relative_residual, relative_residual,  # noqa: F401
+from .model import (EquationSpec, _residual_reach, max_relative_residual, relative_residual,  # noqa: F401
                     relative_residuals, residual_range, residual_reads)
 from .numerics import EPS_RESIDUAL
 from .solver import (
@@ -238,11 +242,24 @@ def write_csv(path: str, traj: Trajectory) -> None:
             fh.write(f"# truncated: first non-finite value at n = {traj.truncation_index}\n")
 
 
-def _write_report(path: str | None, report: dict) -> None:
+def _write_report(path: str | None, report: dict | None) -> None:
     if path:
         with contextlib.suppress(BrokenPipeError), open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, default=dataclasses.asdict)
             fh.write("\n")
+
+
+def _finish(args, code: int, lines: list[str], report: dict | None, traj: Trajectory | None = None) -> int:
+    """End a request: read the --csv trajectory's chain, print the lines, write --out, write --csv."""
+    csv = getattr(args, "csv", None)  # check takes no --csv
+    if csv:
+        traj.chain  # a chain that fails ends the request before any output
+    for line in lines:
+        _say(line)
+    _write_report(args.out, report)
+    if csv:
+        write_csv(csv, traj)
+    return code
 
 
 def _solve(args, eq: EquationSpec, name: str) -> Trajectory:
@@ -279,35 +296,17 @@ def cmd_solve(args) -> int:
     traj = _solve(args, eq, name)
     # None when no index of the window reads only x values it holds.
     worst = max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
-    if args.csv:
-        traj.chain  # read before the first line and --out, so that a chain that fails leaves no output
-
-    _say(f"solve {name} ({traj.provenance.value})")
-    _say(f"  x range: n = {traj.n_start} .. {traj.n_end}")
-    if worst is None:
-        _say("  max relative residual: none (no index has its residual inside the x range)")
-    else:
-        _say(f"  max relative residual: {worst:.3e}")
+    lines = [f"solve {name} ({traj.provenance.value})", f"  x range: n = {traj.n_start} .. {traj.n_end}",
+             "  max relative residual: none (no index has its residual inside the x range)" if worst is None
+             else f"  max relative residual: {worst:.3e}"]
     if traj.truncated:
-        _say(f"  warning: truncated (first non-finite value at n = {traj.truncation_index})")
-    for w in traj.warnings:
-        _say(f"  warning: {w}")
-    report = {
-        "command": "solve",
-        "equation": name,
-        "mode": traj.provenance.value,
-        "horizon": args.horizon,
-        "n_start": traj.n_start,
-        "n_end": traj.n_end,
-        "max_rel_residual": worst,
-        "truncated": traj.truncated,
-        "truncation_index": traj.truncation_index,
-        "warnings": list(traj.warnings),
-    }
-    _write_report(args.out, report)
-    if args.csv:
-        write_csv(args.csv, traj)
-    return 0
+        lines.append(f"  warning: truncated (first non-finite value at n = {traj.truncation_index})")
+    lines += [f"  warning: {w}" for w in traj.warnings]
+    report = {"command": "solve", "equation": name, "mode": traj.provenance.value, "horizon": args.horizon,
+              "n_start": traj.n_start, "n_end": traj.n_end, "max_rel_residual": worst,
+              "truncated": traj.truncated, "truncation_index": traj.truncation_index,
+              "warnings": list(traj.warnings)}
+    return _finish(args, 0, lines, report, traj)
 
 
 def cmd_verify(args) -> int:
@@ -320,59 +319,47 @@ def cmd_verify(args) -> int:
     # the first index of the largest residual; a NaN never wins, and a zero maximum is reported at n0
     worst, worst_at = max([(0.0, eq.n0), *zip(rels, indices)], key=operator.itemgetter(0))
     passed = worst <= EPS_RESIDUAL
-    _say(f"verify {name}: {'PASS' if passed else 'FAIL'}")
-    _say(f"  indices: n = {eq.n0} .. {eq.n0 + args.horizon - 1} ({args.horizon})")
-    _say(f"  max relative residual: {worst:.3e} at n = {worst_at}")
-    _say(f"  tolerance: {EPS_RESIDUAL:.1e}")
-    if args.out:  # the per-index residuals are built only to be written
-        _write_report(args.out, {"command": "verify", "equation": name, "horizon": args.horizon,
-                                 "eps_residual": EPS_RESIDUAL, "max_rel_residual": worst, "argmax": worst_at,
-                                 "pass": passed,
-                                 "residuals": [{"n": n, "rel_residual": rel} for n, rel in zip(indices, rels)]})
-    if args.csv:  # its chain reads no coefficient that the residuals did not read
-        write_csv(args.csv, _sample_for_components(eq, x, args.horizon))
-    return 0 if passed else 1
+    lines = [f"verify {name}: {'PASS' if passed else 'FAIL'}",
+             f"  indices: n = {eq.n0} .. {eq.n0 + args.horizon - 1} ({args.horizon})",
+             f"  max relative residual: {worst:.3e} at n = {worst_at}", f"  tolerance: {EPS_RESIDUAL:.1e}"]
+    report = {"command": "verify", "equation": name, "horizon": args.horizon, "eps_residual": EPS_RESIDUAL,
+              "max_rel_residual": worst, "argmax": worst_at, "pass": passed,
+              "residuals": [{"n": n, "rel_residual": rel} for n, rel in zip(indices, rels)],
+              } if args.out else None  # the per-index residuals are built only to be written
+    # the --csv chain reads no coefficient that the residuals did not read
+    traj = _sample_for_components(eq, x, args.horizon) if args.csv else None
+    return _finish(args, 0 if passed else 1, lines, report, traj)
 
 
 def cmd_classify(args) -> int:
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
-    if args.solve:
-        traj = _solve(args, eq, name)
-    else:
-        traj = _sample_for_components(eq, _closed_form(args, name), args.horizon)
-    t = traj.chain[3]  # a chain that fails ends the request before any output
-
+    traj = (_solve(args, eq, name) if args.solve
+            else _sample_for_components(eq, _closed_form(args, name), args.horizon))
+    t = traj.chain[3]  # read first: a chain that fails ends the request
     verdict = classify(traj)
-    _say(f"classify {name}: {verdict.kind.value}")
-    _say(f"  tends to zero (evidence): {verdict.tends_to_zero}")
+    lines = [f"classify {name}: {verdict.kind.value}", f"  tends to zero (evidence): {verdict.tends_to_zero}"]
     if verdict.degenerate_zero:
-        _say("  note: degenerate zero window")
+        lines.append("  note: degenerate zero window")
     if verdict.quick is not None:
         q = verdict.quick
-        _say(f"  alternation magnitudes q from n = {q.q.start}, positive parity: "
-             f"{q.positive_parity.value}")
-    report = {"command": "classify", "equation": name, "horizon": args.horizon,
-              "verdict": verdict.to_dict()}
+        lines.append(f"  alternation magnitudes q from n = {q.q.start}, positive parity: {q.positive_parity.value}")
+    report = {"command": "classify", "equation": name, "horizon": args.horizon, "verdict": verdict.to_dict()}
     if len(t) >= 16:
         profile = component_sign_profile(traj)
-        _say(f"  component profile: {profile.case.value}")
+        lines.append(f"  component profile: {profile.case.value}")
         report["component_profile"] = profile
-    _write_report(args.out, report)
-    if args.csv:
-        write_csv(args.csv, traj)
-    return 0
+    return _finish(args, 0, lines, report, traj)
 
 
-def _print_condition_report(report) -> None:
-    _say(f"{report.title}:")
-    for e in report.entries:
-        mark = {True: "ok", False: "FAIL", None: "?"}[e.satisfied]
-        _say(f"  [{mark:>4}] {e.condition} ({e.status.value}): {e.detail}")
-    _say(f"  conclusion: {report.conclusion}")
+def _condition_lines(report) -> list[str]:
+    marks = {True: "ok", False: "FAIL", None: "?"}
+    return [f"{report.title}:",
+            *(f"  [{marks[e.satisfied]:>4}] {e.condition} ({e.status.value}): {e.detail}" for e in report.entries),
+            f"  conclusion: {report.conclusion}"]
 
 
-def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
+def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list[str], dict]:
     if args.windows < 1:
         raise ValueError(f"--windows must be at least 1, got {args.windows}")
     exclusion = check_quick_exclusion(eq)
@@ -384,63 +371,51 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, dict
         raise HypothesisViolation(f"no parity to certify: {exclusion.conclusion}; "
                                   "pass --parity to force one")
     rand = random.Random(args.rng_seed).random
-    span = 16 + max(eq.delta, eq.tau, 0) + max(0, -eq.tau)
+    below, above = _residual_reach(eq)
+    span = below + 16 + above  # each window certifies 16 indices
     valid_count = 0
     for _ in range(args.windows):  # q_n = 10 ** uniform(-3, 3), which is -3 + 6 * random()
         q = Window(eq.n0, tuple(map((10.0).__pow__, [-3.0 + 6.0 * rand() for _ in range(span)])))
         valid_count += sign_conflict_certificate(eq, q, parity, exclusion).valid
     all_valid = valid_count == args.windows
-    _say(f"sign-conflict certificates ({parity.value}): "
-         f"{valid_count}/{args.windows} valid on random positive q windows")
-    report = {"command": "check", "check": "certificate", "equation": name,
-              "parity": parity.value, "windows": args.windows,
-              "valid_count": valid_count, "all_valid": all_valid}
-    return (0 if all_valid else 1), report
+    lines = [f"sign-conflict certificates ({parity.value}): "
+             f"{valid_count}/{args.windows} valid on random positive q windows"]
+    report = {"command": "check", "check": "certificate", "equation": name, "parity": parity.value,
+              "windows": args.windows, "valid_count": valid_count, "all_valid": all_valid}
+    return (0 if all_valid else 1), lines, report
 
 
-def _estimate_p_limit(eq: EquationSpec, horizon: int) -> float:
-    p_hat, _, stable = p_tail(eq, horizon)
-    if not stable:
-        raise HypothesisViolation(f"p does not stabilize over horizon {horizon}; "
-                                  "cannot estimate its limit")
-    return p_hat
-
-
-def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, dict]:
+def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, list[str], dict]:
     _check_horizon(args.horizon)
     traj = _sample_for_components(eq, _closed_form(args, name), min(args.horizon, 512))
     z = traj.chain[0]
-    p_limit = _estimate_p_limit(eq, max(args.horizon, 1000))
+    horizon = max(args.horizon, 1000)
+    p_limit, _, stable = p_tail(eq, horizon)
+    if not stable:
+        raise HypothesisViolation(f"p does not stabilize over horizon {horizon}; cannot estimate its limit")
     startup = traj.x.slice(eq.n0, eq.n0 + eq.delta + 1)
     cert = companion_bound_certificate(z, eq.p, p_limit, eq.delta, eq.n0, startup)
-    _say(f"companion bound certificate: {'valid' if cert.valid else 'NOT VALID'}")
-    _say(f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}")
-    _say(f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}")
-    report = {"command": "check", "check": "bound", "equation": name,
-              "certificate": cert}
-    return (0 if cert.valid else 1), report
+    lines = [f"companion bound certificate: {'valid' if cert.valid else 'NOT VALID'}",
+             f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}",
+             f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}"]
+    report = {"command": "check", "check": "bound", "equation": name, "certificate": cert}
+    return (0 if cert.valid else 1), lines, report
 
 
 def cmd_check(args) -> int:
     eq, name = _load_equation(args)
+    if args.certificate:
+        return _finish(args, *_cmd_check_certificate(args, eq, name))
+    if args.bound:
+        return _finish(args, *_cmd_check_bound(args, eq, name))
     if args.quick_exclusion:
-        report_obj = check_quick_exclusion(eq)
-        _print_condition_report(report_obj)
-        report = {"command": "check", "check": "quick-exclusion", "equation": name,
-                  "report": report_obj}
-        code = 0 if report_obj.alternation_excluded else 1
-    elif args.almost_oscillation:
-        report_obj = check_almost_oscillation(eq, horizon=args.horizon)
-        _print_condition_report(report_obj)
-        report = {"command": "check", "check": "almost-oscillation", "equation": name,
-                  "report": report_obj}
-        code = 0 if report_obj.all_hold else 1
-    elif args.certificate:
-        code, report = _cmd_check_certificate(args, eq, name)
+        result, check = check_quick_exclusion(eq), "quick-exclusion"
+        code = 0 if result.alternation_excluded else 1
     else:
-        code, report = _cmd_check_bound(args, eq, name)
-    _write_report(args.out, report)
-    return code
+        result, check = check_almost_oscillation(eq, horizon=args.horizon), "almost-oscillation"
+        code = 0 if result.all_hold else 1
+    report = {"command": "check", "check": check, "equation": name, "report": result}
+    return _finish(args, code, _condition_lines(result), report)
 
 
 def cmd_list_examples(_args) -> int:

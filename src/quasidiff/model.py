@@ -68,6 +68,14 @@ class _Blocks:
             vals = None
         return [self.at(n) for n in range(start, start + count)] if vals is None else vals
 
+    def read(self, start: int, count: int):
+        """The block over the range, a list; where it raises, at(n) over the range as the values are consumed,
+        so that a reader stops, or raises, where the per-index loop would."""
+        try:
+            return self.block(start, count)
+        except EVALUATION_ERRORS:
+            return map(self.at, range(start, start + count))
+
 
 @dataclass(frozen=True)
 class Constant(_Blocks):
@@ -387,17 +395,17 @@ def sign_of(v: float) -> int:
 
 def first_failure(seq: SequenceSpec, start: int, count: int,
                   holds: Callable[[float], bool]) -> int | None:
-    """First index of [start, start+count) where holds(seq.at(n)) is false, else None, or what the
-    scan index by index raises first; the scan runs only when one block does not hold throughout."""
-    try:
-        if all(map(holds, seq.block(start, count))):
-            return None
-    except EVALUATION_ERRORS:
-        pass
-    for n in range(start, start + count):
-        if not holds(seq.at(n)):
-            return n
-    return None
+    """First index of [start, start+count) where holds(seq.at(n)) is false, else None, or what the scan index by
+    index raises first.  holds gives at every value of strict sign s what it gives at s, as the callers'
+    (0.0).__lt__, __le__ and __gt__ do, so a sign s that seq.sign_from(start) proves with holds(s) reads nothing;
+    else one read that holds throughout ends the scan."""
+    s = seq.sign_from(start)
+    if s is not None and holds(s):
+        return None
+    vals = seq.read(start, count)
+    if isinstance(vals, list) and all(map(holds, vals)):
+        return None
+    return next((n for n, v in zip(range(start, start + count), vals) if not holds(v)), None)
 
 
 @dataclass(frozen=True)
@@ -411,7 +419,8 @@ class EquationSpec:
     never see it.  Positivity of a, b, c and one-signedness of d are checked
     on a sampled prefix, not proven; a sequence that cannot be evaluated on
     that prefix is rejected.  A sequence whose sign `sign_from(n0)` proves
-    (+1 for a, b and c, either sign for d) skips the sample, which it holds.
+    (+1 for a, b and c, either sign for d) holds the sample, and
+    `first_failure` reads none of it.
     """
 
     alpha: OddRatio
@@ -446,14 +455,12 @@ class EquationSpec:
         try:
             for name in ("a", "b", "c"):
                 seq = getattr(self, name)
-                if seq.sign_from(self.n0) == 1:
-                    continue  # proved: the sample holds
                 n = first_failure(seq, self.n0, VALIDATION_SAMPLE, (0.0).__lt__)
                 if n is not None:
                     raise ValueError(f"sequence {name} must be strictly positive; {name}({n}) = {seq.at(n)!r}")
             name = "d"
             same_sign = (0.0).__lt__ if self.d_sign() > 0 else (0.0).__gt__  # a zero or NaN at n0 fails both
-            bad = None if self.d.sign_from(self.n0) else first_failure(self.d, self.n0, VALIDATION_SAMPLE, same_sign)
+            bad = first_failure(self.d, self.n0, VALIDATION_SAMPLE, same_sign)
         except SequenceDomainError as exc:
             raise ValueError(f"sequence {name} not evaluable on the validation sample "
                              f"[{self.n0}, {self.n0 + VALIDATION_SAMPLE - 1}]: {exc}") from None
@@ -544,14 +551,10 @@ def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
 
 
 def _coefficients(seq: SequenceSpec, lo: int, count: int, num: Callable):
-    """num(seq.at(n)) for n in [lo, lo + count): a Constant converted once, else one block; when the block
-    raises, read index by index as consumed, so that a map over them raises where the per-index loop did."""
+    """num(seq.at(n)) for n in [lo, lo + count): a Constant converted once, else `seq.read`."""
     if isinstance(seq, Constant):
         return repeat(num(seq.at(lo)), count)
-    try:
-        return map(num, seq.block(lo, count))
-    except EVALUATION_ERRORS:
-        return (num(seq.at(n)) for n in range(lo, lo + count))
+    return map(num, seq.read(lo, count))
 
 
 def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
@@ -604,8 +607,8 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     same inputs as in a one-index call, so the results do not depend on the
     range.
     """
-    d = _coefficients(eq.d, lo, hi - lo + 1, float)
-    forcing_f = list(map(operator.mul, d, map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
+    forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
+                         map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
     try:
         with localcontext() as ctx:
             ctx.prec = 40

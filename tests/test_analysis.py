@@ -263,6 +263,11 @@ class TestSignConflictCertificate:
         q = Window(eq.n0, (1.0,) * 10 + (0.0,) + (1.0,) * 9)
         with pytest.raises(HypothesisViolation, match="positive"):
             sign_conflict_certificate(eq, q, QuickParity.ODD_POSITIVE)
+        eq = qd.example_equation("example-3")  # an odd-power f: a non-finite q reached spow
+        for values in [(math.nan,) * 21, (1.0,) * 10 + (math.inf,) + (1.0,) * 10, (math.nan,) + (1.0,) * 20,
+                       (1.0,) * 10 + (math.nan,) + (1.0,) * 10, (1.0,) * 10 + (-math.inf,) + (1.0,) * 10]:
+            with pytest.raises(HypothesisViolation, match="strictly positive q window"):
+                sign_conflict_certificate(eq, Window(eq.n0, values), QuickParity.EVEN_POSITIVE)
 
     def test_refused_when_window_too_short(self):
         eq = qd.example_equation("example-1")

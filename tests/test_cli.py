@@ -184,16 +184,23 @@ def test_non_finite_perturb_d_exits_2(factor, capsys):
     assert err == f"error: --perturb-d must be a finite factor, got {float(factor)!r}\n"
 
 
-@pytest.mark.parametrize("option", ["--out", "--csv"])
-def test_unwritable_output_path_exits_2(option, tmp_path, capsys):
-    path = tmp_path / "missing" / "x.out"
-    code, out, err = run(["solve", "example-3", "--horizon", "20", option, str(path)], capsys)
-    assert code == 2
-    assert err.startswith("error: [Errno 2] No such file or directory")
-    assert str(path) in err
-    # the path is opened after the report is printed, so stdout holds the whole report
-    _, report, _ = run(["solve", "example-3", "--horizon", "20"], capsys)
-    assert report and out == report
+@pytest.mark.parametrize("options", [["--out", "MISSING"], ["--csv", "MISSING"],
+                                     ["--out", "OUT", "--csv", "MISSING"]], ids=["--out", "--csv", "--out-then-csv"])
+def test_unwritable_output_path_exits_2(options, tmp_path, capsys):
+    path, report_path, alone_path = tmp_path / "missing" / "x.out", tmp_path / "x.json", tmp_path / "alone.json"
+    paths = {"MISSING": str(path), "OUT": str(report_path)}
+    for command in ("solve", "verify", "classify"):
+        argv = [command, "example-3", "--horizon", "20"]
+        code, out, err = run([*argv, *(paths.get(a, a) for a in options)], capsys)
+        assert code == 2
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert str(path) in err
+        # the paths are opened after the answer is printed, so stdout holds the whole answer
+        _, answer, _ = run(argv, capsys)
+        assert answer and out == answer
+        if "OUT" in options:  # --out is written before --csv, as a request without --csv writes it
+            assert run([*argv, "--out", str(alone_path)], capsys)[0] == 0
+            assert report_path.read_text() == alone_path.read_text()
 
 
 def test_example_1_lambda_out_of_range_exits_2(capsys):
@@ -684,6 +691,20 @@ def test_check_certificate_non_excluded_parity_fails(capsys):
     assert "0/5 valid" in out
 
 
+@pytest.mark.parametrize("delta", [2, -14, -16, -20])
+def test_check_certificate_windows_certify_16_indices(delta, monkeypatch, capsys):
+    # a q window reaches as far as the residual reads x: an advanced neutral term reads 4 - delta ahead
+    certified = []
+    certificate = cli.sign_conflict_certificate
+    monkeypatch.setattr(cli, "sign_conflict_certificate",
+                        lambda *args: certified.append(cert := certificate(*args)) or cert)
+    argv = ["check", "example-3", f"--delta={delta}"]
+    assert run([*argv, "--quick-exclusion"], capsys)[0] == 0
+    code, out, _ = run([*argv, "--certificate", "--windows", "3"], capsys)
+    assert (code, out) == (0, "sign-conflict certificates (even-positive): 3/3 valid on random positive q windows\n")
+    assert [cert.n_end - cert.n_start + 1 for cert in certified] == [16] * 3
+
+
 @pytest.mark.parametrize("windows", [0, -3])
 def test_check_certificate_needs_a_window(windows, capsys):
     code, out, err = run(["check", "example-3", "--certificate", "--windows", str(windows)], capsys)
@@ -807,11 +828,12 @@ def test_chain_below_n0_fails_only_when_read(tmp_path, capsys):
 def test_failed_csv_leaves_no_out_report(tmp_path, capsys):
     # the chain is read before --out is written: a request that exits 3 leaves neither file
     out_path, csv_path = tmp_path / "edge.json.out", tmp_path / "edge.csv"
-    code, _, err = run(["solve", _chain_below_n0_document(tmp_path), "--horizon", "20",
-                        "--seed-values", "1,0.5,0.25,0.125,0.0625", "--out", str(out_path),
-                        "--csv", str(csv_path)], capsys)
-    assert (code, err) == (3, "numeric failure: n**-1.0 not evaluable at n = 0\n")
-    assert not out_path.exists() and not csv_path.exists()
+    argv = [_chain_below_n0_document(tmp_path), "--horizon", "20", "--seed-values", "1,0.5,0.25,0.125,0.0625",
+            "--out", str(out_path), "--csv", str(csv_path)]
+    for command in (["solve"], ["classify", "--solve"]):
+        code, out, err = run([*command, *argv], capsys)
+        assert (code, out, err) == (3, "", "numeric failure: n**-1.0 not evaluable at n = 0\n")
+        assert not out_path.exists() and not csv_path.exists()
 
 
 def _reference_csv(traj) -> str:

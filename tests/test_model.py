@@ -365,17 +365,22 @@ def test_sign_from(seq, n0, sign):
 
 
 def test_building_a_proved_equation_scans_no_sample(monkeypatch):
-    calls = []
-    for module in (model, analysis):
-        scan = module.first_failure
-        monkeypatch.setattr(module, "first_failure", lambda *args, scan=scan: calls.append(args) or scan(*args))
+    reads = []  # (sequence, first index, count) of every block and every at() of a sequence kind
+    block = model._Blocks.block
+    monkeypatch.setattr(model._Blocks, "block", lambda seq, start, count: reads.append((seq, start, count))
+                        or block(seq, start, count))
+    for kind in (Constant, Geometric, Affine, PowerLaw, Table, Combine, SignedPower):
+        monkeypatch.setattr(kind, "at", lambda seq, n, at=kind.at: reads.append((seq, n, 1)) or at(seq, n))
     eq = examples.example_equation("example-3")  # a = n, b = c = 1, d = 1 - n and p = 1/4 are proved from n0 = 2
     report = qd.check_quick_exclusion(eq)
-    assert calls == []
+    assert reads == [(eq.d, 2, 1)] * 2  # only d(n0), whose sign the build and the report read
     assert report.entry("p-nonnegative").detail == "p >= 0 on sample [2, 257]"
+    reads.clear()
     eq = examples.example_equation("example-1")  # a, b and c are proved; d (a product inside) and p are not
     qd.check_quick_exclusion(eq)
-    assert [args[0] for args in calls] == [eq.d, eq.p]
+    names = {id(getattr(eq, name)): name for name in "abcdp"}
+    assert [names[id(seq)] for seq, _, count in reads
+            if id(seq) in names and count == model.VALIDATION_SAMPLE] == ["d", "p"]
 
 
 @pytest.mark.parametrize("a, message", [
