@@ -23,14 +23,25 @@ written by two versions of the package is a byte-identity check:
 
     PYTHONPATH=src python scripts/report_corpus.py /tmp/corpus-new
     diff -r /tmp/corpus-old /tmp/corpus-new
+
+``--manifest PATH`` also writes one ``sha256sum`` line per file (sorted by
+relative path), and without OUTDIR the runs go to a temporary directory.
+The committed ``tests/golden/corpus.sha256`` is that manifest; a change
+that alters answers regenerates it, and its diff lists the changed runs:
+
+    PYTHONPATH=src python scripts/report_corpus.py --manifest tests/golden/corpus.sha256
+
+The digests tie the answers to this platform's libm (``**``, ``math.pow``).
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 
 from quasidiff.cli import main
 
@@ -171,20 +182,51 @@ def run(argv: list[str], outdir: str) -> None:
         fh.write(status + "\n")
 
 
+def write_corpus(outdir: str) -> int:
+    """Write every run's files under outdir (which must not exist yet); the number of runs."""
+    os.makedirs(outdir)
+    cwd = os.getcwd()
+    os.chdir(outdir)  # relative paths keep the reports independent of where outdir lives
+    try:
+        for path, document in DOCUMENTS.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(document, fh, indent=2)
+        runs = corpus()
+        for index, argv in enumerate(runs):
+            run(argv, run_name(index, argv))
+    finally:
+        os.chdir(cwd)
+    return len(runs)
+
+
+def manifest(outdir: str) -> str:
+    """One `sha256sum` line per file under outdir, sorted by relative path."""
+    lines = []
+    for root, _, files in os.walk(outdir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, outdir).replace(os.sep, "/"), digest))
+    return "".join(f"{digest}  {rel}\n" for rel, digest in sorted(lines))
+
+
 def main_corpus() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory to create (must not exist yet)")
+    parser.add_argument("outdir", nargs="?", help="directory to create (must not exist yet); "
+                        "a temporary one when only --manifest is given")
+    parser.add_argument("--manifest", metavar="PATH", help="also write the sha256 manifest of the files to PATH")
     args = parser.parse_args()
-    os.makedirs(args.outdir)
-    # Relative paths keep the reports independent of where OUTDIR lives.
-    os.chdir(args.outdir)
-    for path, document in DOCUMENTS.items():
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-    runs = corpus()
-    for index, argv in enumerate(runs):
-        run(argv, run_name(index, argv))
-    print(f"{len(runs)} runs written to {args.outdir}")
+    if args.outdir is None and args.manifest is None:
+        parser.error("give OUTDIR, --manifest PATH, or both")
+    with tempfile.TemporaryDirectory() as scratch:
+        outdir = args.outdir or os.path.join(scratch, "corpus")
+        count = write_corpus(outdir)
+        if args.manifest:
+            with open(args.manifest, "w", encoding="utf-8") as fh:
+                fh.write(manifest(outdir))
+    print(f"{count} runs written to {args.outdir or 'a temporary directory'}"
+          + (f", manifest to {args.manifest}" if args.manifest else ""))
     return 0
 
 

@@ -18,7 +18,6 @@ module.  The runs happen in temporary directories; nothing is written under
 import argparse
 import ast
 import importlib.util
-import json
 import os
 import sys
 import tempfile
@@ -88,18 +87,9 @@ def run_traffic(seed: int) -> None:
     for workload, rounds in ROUNDS.items():
         count = replay_answers.replay(workload, seed, rounds, os.devnull)
         print(f"# {workload} seed {seed}: {rounds} rounds, {count} requests", file=sys.stderr)
-    cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="traffic-coverage-") as scratch:
-        os.chdir(scratch)
-        try:
-            for path, document in report_corpus.DOCUMENTS.items():
-                Path(path).write_text(json.dumps(document, indent=2), encoding="utf-8")
-            runs = report_corpus.corpus()
-            for index, argv in enumerate(runs):
-                report_corpus.run(argv, report_corpus.run_name(index, argv))
-        finally:
-            os.chdir(cwd)
-    print(f"# report_corpus: {len(runs)} runs", file=sys.stderr)
+        runs = report_corpus.write_corpus(os.path.join(scratch, "corpus"))
+    print(f"# report_corpus: {runs} runs", file=sys.stderr)
 
 
 def main() -> int:
