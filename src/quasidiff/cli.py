@@ -48,7 +48,7 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, example_closed_form, example_document, example_summary
 # relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
-from .model import (EquationSpec, _residual_reach, max_relative_residual, relative_residual,  # noqa: F401
+from .model import (EquationSpec, _chain_reach, _residual_reach, max_relative_residual, relative_residual,  # noqa: F401
                     relative_residuals, residual_range, residual_reads)
 from .numerics import EPS_RESIDUAL
 from .solver import (
@@ -280,9 +280,8 @@ def _solve(args, eq: EquationSpec, name: str) -> Trajectory:
 
 
 def _sample_for_components(eq: EquationSpec, form, horizon: int) -> Trajectory:
-    start = eq.n0 - max(eq.delta, 0)
-    end = eq.n0 + horizon - 1 + max(-eq.delta, 0) + 4
-    return sample_trajectory(eq, form, start, end)
+    below, above = _chain_reach(eq)  # z on [n0, n0 + horizon + 3]: t, and so every residual, to n0 + horizon - 1
+    return sample_trajectory(eq, form, eq.n0 - below, eq.n0 + horizon + 3 + above)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, getcontext, localcontext
 from decimal import DivisionByZero as DecimalDivisionByZero, Overflow as DecimalOverflow
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Union
 
 from .errors import SequenceDomainError
@@ -34,6 +34,11 @@ from .windows import Window
 
 # RecursionError: a block takes two frames per tree level where at() takes one.
 EVALUATION_ERRORS = (OverflowError, ZeroDivisionError, SequenceDomainError, RecursionError)
+
+
+def _raising(exc: Exception):
+    raise exc
+    yield  # a generator: it raises when its first value is asked for
 
 
 class _Blocks:
@@ -58,7 +63,7 @@ class _Blocks:
         sign (never 0, never NaN); None when that is not proved."""
         return None
 
-    def block(self, start: int, count: int) -> list[float]:
+    def block(self, start: int, count: int, done: list | None = None) -> list[float]:
         settled = self.settled
         if settled is not None and start >= settled[0]:
             return [settled[1]] * count
@@ -66,15 +71,20 @@ class _Blocks:
             vals = self._fast(start, count)
         except EVALUATION_ERRORS:
             vals = None
-        return [self.at(n) for n in range(start, start + count)] if vals is None else vals
+        if vals is None:
+            vals = [] if done is None else done  # the caller's list holds the values before an index that raises
+            for n in range(start, start + count):
+                vals.append(self.at(n))
+        return vals
 
     def read(self, start: int, count: int):
-        """The block over the range, a list; where it raises, at(n) over the range as the values are consumed,
-        so that a reader stops, or raises, where the per-index loop would."""
+        """The block over the range, a list; where it raises, the values before the index that raised, then its
+        error: a reader stops, or raises, where the per-index loop would, and no index is evaluated twice."""
+        done = []
         try:
-            return self.block(start, count)
-        except EVALUATION_ERRORS:
-            return map(self.at, range(start, start + count))
+            return self.block(start, count, done)
+        except EVALUATION_ERRORS as exc:
+            return chain(done, _raising(exc))
 
 
 @dataclass(frozen=True)
@@ -587,38 +597,64 @@ def _x_values(x: Evaluator, lo: int, hi: int):
 
 def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -> tuple[list, int]:
     """(x converted by num over the indices z on [lo, hi] reads, the first of those indices)."""
-    x0 = lo - max(eq.delta, 0)
-    return list(map(num, map(float, _x_values(x, x0, hi + max(-eq.delta, 0))))), x0
+    below, above = _chain_reach(eq)
+    return list(map(num, map(float, _x_values(x, lo - below, hi + above)))), lo - below
 
 
 RESIDUAL_BLOCK = 256
 
 
+def _binary(vals) -> tuple[list[int], int]:
+    """(m, s) with float(vals[i]) == m[i] / 2**s exactly; as_integer_ratio raises for inf and NaN."""
+    nums, dens = zip(*map(float.as_integer_ratio, map(float, vals)))
+    s = max(dens).bit_length()  # each den is a power of two
+    return list(map(operator.lshift, nums, map(s.__sub__, map(int.bit_length, dens)))), s - 1
+
+
+def _parts(t: list, forcing: list, rounded: Callable) -> list[tuple[float, float]]:
+    """(D t_n + forcing_n, max(|t_{n+1}|, |t_n|, |forcing_n|)) at each index, each through `rounded`."""
+    abs_t = list(map(abs, t))
+    return list(zip(map(rounded, map(operator.add, map(operator.sub, t[1:], t), forcing)),
+                    map(rounded, map(max, abs_t[1:], abs_t, map(abs, forcing)))))
+
+
 def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tuple[float, float]]:
     """(residual, scale of the cancelled terms) at each index of [lo, hi].
 
-    The chain is evaluated in 40-digit decimal arithmetic: the residual
-    subtracts nearly equal t values whose recomputation noise in doubles is
-    amplified by the power exponents and by the chain's difference
-    cancellations, which would drown the quantity being measured.  Inputs
-    (the stored x values and coefficient values) are doubles and convert
-    exactly; only the results are rounded back.  Every index of the range
-    shares one decimal staircase, and each node is the same operation on the
-    same inputs as in a one-index call, so the results do not depend on the
-    range.
+    The residual subtracts nearly equal t values, whose recomputation noise in
+    doubles the exponents and the differences would amplify.  The inputs (x,
+    the coefficients and the float forcing) are doubles, so with unit
+    exponents every node is exact in integers and each result rounds once.
+    Other exponents, or a range with an input that is not finite or a result
+    beyond the double range (redone index by index), run in 40 digits.  Each
+    node is the same operation on the same inputs as in a one-index call, so
+    the results do not depend on the range.
     """
     forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
                          map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
+    if eq.alpha == eq.beta == eq.gamma == OddRatio(1):  # integers on one power-of-two scale per column
+        (xs, x0), count = _sample_x(eq, x, lo, hi + 4, float), hi - lo + 5  # z on [lo, hi + 4]
+        reads = [[seq.at(lo)] if isinstance(seq, Constant) else list(seq.read(lo, count - k))
+                 for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]  # every column is read before any converts
+        try:  # as_integer_ratio raises for inf and NaN, and int / int (correctly rounded) beyond the double range
+            (xm, s), *columns, (fm, fs) = map(_binary, (xs, *reads, forcing_f))
+            (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
+            z = list(map(operator.add, map(operator.lshift, xm[lo - x0:lo - x0 + count], repeat(ps)),
+                         map(operator.mul, pm, xm[lo - eq.delta - x0:])))  # x_j + p_j x_{j-delta}, to x_j's end
+            for m, ms in steps:  # y = c * D z, w = b * D y, t = a * D w: each product adds its column's scale
+                z = list(map(operator.mul, m, map(operator.sub, z[1:], z)))
+                s += ms
+            top = max(s + ps, fs)
+            return _parts([v << top - s - ps for v in z], [v << top - fs for v in fm], (1 << top).__rtruediv__)
+        except (ValueError, OverflowError):
+            if lo < hi:
+                return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
     try:
         with localcontext() as ctx:
             ctx.prec = 40
             xs, x0 = _sample_x(eq, x, lo, hi + 4, Decimal)
             t = staircase(eq, xs, x0, lo, hi + 4, Decimal, _dec_spow)[3]
-            forcing = list(map(Decimal, forcing_f))
-            r = map(operator.add, map(operator.sub, t[1:], t[:-1]), forcing)
-            abs_t = list(map(abs, t))
-            scale = map(max, abs_t[1:], abs_t[:-1], map(abs, forcing))
-            return list(zip(map(float, r), map(float, scale)))  # consumed under the 40-digit context
+            return _parts(t, list(map(Decimal, forcing_f)), float)  # consumed under the 40-digit context
     except (InvalidOperation, DecimalOverflow, DecimalDivisionByZero):
         # Non-finite values in the window (possible past an overflow
         # truncation): redo a range index by index, and report an index
@@ -626,9 +662,7 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
         if lo < hi:
             return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
         xs, x0 = _sample_x(eq, x, lo, lo + 4, float)
-        t = staircase(eq, xs, x0, lo, lo + 4)[3]
-        f = forcing_f[0]
-        return [((t[1] - t[0]) + f, max(abs(t[1]), abs(t[0]), abs(f)))]
+        return _parts(staircase(eq, xs, x0, lo, lo + 4)[3], forcing_f, float)
 
 
 def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
@@ -638,17 +672,23 @@ def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
 
 def chain_windows(eq: EquationSpec, x: Window) -> tuple[Window, Window, Window, Window]:
     """Materialize (z, y, w, t) over the sub-range of x where they are defined."""
-    lo = x.start + max(eq.delta, 0)
-    hi = x.end - max(-eq.delta, 0)
+    below, above = _chain_reach(eq)
+    lo, hi = x.start + below, x.end - above
     if hi - lo < 3:
         raise ValueError(f"window too short to materialize the chain: z range [{lo}, {hi}]")
     z, y, w, t = staircase(eq, x.values, x.start, lo, hi)
     return Window(lo, z), Window(lo, y), Window(lo, w), Window(lo, t)
 
 
+def _chain_reach(eq: EquationSpec) -> tuple[int, int]:
+    """How far below and above j the chain at j reads x: z_j = x_j + p_j * x_{j-delta}."""
+    return max(eq.delta, 0), max(-eq.delta, 0)
+
+
 def _residual_reach(eq: EquationSpec) -> tuple[int, int]:
     """How far below and above n the residual at n reads x: z on [n, n+4] and x_{n-tau}."""
-    return max(eq.delta, 0, eq.tau), max(4 + max(-eq.delta, 0), -eq.tau)
+    below, above = _chain_reach(eq)
+    return max(below, eq.tau), max(4 + above, -eq.tau)
 
 
 def residual_range(eq: EquationSpec, x: Window) -> range:
@@ -665,8 +705,8 @@ def residual_reads(eq: EquationSpec, indices: range) -> range:
 
 def relative_residuals(eq: EquationSpec, x: Evaluator, indices: range) -> list[float]:
     """The relative residual |r| / scale at each index of a step-1 range (0 for an exact zero, inf for a
-    non-zero residual over a zero scale).  One decimal staircase serves RESIDUAL_BLOCK indices, and each
-    value equals that of a one-index range."""
+    non-zero residual over a zero scale).  One staircase serves RESIDUAL_BLOCK indices, and each value
+    equals that of a one-index range."""
     return [abs(r) / scale if scale else (0.0 if r == 0.0 else math.inf) for lo in indices[::RESIDUAL_BLOCK]
             for r, scale in _residual_parts(eq, x, lo, min(lo + RESIDUAL_BLOCK, indices.stop) - 1)]
 

@@ -543,6 +543,17 @@ class TestChunkedSeriesProbe:
         assert probe.status is SeriesStatus.DIVERGENT
         assert probe.terms_summed == 101
 
+    def test_a_chunk_that_raises_evaluates_each_index_once(self, monkeypatch):
+        # the base is positive to n = 99 and -1 from 100: the chunk [64, 192) reads 64..100 once, and the
+        # reader meets a(100)'s error where the per-term loop would
+        calls = []
+        at = Table.at
+        monkeypatch.setattr(Table, "at", lambda seq, n: calls.append(n) or at(seq, n))
+        terms = analysis._ReciprocalPower(Table((1.0,) * 100 + (-1.0,), 0, "hold-last"), OddRatio(1), "a", 0)
+        with pytest.raises(qd.SequenceDomainError, match=r"^nonpositive coefficient a\(100\) = -1.0$"):
+            check_series_divergence(terms, 0, 1000)
+        assert calls == list(range(64, 101))
+
     def test_nan_inside_a_chunk_stops_at_the_nan(self):
         probe = check_series_divergence(_NAN_AT_100, 0, 1000)
         assert probe.status is SeriesStatus.UNDETERMINED

@@ -1,9 +1,11 @@
-"""The staircase kernel and the block-wise 40-digit residual built on it."""
+"""The staircase kernel and the block-wise residual built on it: exact for unit exponents, else 40-digit."""
 
+import dataclasses
 import json
 import math
 import random
 from decimal import Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -130,9 +132,22 @@ def reference_staircase(eq, xs, x0, lo, hi, num=float, power=model._xpow):
 
 
 def reference_parts(eq, x, lo, hi):
-    """model._residual_parts with every x, coefficient and tail value read and computed index by index."""
+    """model._residual_parts with every x, coefficient and tail value read and computed index by index: for
+    unit exponents in Fractions, where every value the range reads is finite and every result a double."""
     forcing_f = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in range(lo, hi + 1)]
     x0 = lo - max(eq.delta, 0)
+    if eq.alpha == eq.beta == eq.gamma == qd.OddRatio(1):
+        xs = [float(x(m)) for m in range(x0, hi + 5 + max(-eq.delta, 0))]
+        read = [[seq.at(n) for n in range(lo, hi + 5 - k)] for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]
+        if all(map(math.isfinite, [*xs, *forcing_f, *(v for column in read for v in column)])):
+            t = reference_staircase(eq, list(map(Fraction, xs)), x0, lo, hi + 4, Fraction, lambda v, e: v)[3]
+            try:
+                return [(float(t[i + 1] - t[i] + Fraction(f)), float(max(abs(t[i + 1]), abs(t[i]), abs(Fraction(f)))))
+                        for i, f in enumerate(forcing_f)]
+            except OverflowError:  # a result beyond the double range
+                pass
+        if lo < hi:
+            return [part for n in range(lo, hi + 1) for part in reference_parts(eq, x, n, n)]
     try:
         with localcontext() as ctx:
             ctx.prec = 40
@@ -172,11 +187,13 @@ COEFFICIENTS = st.one_of(sequences, st.builds(qd.Constant, st.floats(0.5, 3.0)),
 
 
 @st.composite
-def staircase_problems(draw, x_values=ANY_X):
-    """An unvalidated stand-in equation with random coefficient trees, and x over the indices z reads."""
+def staircase_problems(draw, x_values=ANY_X, unit=st.just(False)):
+    """An unvalidated stand-in equation with random coefficient trees, and x over the indices z reads; all
+    three exponents are 1 where `unit` draws True."""
+    exponents = [qd.OddRatio(1)] * 3 if draw(unit) else [draw(ODD_RATIOS) for _ in range(3)]
     eq = SimpleNamespace(p=draw(sequences), a=draw(COEFFICIENTS), b=draw(COEFFICIENTS), c=draw(COEFFICIENTS),
                          d=draw(COEFFICIENTS), f=qd.OddPowerMap(1.0, draw(ODD_RATIOS)),
-                         alpha=draw(ODD_RATIOS), beta=draw(ODD_RATIOS), gamma=draw(ODD_RATIOS),
+                         alpha=exponents[0], beta=exponents[1], gamma=exponents[2],
                          delta=draw(st.integers(-2, 3)), tau=draw(st.integers(-3, 3)))
     lo = draw(st.integers(-3, 12))
     hi = lo + draw(st.integers(3, 30))
@@ -201,14 +218,73 @@ def test_columns_equal_the_per_index_formula_in_both_number_types(problem):
             shown(lambda: reference_staircase(eq, ds, x0, lo, hi, Decimal, model._dec_spow))
 
 
-@given(staircase_problems(st.one_of(st.just(-0.0), FINITE_X)), st.booleans())
-@settings(max_examples=150, deadline=None)
+@given(staircase_problems(st.one_of(st.just(-0.0), FINITE_X), unit=st.booleans()), st.booleans())
+@settings(max_examples=200, deadline=None)
 def test_residual_parts_equal_the_per_index_formula(problem, callable_x):
-    # f(inf) raises, so x stays finite here; the coefficients still reach inf, NaN and failures
+    # f(inf) raises, so x stays finite here; the coefficients still reach inf, NaN and failures.  Half the
+    # problems have unit exponents, whose ranges are exact unless an input is not finite.
     eq, x, lo, hi = problem
     if callable_x:
         x = x.__call__  # not a Window: read one index at a time
     assert shown(lambda: [model._residual_parts(eq, x, lo, hi)]) == shown(lambda: [reference_parts(eq, x, lo, hi)])
+
+
+@given(st.lists(FINITE_X, min_size=48, max_size=48), st.integers(10, 20), st.integers(28, 36))
+@settings(max_examples=100, deadline=None)
+def test_a_block_with_an_infinite_coefficient_equals_its_one_index_values(xs, flat_at, steep_at):
+    # a is inf at flat_at and at steep_at.  With p = 0, t = a * D^3 x: x is flat around flat_at, so
+    # D^3 x = 0 there, and D^3 x = 1 at steep_at.  The block is redone index by index: exactly where no inf
+    # is read, in 40 digits where a(steep_at) * 1 is an inf, and in the float chain where the decimal chain
+    # meets a(flat_at) * 0.
+    xs[flat_at - 6:flat_at + 6] = [0.5] * 12
+    xs[steep_at:steep_at + 4] = [0.0, 0.0, 0.0, 1.0]
+    a = qd.Table(tuple(math.inf if n in (flat_at, steep_at) else 1.0 for n in range(48)), 0, "hold-last")
+    eq = plain_equation(a=a)
+    x = qd.Window(0, tuple(xs))
+    indices = qd.residual_range(eq, x)
+    got = model._residual_parts(eq, x, indices.start, indices.stop - 1)
+    assert [repr(part) for part in got] == \
+        [repr(part) for n in indices for part in model._residual_parts(eq, x, n, n)] == \
+        [repr(part) for part in reference_parts(eq, x, indices.start, indices.stop - 1)]
+    residuals = [r for r, _ in got]
+    assert math.isnan(residuals[flat_at - 1 - indices.start]) and math.isnan(residuals[flat_at - indices.start])
+    assert math.isinf(residuals[steep_at - 1 - indices.start]) and math.isinf(residuals[steep_at - indices.start])
+    exact = [n for n, r in zip(indices, residuals) if math.isfinite(r)]
+    assert exact == [n for n in indices if not {n, n + 1} & {flat_at, steep_at}]
+
+
+def test_a_block_that_is_not_exact_is_redone_index_by_index():
+    # x = 2^-n solves the inverse fixture exactly; c(150) = inf sends the block [100, 355] index by index,
+    # where every index that does not read it is exact.  A 40-digit block would succeed here (inf * a
+    # non-zero D z is an inf, and no inf - inf follows), and would leave residuals near 1e-39.
+    eq, form = inverse_fixture()
+    eq = dataclasses.replace(eq, c=qd.Table(tuple(math.inf if n == 150 else 1.0 for n in range(400)), 0, "hold-last"))
+    indices = range(100, 100 + RESIDUAL_BLOCK)
+    reads = model.residual_reads(eq, indices)
+    x = qd.Window.from_evaluator(form, reads.start, reads.stop - 1)
+    rels = model.relative_residuals(eq, x, indices)
+    assert [r.hex() for r in rels] == [qd.relative_residual(eq, x, n).hex() for n in indices]
+    assert [n for n, r in zip(indices, rels) if r != 0.0] == [147, 148, 149, 150]
+
+
+@pytest.mark.parametrize("beta", ["3/1", "5/3"])
+def test_non_unit_exponents_keep_the_decimal_residual(beta):
+    # examples 1 and 2 at beta 3/1 and 5/3 on their closed forms, bit for bit the 40-digit reference
+    for name in ("example-1", "example-2"):
+        eq = qd.example_equation(name, beta=beta)
+        indices = range(eq.n0, eq.n0 + 300)
+        reads = model.residual_reads(eq, indices)
+        x = qd.Window.from_evaluator(qd.example_closed_form(name), reads.start, reads.stop - 1)
+        for lo in indices[::RESIDUAL_BLOCK]:
+            hi = min(lo + RESIDUAL_BLOCK, indices.stop) - 1
+            assert [repr(part) for part in model._residual_parts(eq, x, lo, hi)] == \
+                [repr(part) for part in reference_parts(eq, x, lo, hi)]
+
+
+def test_verify_example_3_has_an_exact_zero_residual(capsys):
+    # x = -2^-n solves example 3 exactly, and its unit-exponent residual is computed without rounding
+    assert main(["verify", "example-3", "--horizon", "1000"]) == 0
+    assert "  max relative residual: 0.000e+00 at n = 2\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("inf_at, raised", [(7, InvalidOperation), (9, model.SequenceDomainError),

@@ -367,8 +367,8 @@ def test_sign_from(seq, n0, sign):
 def test_building_a_proved_equation_scans_no_sample(monkeypatch):
     reads = []  # (sequence, first index, count) of every block and every at() of a sequence kind
     block = model._Blocks.block
-    monkeypatch.setattr(model._Blocks, "block", lambda seq, start, count: reads.append((seq, start, count))
-                        or block(seq, start, count))
+    monkeypatch.setattr(model._Blocks, "block", lambda seq, start, count, *done: reads.append((seq, start, count))
+                        or block(seq, start, count, *done))
     for kind in (Constant, Geometric, Affine, PowerLaw, Table, Combine, SignedPower):
         monkeypatch.setattr(kind, "at", lambda seq, n, at=kind.at: reads.append((seq, n, 1)) or at(seq, n))
     eq = examples.example_equation("example-3")  # a = n, b = c = 1, d = 1 - n and p = 1/4 are proved from n0 = 2
