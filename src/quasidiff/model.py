@@ -633,20 +633,21 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
                          map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
     if eq.alpha == eq.beta == eq.gamma == OddRatio(1):  # integers on one power-of-two scale per column
-        (xs, x0), count = _sample_x(eq, x, lo, hi + 4, float), hi - lo + 5  # z on [lo, hi + 4]
+        xs, x0 = _sample_x(eq, x, lo, hi + 4, float)
+        count = hi - lo + 5  # z on [lo, hi + 4]
         reads = [[seq.at(lo)] if isinstance(seq, Constant) else list(seq.read(lo, count - k))
                  for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]  # every column is read before any converts
         try:  # as_integer_ratio raises for inf and NaN, and int / int (correctly rounded) beyond the double range
             (xm, s), *columns, (fm, fs) = map(_binary, (xs, *reads, forcing_f))
             (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
             z = list(map(operator.add, map(operator.lshift, xm[lo - x0:lo - x0 + count], repeat(ps)),
-                         map(operator.mul, pm, xm[lo - eq.delta - x0:])))  # x_j + p_j x_{j-delta}, to x_j's end
+                         map(operator.mul, pm, xm[lo - eq.delta - x0:])))  # x_j + p_j x_{j-delta}, count of them
             for m, ms in steps:  # y = c * D z, w = b * D y, t = a * D w: each product adds its column's scale
                 z = list(map(operator.mul, m, map(operator.sub, z[1:], z)))
                 s += ms
             top = max(s + ps, fs)
             return _parts([v << top - s - ps for v in z], [v << top - fs for v in fm], (1 << top).__rtruediv__)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError):  # a range is redone index by index; one index goes on in 40 digits
             if lo < hi:
                 return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
     try:
