@@ -17,7 +17,10 @@ Last come almost-oscillation reports of example 2 whose settled d series
 trips just past, at and before the horizon, or never, one long
 certificate run (400 windows on example 3), runs through the --delta and
 --perturb-d overrides, a classify --solve from a zero seed (the
-degenerate-zero note), and one usage error (exit 2) per command.
+degenerate-zero note), and one usage error (exit 2) per command.  Two runs
+close the corpus whose coefficient 1e10^n leaves the double range, so that
+the residual meets inputs that are not finite: a verify on example 3 with
+that a, and a solve on example 2 at beta 5/3 with that b.
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -44,6 +47,7 @@ import sys
 import tempfile
 
 from quasidiff.cli import main
+from quasidiff.examples import example_document
 
 EXAMPLES = ("example-1", "example-2", "example-3", "example-4")
 BETAS = ("1/1", "3/5")
@@ -97,9 +101,17 @@ SIGN_BREAK_SEED = "0.5,0.6,0.7,0.8,0.9,1.0"
 # after it; at beta 3/1 they pass it at term 3,907, and at beta 1/3 never.
 SETTLED_SERIES = (("1/1", (62_499, 62_500, 62_501)), ("3/1", (100_000,)), ("1/3", (100_000,)))
 
+# A coefficient of 1e10^n is inf from n = 31 on, so the residual meets inputs that are not finite: on
+# example-3's unit exponents a block redone index by index, then one index that runs in 40 digits and meets
+# inf - inf or inf * 0; on example-2 at beta 5/3 a 40-digit block that meets them.
+STEEP = {"kind": "geometric", "scale": 1, "ratio": 1e10}
+STEEP_A_DOCUMENT = {**example_document("example-3"), "a": STEEP}
+STEEP_B_DOCUMENT = {**example_document("example-2", beta="5/3"), "b": STEEP}
+
 DOCUMENTS = {INVERSE_PATH: INVERSE_DOCUMENT, "fractional.json": FRACTIONAL_DOCUMENT,
              "fading-d.json": FADING_D_DOCUMENT, "pivot.json": PIVOT_DOCUMENT,
-             "sign-break.json": SIGN_BREAK_DOCUMENT}
+             "sign-break.json": SIGN_BREAK_DOCUMENT, "steep-a.json": STEEP_A_DOCUMENT,
+             "steep-b.json": STEEP_B_DOCUMENT}
 
 
 def corpus() -> list[list[str]]:
@@ -155,6 +167,8 @@ def corpus() -> list[list[str]]:
              ["classify", "example-3", "--horizon", "4"],
              ["solve", "example-3", "--seed-values", "1,2"],
              ["check", "example-3", "--certificate", "--windows", "0"]]
+    runs += [["verify", "steep-a.json", "--horizon", "60", "--closed-form", "geometric:1,0.5"],
+             ["solve", "steep-b.json", "--horizon", "300", "--seed-values", "1,-1,1,-1,1,-1"]]
     return runs
 
 
