@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, getcontext, localcontext
-from decimal import DivisionByZero as DecimalDivisionByZero, Overflow as DecimalOverflow
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from itertools import chain, repeat
 from typing import Callable, Union
 
@@ -602,6 +601,8 @@ def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -
 
 
 RESIDUAL_BLOCK = 256
+# The residual's 40 digits, whatever the caller's context: the rounding is fixed, and nothing traps.
+_DIGITS40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
 
 
 def _binary(vals) -> tuple[list[int], int]:
@@ -626,9 +627,10 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     the coefficients and the float forcing) are doubles, so with unit
     exponents every node is exact in integers and each result rounds once.
     Other exponents, or a range with an input that is not finite or a result
-    beyond the double range (redone index by index), run in 40 digits.  Each
-    node is the same operation on the same inputs as in a one-index call, so
-    the results do not depend on the range.
+    beyond the double range (redone index by index), run in 40 digits under
+    their own untrapped context, where inf - inf and inf * 0 are NaN and an
+    overflow is an inf.  Each node is the same operation on the same inputs
+    as in a one-index call, so the results do not depend on the range.
     """
     forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
                          map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
@@ -650,20 +652,10 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
         except (ValueError, OverflowError):  # a range is redone index by index; one index goes on in 40 digits
             if lo < hi:
                 return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
-    try:
-        with localcontext() as ctx:
-            ctx.prec = 40
-            xs, x0 = _sample_x(eq, x, lo, hi + 4, Decimal)
-            t = staircase(eq, xs, x0, lo, hi + 4, Decimal, _dec_spow)[3]
-            return _parts(t, list(map(Decimal, forcing_f)), float)  # consumed under the 40-digit context
-    except (InvalidOperation, DecimalOverflow, DecimalDivisionByZero):
-        # Non-finite values in the window (possible past an overflow
-        # truncation): redo a range index by index, and report an index
-        # through the totalized float chain.
-        if lo < hi:
-            return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
-        xs, x0 = _sample_x(eq, x, lo, lo + 4, float)
-        return _parts(staircase(eq, xs, x0, lo, lo + 4)[3], forcing_f, float)
+    with localcontext(_DIGITS40):
+        xs, x0 = _sample_x(eq, x, lo, hi + 4, Decimal)
+        t = staircase(eq, xs, x0, lo, hi + 4, Decimal, _dec_spow)[3]
+        return _parts(t, list(map(Decimal, forcing_f)), float)  # consumed under the 40-digit context
 
 
 def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:

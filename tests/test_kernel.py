@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import random
-from decimal import Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +17,9 @@ from quasidiff import model
 from quasidiff.cli import main
 from quasidiff.model import RESIDUAL_BLOCK, staircase
 from support import SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences
+
+# The residual's 40 digits: inf - inf and inf * 0 are NaN, and an overflow is an inf, as nothing traps.
+UNTRAPPED_40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
 
 
 def per_index_max(eq, x):
@@ -48,8 +51,8 @@ def test_block_residual_on_a_solved_window():
 
 
 def test_block_falls_back_index_by_index(monkeypatch):
-    # a = 2^n is infinite from n = 1024; with a near-constant x the decimal
-    # chain meets inf * 0 there and raises InvalidOperation for the block.
+    # a = 2^n is infinite from n = 1024, which the exact integers of the
+    # unit-exponent path cannot hold: a block that reads it is redone.
     eq = plain_equation(a=qd.Geometric(1.0, 2.0))
     x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1300)
     calls = []
@@ -94,14 +97,15 @@ def test_verify_report_residuals_equal_one_index_calls(name, beta, tmp_path):
         [qd.relative_residual(eq, form, n).hex() for n in indices]
 
 
-def test_fallback_index_uses_float_chain():
-    # past n = 1024 the decimal chain of a single index raises too, and the
-    # residual is the totalized float chain's D t_n + d_n f(x_{n-tau})
+def test_fallback_index_uses_the_untrapped_40_digit_chain():
+    # past n = 1024 a single index leaves the exact path too, and its residual
+    # is the 40-digit chain's D t_n + d_n f(x_{n-tau}), where a(n) * 0 is a NaN
     eq = plain_equation(a=qd.Geometric(1.0, 2.0))
     x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 1000, 1100)
     for n in range(1024, 1034):
-        t = staircase(eq, list(x.values), x.start, n, n + 4)[3]
-        expected = (t[1] - t[0]) + eq.d.at(n) * eq.f.apply(x(n - eq.tau))
+        with localcontext(UNTRAPPED_40):
+            t = staircase(eq, list(map(Decimal, x.values)), x.start, n, n + 4, Decimal, model._dec_spow)[3]
+            expected = float(t[1] - t[0] + Decimal(eq.d.at(n) * eq.f.apply(x(n - eq.tau))))
         assert repr(model._residual_parts(eq, x, n, n)[0][0]) == repr(expected)
 
 
@@ -133,7 +137,8 @@ def reference_staircase(eq, xs, x0, lo, hi, num=float, power=model._xpow):
 
 def reference_parts(eq, x, lo, hi):
     """model._residual_parts with every x, coefficient and tail value read and computed index by index: for
-    unit exponents in Fractions, where every value the range reads is finite and every result a double."""
+    unit exponents in Fractions, where every value the range reads is finite and every result a double, else
+    in 40 digits under an untrapped context of its own."""
     forcing_f = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in range(lo, hi + 1)]
     x0 = lo - max(eq.delta, 0)
     if eq.alpha == eq.beta == eq.gamma == qd.OddRatio(1):
@@ -148,25 +153,16 @@ def reference_parts(eq, x, lo, hi):
                 pass
         if lo < hi:
             return [part for n in range(lo, hi + 1) for part in reference_parts(eq, x, n, n)]
-    try:
-        with localcontext() as ctx:
-            ctx.prec = 40
-            xs = [Decimal(float(x(m))) for m in range(x0, hi + 5 + max(-eq.delta, 0))]
-            t = reference_staircase(eq, xs, x0, lo, hi + 4, Decimal, model._dec_spow)[3]
-            parts = []
-            for i, f in enumerate(forcing_f):
-                forcing = Decimal(f)
-                r = t[i + 1] - t[i] + forcing
-                scale = max(abs(t[i + 1]), abs(t[i]), abs(forcing))
-                parts.append((float(r), float(scale)))
-            return parts
-    except (InvalidOperation, Overflow, DivisionByZero):
-        if lo < hi:
-            return [part for n in range(lo, hi + 1) for part in reference_parts(eq, x, n, n)]
-        xs = [float(x(m)) for m in range(x0, lo + 5 + max(-eq.delta, 0))]
-        t = reference_staircase(eq, xs, x0, lo, lo + 4)[3]
-        f = forcing_f[0]
-        return [((t[1] - t[0]) + f, max(abs(t[1]), abs(t[0]), abs(f)))]
+    with localcontext(UNTRAPPED_40):
+        xs = [Decimal(float(x(m))) for m in range(x0, hi + 5 + max(-eq.delta, 0))]
+        t = reference_staircase(eq, xs, x0, lo, hi + 4, Decimal, model._dec_spow)[3]
+        parts = []
+        for i, f in enumerate(forcing_f):
+            forcing = Decimal(f)
+            r = t[i + 1] - t[i] + forcing
+            scale = max(abs(t[i + 1]), abs(t[i]), abs(forcing))
+            parts.append((float(r), float(scale)))
+        return parts
 
 
 def shown(fn, show=repr):
@@ -234,8 +230,7 @@ def test_residual_parts_equal_the_per_index_formula(problem, callable_x):
 def test_a_block_with_an_infinite_coefficient_equals_its_one_index_values(xs, flat_at, steep_at):
     # a is inf at flat_at and at steep_at.  With p = 0, t = a * D^3 x: x is flat around flat_at, so
     # D^3 x = 0 there, and D^3 x = 1 at steep_at.  The block is redone index by index: exactly where no inf
-    # is read, in 40 digits where a(steep_at) * 1 is an inf, and in the float chain where the decimal chain
-    # meets a(flat_at) * 0.
+    # is read, else in 40 digits, where a(steep_at) * 1 is an inf and a(flat_at) * 0 a NaN.
     xs[flat_at - 6:flat_at + 6] = [0.5] * 12
     xs[steep_at:steep_at + 4] = [0.0, 0.0, 0.0, 1.0]
     a = qd.Table(tuple(math.inf if n in (flat_at, steep_at) else 1.0 for n in range(48)), 0, "hold-last")
@@ -251,6 +246,30 @@ def test_a_block_with_an_infinite_coefficient_equals_its_one_index_values(xs, fl
     assert math.isinf(residuals[steep_at - 1 - indices.start]) and math.isinf(residuals[steep_at - indices.start])
     exact = [n for n, r in zip(indices, residuals) if math.isfinite(r)]
     assert exact == [n for n in indices if not {n, n + 1} & {flat_at, steep_at}]
+
+
+def test_a_non_unit_block_with_an_infinite_coefficient_is_one_call(monkeypatch):
+    # beta = 3 keeps the block in 40 digits, where a(20) * D w = inf * 0 on the flat stretch of x is a NaN,
+    # not a signal: nothing is redone, and each index reads what a one-index call does.
+    xs = [math.sin(n) for n in range(48)]
+    xs[14:26] = [0.5] * 12
+    a = qd.Table(tuple(math.inf if n == 20 else 1.0 for n in range(48)), 0, "hold-last")
+    eq = plain_equation(beta=qd.OddRatio(3), a=a)
+    x = qd.Window(0, tuple(xs))
+    indices = qd.residual_range(eq, x)
+    calls = []
+    original = model._residual_parts
+
+    def spy(eq_, x_, lo, hi):
+        calls.append((lo, hi))
+        return original(eq_, x_, lo, hi)
+
+    monkeypatch.setattr(model, "_residual_parts", spy)
+    got = model.relative_residuals(eq, x, indices)
+    monkeypatch.undo()
+    assert calls == [(indices.start, indices.stop - 1)]
+    assert [r.hex() for r in got] == [qd.relative_residual(eq, x, n).hex() for n in indices]
+    assert [n for n, r in zip(indices, got) if math.isnan(r)] == [19, 20]
 
 
 def test_a_block_that_is_not_exact_is_redone_index_by_index():
@@ -308,15 +327,16 @@ def test_failing_coefficient_raises_where_the_per_index_loop_does(inf_at, raised
 
 @pytest.mark.parametrize("name, beta", [("example-2", "5/3"), ("example-4", "1/1"), ("example-1", "3/5")])
 def test_residuals_do_not_depend_on_the_callers_context(name, beta):
-    # every map is consumed inside the 40-digit context, none at the caller's 10 digits
+    # every map is consumed inside the residual's own 40-digit context: none at the caller's 10 digits, none
+    # rounded toward -inf, and none raises where the caller traps an inexact result
     eq = qd.example_equation(name, beta=beta)
     indices = range(eq.n0, eq.n0 + 300)
     reads = model.residual_reads(eq, indices)
     x = qd.Window.from_evaluator(qd.example_closed_form(name), reads.start, reads.stop - 1)
     expected = [r.hex() for r in model.relative_residuals(eq, x, indices)]
-    with localcontext() as ctx:
-        ctx.prec = 10
-        assert [r.hex() for r in model.relative_residuals(eq, x, indices)] == expected
+    for caller in (Context(prec=10), Context(rounding=ROUND_FLOOR), Context(traps=[Inexact])):
+        with localcontext(caller):
+            assert [r.hex() for r in model.relative_residuals(eq, x, indices)] == expected, caller
 
 
 def test_one_index_ranges_and_the_fallback_block_equal_the_reference():
