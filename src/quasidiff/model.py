@@ -237,31 +237,27 @@ class Combine(_Blocks):
     def __post_init__(self) -> None:
         if self.op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown combination op {self.op!r}")
+        # One operator function for at, blocks and the settled value: a C call, which CPython never specializes,
+        # so two NaN operands give one result (inline float ops may carry either NaN, depending on the site).
+        object.__setattr__(self, "_apply", self._OPERATORS[self.op])
         los = [lo for lo in (self.left.min_index, self.right.min_index) if lo is not None]
         object.__setattr__(self, "min_index", max(los) if los else None)  # from the children's, without a walk
         self._set_settled()
 
     def at(self, n: int) -> float:
-        lv = self.left.at(n)
-        rv = self.right.at(n)
-        if self.op == "+":
-            return lv + rv
-        if self.op == "-":
-            return lv - rv
-        if self.op == "*":
-            return lv * rv
+        lv, rv = self.left.at(n), self.right.at(n)
         try:
-            return lv / rv
+            return self._apply(lv, rv)
         except ZeroDivisionError:
             raise SequenceDomainError(f"division by zero at n = {n}", index=n) from None
 
     def _fast(self, start: int, count: int) -> list[float]:
-        return list(map(self._OPERATORS[self.op], self.left.block(start, count), self.right.block(start, count)))
+        return list(map(self._apply, self.left.block(start, count), self.right.block(start, count)))
 
     def _settle(self) -> tuple[float, float] | None:
         left, right = self.left.settled, self.right.settled
         if left is not None and right is not None:  # as at() combines the values; '/' by zero raises
-            return max(left[0], right[0]), self._OPERATORS[self.op](left[1], right[1])
+            return max(left[0], right[0]), self._apply(left[1], right[1])
         if self.op in "+-" and left is not None:
             return _absorbed(left, self.right, 1.0)
         if self.op in "+-" and right is not None:

@@ -117,6 +117,15 @@ def test_combine_division_by_zero():
         seq.at(0)
 
 
+def test_combine_of_two_nans_is_one_value():
+    # -inf * 0.0 is a NaN with the sign bit set, Constant(nan) one without; the unit power maps a NaN's sign
+    # to +-inf, so every read of n = 0 must carry the same NaN
+    seq = SignedPower(Combine("*", Affine(-math.inf, -9e-209), Constant(math.nan)), OddRatio(1))
+    reads = {seq.at(0) for _ in range(20)}
+    assert len(reads) == 1
+    assert seq.block(0, 3) == [seq.at(n) for n in range(3)]
+
+
 def test_combine_rejects_unknown_op():
     with pytest.raises(ValueError):
         Combine("%", Constant(1.0), Constant(1.0))
