@@ -392,8 +392,7 @@ def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, list[str],
     p_limit, _, stable = p_tail(eq, horizon)
     if not stable:
         raise HypothesisViolation(f"p does not stabilize over horizon {horizon}; cannot estimate its limit")
-    startup = traj.x.slice(eq.n0, eq.n0 + eq.delta + 1)
-    cert = companion_bound_certificate(z, eq.p, p_limit, eq.delta, eq.n0, startup)
+    cert = companion_bound_certificate(z, eq.p, p_limit, eq.delta, eq.n0, traj.x)
     lines = [f"companion bound certificate: {'valid' if cert.valid else 'NOT VALID'}",
              f"  K = {cert.K:.6g}, L = {cert.L:.6g}, P = {cert.P:.6g}",
              f"  bound K + L/(1-P) = {cert.bound:.6g}, max |x| observed = {cert.max_abs_x:.6g}"]

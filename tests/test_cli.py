@@ -719,6 +719,14 @@ def test_check_bound_certificate(capsys):
     assert "valid" in out
 
 
+@pytest.mark.parametrize("delta", [-2, -1, 0])
+def test_check_bound_names_its_delta_precondition(delta, capsys):
+    # x is reconstructed from z_n = x_n + p_n x_{n-delta}, which needs delta >= 1
+    code, out, err = run(["check", "example-4", "--bound", f"--delta={delta}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: bound reconstruction needs delta >= 1, got {delta}\n"
+
+
 def test_beta_on_file_document_rejected(tmp_path, capsys):
     path = tmp_path / "eq.json"
     path.write_text(json.dumps(qd.example_document("example-2")))
