@@ -55,11 +55,6 @@ class Window:
     def items(self) -> Iterator[tuple[int, float]]:
         return ((self.start + i, v) for i, v in enumerate(self.values))
 
-    def slice(self, lo: int, hi: int) -> "Window":
-        if not self.covers(lo, hi):
-            raise WindowIndexError(lo if lo < self.start else hi, self.start, self.end)
-        return Window(lo, self.values[lo - self.start : hi - self.start + 1])
-
     def suffix(self, count: int) -> "Window":
         count = max(1, min(count, len(self.values)))
         return Window(self.end - count + 1, self.values[-count:])

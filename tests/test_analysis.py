@@ -328,8 +328,7 @@ class TestCompanionBound:
     def test_zero_p_reconstruction_equals_z(self):
         rng = random.Random(21)
         z = Window(1, tuple(rng.uniform(-1, 1) for _ in range(80)))
-        startup = z.slice(1, 3)  # with p = 0, x coincides with z
-        cert = companion_bound_certificate(z, Constant(0.0), 0.0, 1, 1, startup)
+        cert = companion_bound_certificate(z, Constant(0.0), 0.0, 1, 1, z)  # with p = 0, x coincides with z
         assert cert.P == 0.5
         assert cert.bound == pytest.approx(cert.K + 2 * cert.L)
         assert cert.valid

@@ -48,9 +48,8 @@ class TestWindow:
             w[7]
         assert err.value.index == 7
 
-    def test_slice_and_suffix(self):
+    def test_suffix(self):
         w = Window(0, tuple(float(i) for i in range(10)))
-        assert w.slice(2, 4).values == (2.0, 3.0, 4.0)
         s = w.suffix(3)
         assert s.start == 7 and s.values == (7.0, 8.0, 9.0)
 
