@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
+from functools import reduce
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from typing import Callable, Union
 
 from .errors import SequenceDomainError
@@ -505,11 +507,10 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for an integer n >= 1, by Newton's method from above.
 
-    The float seed is only a starting point: the caller scales n so that
-    its root has the context's precision plus two digits, about 1e42, and
-    exp(log(n) / k) is then within a relative 1e-13 of the root, so the
-    2**-40 margin puts the seed above it.  From above, the integer Newton
-    steps decrease to the floor of the root and stop there.
+    The float seed is only a starting point: both callers scale n so that its root has 136 to 145 bits
+    (`_dec_root_pow` 42 digits, `_root_pow` 144 or 145 bits), and exp(log(n) / k) is then within a
+    relative 1e-13 of the root, so the 2**-40 margin puts the seed above it.  From above, the integer
+    Newton steps decrease to the floor of the root and stop there.
     """
     x = int(math.exp(math.log(n) / k) * (1 + 2.0 ** -40)) + 1
     while True:
@@ -590,13 +591,8 @@ def _x_values(x: Evaluator, lo: int, hi: int):
     return map(x, range(lo, hi + 1))
 
 
-def _sample_x(eq: EquationSpec, x: Evaluator, lo: int, hi: int, num: Callable) -> tuple[list, int]:
-    """(x converted by num over the indices z on [lo, hi] reads, the first of those indices)."""
-    below, above = _chain_reach(eq)
-    return list(map(num, map(float, _x_values(x, lo - below, hi + above)))), lo - below
-
-
 RESIDUAL_BLOCK = 256
+RESIDUAL_WIDTH = 8192  # bits: a block with a wider column is halved; the benchmark and the corpus reach 3,342
 # The residual's 40 digits, whatever the caller's context: the rounding is fixed, and nothing traps.
 _DIGITS40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
 
@@ -606,6 +602,33 @@ def _binary(vals) -> tuple[list[int], int]:
     nums, dens = zip(*map(float.as_integer_ratio, map(float, vals)))
     s = max(dens).bit_length()  # each den is a power of two
     return list(map(operator.lshift, nums, map(s.__sub__, map(int.bit_length, dens)))), s - 1
+
+
+def _root_pow(v: int, s: int, m: int, k: int) -> tuple[int, int]:
+    """(r, q) with r * 2**q the signed power (v / 2**s) ** (m/k) of v != 0, rounded to odd at 144 or 145 bits,
+    from the value alone: |v| cut to 152 bits (what is cut off sets a sticky last bit) is raised to m, and
+    `_iroot` takes the k-th root of that power shifted to k*144 bits or up to k - 1 more (sticky again)."""
+    mag = abs(v)
+    cut = mag.bit_length() - 152
+    head = mag >> cut | (mag & ((1 << cut) - 1) != 0) if cut > 0 else mag << -cut
+    power, e = head ** m, (cut - s) * m  # |v / 2**s| ** m = power * 2**e, up to the sticky bit
+    q = (e + power.bit_length()) // k - 144
+    n, rest = (power << e - k * q, 0) if e >= k * q else divmod(power, 1 << k * q - e)
+    r = _iroot(n, k)
+    r |= bool(rest or r ** k != n)  # between r and r + 1: the odd one of the two
+    return (r if v > 0 else -r), q
+
+
+def _int_powers(diffs: list[int], s: int, e: OddRatio) -> tuple[list[int], int]:
+    """(the signed powers of diffs[i] / 2**s as integers over 2**s', s'): exact for an integer exponent, else
+    each by `_root_pow`, then shifted to the smallest scale of them; one power per distinct value."""
+    m, k = e.numerator, e.denominator
+    if m == k:
+        return diffs, s
+    roots = {v: (v ** m, -s * m) if k == 1 else _root_pow(v, s, m, k) for v in set(diffs) if v}
+    s = -min((q for _, q in roots.values()), default=0)
+    powers = {0: 0, **{v: r << q + s for v, (r, q) in roots.items()}}
+    return list(map(powers.__getitem__, diffs)), s
 
 
 def _parts(t: list, forcing: list, rounded: Callable) -> list[tuple[float, float]]:
@@ -618,40 +641,57 @@ def _parts(t: list, forcing: list, rounded: Callable) -> list[tuple[float, float
 def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tuple[float, float]]:
     """(residual, scale of the cancelled terms) at each index of [lo, hi].
 
-    The residual subtracts nearly equal t values, whose recomputation noise in
-    doubles the exponents and the differences would amplify.  The inputs (x,
-    the coefficients and the float forcing) are doubles, so with unit
-    exponents every node is exact in integers and each result rounds once.
-    Other exponents, or a range with an input that is not finite or a result
-    beyond the double range (redone index by index), run in 40 digits under
-    their own untrapped context, where inf - inf and inf * 0 are NaN and an
-    overflow is an inf.  Each node is the same operation on the same inputs
-    as in a one-index call, so the results do not depend on the range.
+    The residual subtracts nearly equal t values, whose recomputation noise in doubles the exponents and
+    the differences would amplify.  Its inputs (x, the coefficients and the float forcing) are doubles, so
+    the staircase runs in integers on one power-of-two scale per column, a fractional power rounded once
+    from its value alone, and each result rounds once.  A run of indices that each read a value that is
+    not finite runs in 40 digits, untrapped: inf - inf is NaN, an overflow is an inf.  So no result
+    depends on the range.
     """
     forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
                          map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
-    if eq.alpha == eq.beta == eq.gamma == OddRatio(1):  # integers on one power-of-two scale per column
-        xs, x0 = _sample_x(eq, x, lo, hi + 4, float)
-        count = hi - lo + 5  # z on [lo, hi + 4]
-        reads = [[seq.at(lo)] if isinstance(seq, Constant) else list(seq.read(lo, count - k))
-                 for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]  # every column is read before any converts
-        try:  # as_integer_ratio raises for inf and NaN, and int / int (correctly rounded) beyond the double range
-            (xm, s), *columns, (fm, fs) = map(_binary, (xs, *reads, forcing_f))
-            (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
-            z = list(map(operator.add, map(operator.lshift, xm[lo - x0:lo - x0 + count], repeat(ps)),
-                         map(operator.mul, pm, xm[lo - eq.delta - x0:])))  # x_j + p_j x_{j-delta}, count of them
-            for m, ms in steps:  # y = c * D z, w = b * D y, t = a * D w: each product adds its column's scale
-                z = list(map(operator.mul, m, map(operator.sub, z[1:], z)))
-                s += ms
-            top = max(s + ps, fs)
-            return _parts([v << top - s - ps for v in z], [v << top - fs for v in fm], (1 << top).__rtruediv__)
-        except (ValueError, OverflowError):  # a range is redone index by index; one index goes on in 40 digits
-            if lo < hi:
-                return [part for n in range(lo, hi + 1) for part in _residual_parts(eq, x, n, n)]
-    with localcontext(_DIGITS40):
-        xs, x0 = _sample_x(eq, x, lo, hi + 4, Decimal)
-        t = staircase(eq, xs, x0, lo, hi + 4, Decimal, _dec_spow)[3]
-        return _parts(t, list(map(Decimal, forcing_f)), float)  # consumed under the 40-digit context
+    below, above = _chain_reach(eq)
+    xs = list(map(float, _x_values(x, lo - below, hi + 4 + above)))  # x over the indices z on [lo, hi + 4] reads
+    count = hi - lo + 5
+    reads = [[seq.at(lo)] if isinstance(seq, Constant) else list(seq.read(lo, count - k))
+             for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]  # every column is read before any converts
+    try:  # as_integer_ratio raises for inf and NaN
+        (fm, fs), (xm, s), *columns = map(_binary, (forcing_f, xs, *reads))
+    except (ValueError, OverflowError):  # n reads xs[n - lo + i] for i <= reach, p[n - lo + i] for i <= 4, ...
+        reach, parts, b = len(xs) - (hi - lo + 1), [], lo - 1
+        finite = bytearray(b"\1") * (len(xs) + reach)  # whether n reads only finite values, at n - lo + reach
+        for values, last in ((xs, reach), (forcing_f, 0),
+                             *((r * (count - k) if len(r) == 1 else r, 4 - k) for k, r in enumerate(reads))):
+            for bad in re.finditer(b"\0+", bytes(map(math.isfinite, values))):
+                finite[bad.start() + reach - last:bad.end() + reach] = bytes(bad.end() - bad.start() + last)
+        for run_finite, run in groupby(finite[reach:reach + hi - lo + 1]):
+            a, b = b + 1, b + len(list(run))
+            if run_finite:
+                parts += _residual_parts(eq, x, a, b)
+                continue
+            with localcontext(_DIGITS40):
+                t = staircase(eq, list(map(Decimal, xs[a - lo:b - lo + reach + 1])), a - below, a, b + 4,
+                              Decimal, _dec_spow)[3]
+                parts += _parts(t, list(map(Decimal, forcing_f[a - lo:b - lo + 1])), float)
+        return parts
+    (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
+    z = list(map(operator.add, map(operator.lshift, xm[below:below + count], repeat(ps)),
+                 map(operator.mul, pm, xm[below - eq.delta:])))  # x_j + p_j x_{j-delta}, count of them
+    low = reduce(operator.or_, z)  # the zero bits at the bottom of every z (p's scale can leave many) come off
+    low = (low & -low).bit_length() - 1 if low else 0
+    z, s = list(map(operator.rshift, z, repeat(low))), s + ps - low
+    for (m, ms), e in zip(steps, (eq.gamma, eq.beta, eq.alpha)):  # y = c (D z)^gamma, w = b (D y)^beta, t
+        if lo < hi and max(max(z), -min(z)).bit_length() > RESIDUAL_WIDTH:  # each index as in a one-index call
+            return _residual_parts(eq, x, lo, (lo + hi) // 2) + _residual_parts(eq, x, (lo + hi) // 2 + 1, hi)
+        powers, s = _int_powers(list(map(operator.sub, z[1:], z)), s, e)
+        z, s = list(map(operator.mul, m, powers)), s + ms  # each product adds its column's scale
+    top = max(s, fs)
+    t, forcing, den = [v << top - s for v in z], [v << top - fs for v in fm], 1 << top
+    try:  # int / int is correctly rounded, and raises where that is 2**1024 or more
+        return _parts(t, forcing, den.__rtruediv__)
+    except OverflowError:
+        limit = ((1 << 54) - 1) << 970 + top  # (2**1024 - 2**970) * den: from this tie on, an infinity
+        return _parts(t, forcing, lambda v: v / den if abs(v) < limit else math.inf if v > 0 else -math.inf)
 
 
 def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:

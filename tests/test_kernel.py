@@ -1,4 +1,4 @@
-"""The staircase kernel and the block-wise residual built on it: exact for unit exponents, else 40-digit."""
+"""The staircase kernel and the block-wise residual built on it: integers, and 40 digits where a value is not finite."""
 
 import dataclasses
 import json
@@ -16,7 +16,7 @@ import quasidiff as qd
 from quasidiff import model
 from quasidiff.cli import main
 from quasidiff.model import RESIDUAL_BLOCK, staircase
-from support import SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences
+from support import ARITHMETIC_NAN, SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences
 
 # The residual's 40 digits: inf - inf and inf * 0 are NaN, and an overflow is an inf, as nothing traps.
 UNTRAPPED_40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
@@ -50,27 +50,30 @@ def test_block_residual_on_a_solved_window():
     assert qd.max_relative_residual(eq, traj.x)[0] == per_index_max(eq, traj.x)[0]
 
 
+def spied_calls(monkeypatch, name):
+    """The arguments after the equation of every later call of model.<name>, which still runs."""
+    calls, original = [], getattr(model, name)
+
+    def spy(eq_, *args):
+        calls.append(args)
+        return original(eq_, *args)
+
+    monkeypatch.setattr(model, name, spy)
+    return calls
+
+
 def test_block_falls_back_index_by_index(monkeypatch):
-    # a = 2^n is infinite from n = 1024, which the exact integers of the
-    # unit-exponent path cannot hold: a block that reads it is redone.
+    # a = 2^n is infinite from n = 1024, which integers cannot hold: a block that reads it is cut into the
+    # run of indices that read only finite values, which stays in integers, and the run that reads a(1024),
+    # which runs in 40 digits as one block, as does the last block, every index of which reads it.
     eq = plain_equation(a=qd.Geometric(1.0, 2.0))
     x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1300)
-    calls = []
-    original = model._residual_parts
-
-    def spy(eq_, x_, lo, hi):
-        calls.append((lo, hi))
-        return original(eq_, x_, lo, hi)
-
-    monkeypatch.setattr(model, "_residual_parts", spy)
+    calls = spied_calls(monkeypatch, "_residual_parts")
+    decimal = spied_calls(monkeypatch, "staircase")  # the staircase of a 40-digit run, t on [lo, hi + 4]
     got = qd.max_relative_residual(eq, x)
     monkeypatch.undo()
-    blocks = [c for c in calls if c[1] > c[0]]
-    singles = {c[0] for c in calls if c[1] == c[0]}
-    assert len(blocks) == 3
-    # the first block is finite; the others are redone index by index
-    assert not singles & set(range(*blocks[0]))
-    assert set(range(blocks[1][0], blocks[2][1] + 1)) <= singles
+    assert [(lo, hi) for _, lo, hi in calls] == [(702, 957), (958, 1213), (958, 1022), (1214, 1296)]
+    assert [(lo, hi - 4) for _, _, lo, hi, *_ in decimal] == [(1023, 1213), (1214, 1296)]
     assert got == per_index_max(eq, x)
     assert got[1] is not None and got[1] < 1024
 
@@ -98,7 +101,7 @@ def test_verify_report_residuals_equal_one_index_calls(name, beta, tmp_path):
 
 
 def test_fallback_index_uses_the_untrapped_40_digit_chain():
-    # past n = 1024 a single index leaves the exact path too, and its residual
+    # past n = 1024 a single index reads an infinite a too, and its residual
     # is the 40-digit chain's D t_n + d_n f(x_{n-tau}), where a(n) * 0 is a NaN
     eq = plain_equation(a=qd.Geometric(1.0, 2.0))
     x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 1000, 1100)
@@ -135,34 +138,69 @@ def reference_staircase(eq, xs, x0, lo, hi, num=float, power=model._xpow):
     return z, y, w, difference_column(eq.a, w, eq.alpha)
 
 
+def floor_log2(v: Fraction) -> int:
+    """floor(log2(v)) for a Fraction v > 0."""
+    e = v.numerator.bit_length() - v.denominator.bit_length()
+    return e if Fraction(2) ** e <= v else e - 1
+
+
+def floor_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for an integer n >= 0, one bit at a time."""
+    r = 0
+    for bit in reversed(range(n.bit_length() // k + 1)):
+        if (r | 1 << bit) ** k <= n:
+            r |= 1 << bit
+    return r
+
+
+def binary_power(v: Fraction, e) -> Fraction:
+    """The signed power of the binary residual: v ** m exactly for e = m/1, else |v| rounded to odd at 152
+    bits, raised to m, and its k-th root rounded to odd with its last place at 2**q, where q is chosen so
+    that the root has 144 or 145 bits: q = (floor(log2(power)) + 1) // k - 144."""
+    m, k = e.numerator, e.denominator
+    if v == 0 or k == 1:
+        return v ** m
+    mag = abs(v)
+    place = Fraction(2) ** (floor_log2(mag) - 151)
+    head = math.floor(mag / place)
+    head |= head != mag / place
+    power = (head * place) ** m
+    q = (floor_log2(power) + 1) // k - 144
+    n = power / Fraction(2) ** (k * q)
+    r = floor_root(math.floor(n), k)
+    r |= r ** k != n
+    return (r if v > 0 else -r) * Fraction(2) ** q
+
+
+def rounded(v: Fraction) -> float:
+    """v correctly rounded to a double, an infinity beyond the double range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def reference_parts(eq, x, lo, hi):
-    """model._residual_parts with every x, coefficient and tail value read and computed index by index: for
-    unit exponents in Fractions, where every value the range reads is finite and every result a double, else
-    in 40 digits under an untrapped context of its own."""
+    """model._residual_parts index by index, from the x, coefficient and forcing values read over the whole
+    range first: where every value an index reads is finite, in Fractions with `binary_power`, each
+    result correctly rounded; else in 40 digits under an untrapped context of its own."""
     forcing_f = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in range(lo, hi + 1)]
-    x0 = lo - max(eq.delta, 0)
-    if eq.alpha == eq.beta == eq.gamma == qd.OddRatio(1):
-        xs = [float(x(m)) for m in range(x0, hi + 5 + max(-eq.delta, 0))]
-        read = [[seq.at(n) for n in range(lo, hi + 5 - k)] for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]
-        if all(map(math.isfinite, [*xs, *forcing_f, *(v for column in read for v in column)])):
-            t = reference_staircase(eq, list(map(Fraction, xs)), x0, lo, hi + 4, Fraction, lambda v, e: v)[3]
-            try:
-                return [(float(t[i + 1] - t[i] + Fraction(f)), float(max(abs(t[i + 1]), abs(t[i]), abs(Fraction(f)))))
-                        for i, f in enumerate(forcing_f)]
-            except OverflowError:  # a result beyond the double range
-                pass
-        if lo < hi:
-            return [part for n in range(lo, hi + 1) for part in reference_parts(eq, x, n, n)]
-    with localcontext(UNTRAPPED_40):
-        xs = [Decimal(float(x(m))) for m in range(x0, hi + 5 + max(-eq.delta, 0))]
-        t = reference_staircase(eq, xs, x0, lo, hi + 4, Decimal, model._dec_spow)[3]
-        parts = []
-        for i, f in enumerate(forcing_f):
-            forcing = Decimal(f)
-            r = t[i + 1] - t[i] + forcing
-            scale = max(abs(t[i + 1]), abs(t[i]), abs(forcing))
-            parts.append((float(r), float(scale)))
-        return parts
+    below, above = max(eq.delta, 0), max(-eq.delta, 0)
+    xs = [float(x(m)) for m in range(lo - below, hi + 5 + above)]
+    read = [[seq.at(n) for n in range(lo, hi + 5 - k)] for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]
+    parts = []
+    for i, n in enumerate(range(lo, hi + 1)):
+        x_n = xs[i:i + 5 + below + above]  # x from n - below
+        if all(map(math.isfinite, [*x_n, forcing_f[i], *(v for k, c in enumerate(read) for v in c[i:i + 5 - k])])):
+            t = reference_staircase(eq, list(map(Fraction, x_n)), n - below, n, n + 4, Fraction, binary_power)[3]
+            forcing = Fraction(forcing_f[i])
+            parts.append((rounded(t[1] - t[0] + forcing), rounded(max(abs(t[1]), abs(t[0]), abs(forcing)))))
+            continue
+        with localcontext(UNTRAPPED_40):
+            t = reference_staircase(eq, list(map(Decimal, x_n)), n - below, n, n + 4, Decimal, model._dec_spow)[3]
+            forcing = Decimal(forcing_f[i])
+            parts.append((float(t[1] - t[0] + forcing), float(max(abs(t[1]), abs(t[0]), abs(forcing)))))
+    return parts
 
 
 def shown(fn, show=repr):
@@ -218,19 +256,46 @@ def test_columns_equal_the_per_index_formula_in_both_number_types(problem):
 @settings(max_examples=200, deadline=None)
 def test_residual_parts_equal_the_per_index_formula(problem, callable_x):
     # f(inf) raises, so x stays finite here; the coefficients still reach inf, NaN and failures.  Half the
-    # problems have unit exponents, whose ranges are exact unless an input is not finite.
+    # problems have unit exponents; an index that reads only finite values runs in integers.
     eq, x, lo, hi = problem
     if callable_x:
         x = x.__call__  # not a Window: read one index at a time
     assert shown(lambda: [model._residual_parts(eq, x, lo, hi)]) == shown(lambda: [reference_parts(eq, x, lo, hi)])
 
 
+NON_UNIT_RATIOS = st.sampled_from([qd.OddRatio(3), qd.OddRatio(1, 3), qd.OddRatio(5, 3), qd.OddRatio(3, 5)])
+
+
+@given(st.lists(FINITE_X, min_size=44, max_size=44),
+       st.lists(st.tuples(st.sampled_from(["x", "p", "c", "b", "a", "d"]), st.integers(8, 34),
+                          st.sampled_from([math.inf, -math.inf, ARITHMETIC_NAN])), min_size=1, max_size=3),
+       st.tuples(ODD_RATIOS, NON_UNIT_RATIOS, ODD_RATIOS), st.integers(-2, 3), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_non_unit_blocks_with_values_that_are_not_finite_equal_their_one_index_calls(xs, holes, exponents,
+                                                                                    delta, tau):
+    # inf and NaN mid-block in x, p, the coefficients or d: the block is cut into runs, and each index reads
+    # what a one-index call does, in integers or in 40 digits.  f = sgn(x) is finite at inf and NaN too.
+    columns = {"x": xs, "p": [0.5 * math.cos(n) for n in range(44)], "d": [-1.0 - (n % 3) for n in range(44)],
+               **{name: [1.0 + 0.25 * ((n * k) % 5) for n in range(44)] for k, name in ((2, "c"), (3, "b"), (7, "a"))}}
+    for name, n, value in holes:
+        columns[name][n] = value
+    tables = {name: qd.Table(tuple(values), 0, "hold-last") for name, values in columns.items() if name != "x"}
+    eq = SimpleNamespace(**tables, f=qd.SignumMap(1.0), alpha=exponents[0], beta=exponents[1],
+                         gamma=exponents[2], delta=delta, tau=tau)
+    x = qd.Window(0, tuple(columns["x"]))
+    indices = qd.residual_range(eq, x)
+    block = model._residual_parts(eq, x, indices.start, indices.stop - 1)
+    assert [repr(part) for part in block] == \
+        [repr(part) for n in indices for part in model._residual_parts(eq, x, n, n)] == \
+        [repr(part) for part in reference_parts(eq, x, indices.start, indices.stop - 1)]
+
+
 @given(st.lists(FINITE_X, min_size=48, max_size=48), st.integers(10, 20), st.integers(28, 36))
 @settings(max_examples=100, deadline=None)
 def test_a_block_with_an_infinite_coefficient_equals_its_one_index_values(xs, flat_at, steep_at):
     # a is inf at flat_at and at steep_at.  With p = 0, t = a * D^3 x: x is flat around flat_at, so
-    # D^3 x = 0 there, and D^3 x = 1 at steep_at.  The block is redone index by index: exactly where no inf
-    # is read, else in 40 digits, where a(steep_at) * 1 is an inf and a(flat_at) * 0 a NaN.
+    # D^3 x = 0 there, and D^3 x = 1 at steep_at.  The block is cut into runs: exact where no inf is read,
+    # else in 40 digits, where a(steep_at) * 1 is an inf and a(flat_at) * 0 a NaN.
     xs[flat_at - 6:flat_at + 6] = [0.5] * 12
     xs[steep_at:steep_at + 4] = [0.0, 0.0, 0.0, 1.0]
     a = qd.Table(tuple(math.inf if n in (flat_at, steep_at) else 1.0 for n in range(48)), 0, "hold-last")
@@ -249,32 +314,46 @@ def test_a_block_with_an_infinite_coefficient_equals_its_one_index_values(xs, fl
 
 
 def test_a_non_unit_block_with_an_infinite_coefficient_is_one_call(monkeypatch):
-    # beta = 3 keeps the block in 40 digits, where a(20) * D w = inf * 0 on the flat stretch of x is a NaN,
-    # not a signal: nothing is redone, and each index reads what a one-index call does.
+    # a(20) is read by the indices 19 and 20 alone: they are one 40-digit call, where a(20) * D w = inf * 0 on
+    # the flat stretch of x is a NaN, not a signal, and the runs on either side stay in integers.
     xs = [math.sin(n) for n in range(48)]
     xs[14:26] = [0.5] * 12
     a = qd.Table(tuple(math.inf if n == 20 else 1.0 for n in range(48)), 0, "hold-last")
     eq = plain_equation(beta=qd.OddRatio(3), a=a)
     x = qd.Window(0, tuple(xs))
     indices = qd.residual_range(eq, x)
-    calls = []
-    original = model._residual_parts
-
-    def spy(eq_, x_, lo, hi):
-        calls.append((lo, hi))
-        return original(eq_, x_, lo, hi)
-
-    monkeypatch.setattr(model, "_residual_parts", spy)
+    calls = spied_calls(monkeypatch, "_residual_parts")
+    decimal = spied_calls(monkeypatch, "staircase")
     got = model.relative_residuals(eq, x, indices)
     monkeypatch.undo()
-    assert calls == [(indices.start, indices.stop - 1)]
+    assert [(lo, hi) for _, lo, hi in calls] == \
+        [(indices.start, indices.stop - 1), (indices.start, 18), (21, indices.stop - 1)]
+    assert [(lo, hi - 4) for _, _, lo, hi, *_ in decimal] == [(19, 20)]
     assert [r.hex() for r in got] == [qd.relative_residual(eq, x, n).hex() for n in indices]
     assert [n for n, r in zip(indices, got) if math.isnan(r)] == [19, 20]
 
 
+def test_an_infinite_x_is_one_40_digit_run_of_the_indices_that_read_it(monkeypatch):
+    # with delta = 2 the residual at n reads x from n - 2 to n + 4, so x(30) = inf is read by n = 26 .. 32,
+    # and f = sgn(x) keeps the forcing finite
+    xs = [math.sin(n) for n in range(60)]
+    xs[30] = math.inf
+    eq = plain_equation(beta=qd.OddRatio(5, 3), f=qd.SignumMap(1.0))
+    x = qd.Window(0, tuple(xs))
+    indices = qd.residual_range(eq, x)
+    calls = spied_calls(monkeypatch, "_residual_parts")
+    decimal = spied_calls(monkeypatch, "staircase")
+    got = model.relative_residuals(eq, x, indices)
+    monkeypatch.undo()
+    assert [(lo, hi) for _, lo, hi in calls] == \
+        [(indices.start, indices.stop - 1), (indices.start, 25), (33, indices.stop - 1)]
+    assert [(lo, hi - 4) for _, _, lo, hi, *_ in decimal] == [(26, 32)]
+    assert [r.hex() for r in got] == [qd.relative_residual(eq, x, n).hex() for n in indices]
+
+
 def test_a_block_that_is_not_exact_is_redone_index_by_index():
-    # x = 2^-n solves the inverse fixture exactly; c(150) = inf sends the block [100, 355] index by index,
-    # where every index that does not read it is exact.  A 40-digit block would succeed here (inf * a
+    # x = 2^-n solves the inverse fixture exactly; c(150) = inf cuts the block [100, 355] into runs, and
+    # every index that does not read it stays exact.  A 40-digit block would succeed here (inf * a
     # non-zero D z is an inf, and no inf - inf follows), and would leave residuals near 1e-39.
     eq, form = inverse_fixture()
     eq = dataclasses.replace(eq, c=qd.Table(tuple(math.inf if n == 150 else 1.0 for n in range(400)), 0, "hold-last"))
@@ -286,18 +365,67 @@ def test_a_block_that_is_not_exact_is_redone_index_by_index():
     assert [n for n, r in zip(indices, rels) if r != 0.0] == [147, 148, 149, 150]
 
 
-@pytest.mark.parametrize("beta", ["3/1", "5/3"])
-def test_non_unit_exponents_keep_the_decimal_residual(beta):
-    # examples 1 and 2 at beta 3/1 and 5/3 on their closed forms, bit for bit the 40-digit reference
-    for name in ("example-1", "example-2"):
-        eq = qd.example_equation(name, beta=beta)
-        indices = range(eq.n0, eq.n0 + 300)
-        reads = model.residual_reads(eq, indices)
-        x = qd.Window.from_evaluator(qd.example_closed_form(name), reads.start, reads.stop - 1)
-        for lo in indices[::RESIDUAL_BLOCK]:
-            hi = min(lo + RESIDUAL_BLOCK, indices.stop) - 1
-            assert [repr(part) for part in model._residual_parts(eq, x, lo, hi)] == \
-                [repr(part) for part in reference_parts(eq, x, lo, hi)]
+def closed_form_parts(name, beta, horizon, lam=1):
+    """The example's equation, and _residual_parts block by block over the horizon on its closed form."""
+    eq = qd.example_equation(name, beta=beta, lam=lam)
+    indices = range(eq.n0, eq.n0 + horizon)
+    reads = model.residual_reads(eq, indices)
+    x = qd.Window.from_evaluator(qd.example_closed_form(name), reads.start, reads.stop - 1)
+    parts = [part for lo in indices[::RESIDUAL_BLOCK]
+             for part in model._residual_parts(eq, x, lo, min(lo + RESIDUAL_BLOCK, indices.stop) - 1)]
+    return eq, x, indices, parts
+
+
+@pytest.mark.parametrize("name, lam, horizon", [("example-2", 2, 847), ("example-1", 1, 330)])
+def test_integer_exponent_residuals_are_the_exact_staircase_rounded_once(name, lam, horizon):
+    # at beta 3/1, every (r, scale) pair is the exact rational value correctly rounded; 40 digits matched
+    # it at 218 of the 847 indices of verify example-2 --beta 3/1 --lambda 2.  Example-1's d overflows
+    # doubles from n = 337, so its horizon stops before.
+    eq, x, indices, parts = closed_form_parts(name, "3/1", horizon, lam)
+    assert all(map(math.isfinite, x.values))
+    forcing = [eq.d.at(n) * eq.f.apply(x(n - eq.tau)) for n in indices]
+    assert all(map(math.isfinite, forcing))
+    t = reference_staircase(eq, list(map(Fraction, x.values)), x.start, indices.start, indices.stop + 3,
+                            Fraction, lambda v, e: v ** e.numerator)[3]
+    exact = [(rounded(t[i + 1] - t[i] + Fraction(f)), rounded(max(abs(t[i + 1]), abs(t[i]), abs(Fraction(f)))))
+             for i, f in enumerate(forcing)]
+    assert [repr(part) for part in parts] == [repr(part) for part in exact]
+
+
+def assert_within_2_to_the_minus_140_of_100_digits(eq, x, indices, parts):
+    """Each (r, scale) of parts is the correct rounding of a value within 2^-140 of the scale of the residual
+    that a 100-digit staircase computes, and scale that of its scale."""
+    with localcontext(Context(prec=100)):
+        t = staircase(eq, list(map(Decimal, x.values)), x.start, indices.start, indices.stop + 3,
+                      Decimal, model._dec_spow)[3]
+        forcing = [Decimal(eq.d.at(n) * eq.f.apply(x(n - eq.tau))) for n in indices]
+        digits100 = [(t[i + 1] - t[i] + f, max(abs(t[i + 1]), abs(t[i]), abs(f))) for i, f in enumerate(forcing)]
+    for n, (r, scale), (r100, scale100) in zip(indices, parts, digits100):
+        reach = Fraction(scale100) / 2 ** 140
+        assert float(Fraction(r100) - reach) <= r <= float(Fraction(r100) + reach), n
+        assert scale == float(scale100), n
+
+
+@pytest.mark.parametrize("beta", ["1/3", "3/5", "5/3"])
+@pytest.mark.parametrize("name", ["example-1", "example-2"])
+def test_fractional_exponent_residuals_are_within_2_to_the_minus_140_of_100_digits(name, beta):
+    # each power is rounded once at 144 bits
+    assert_within_2_to_the_minus_140_of_100_digits(*closed_form_parts(name, beta, 600))
+
+
+def test_a_fractional_power_rounds_below_2_to_the_minus_140_where_the_residual_cancels():
+    # x_n = 3 * 8^-n and a_n = 2^n give t_n = a_n (D^3 x_n)^(1/3) = -(7/8) 3^(1/3) at every n, and no forcing:
+    # the residual D t_n is 0, and what is left of it is the rounding of the powers.  Their values differ by
+    # powers of 8, so the 144-bit roots of all of them have the same bits, and r is exactly 0; 40 digits leave
+    # about 1e-40 = 2^-133 of the scale.
+    eq = SimpleNamespace(p=qd.Constant(0.0), c=qd.Constant(1.0), b=qd.Constant(1.0), a=qd.Geometric(1.0, 2.0),
+                         d=qd.Constant(0.0), f=qd.OddPowerMap(1.0, qd.OddRatio(1)), alpha=qd.OddRatio(1, 3),
+                         beta=qd.OddRatio(1), gamma=qd.OddRatio(1), delta=0, tau=0)
+    x = qd.Window.from_evaluator(lambda n: 3.0 * 8.0 ** -n, 0, 300)
+    indices = range(0, 296)
+    parts = model._residual_parts(eq, x, indices.start, indices.stop - 1)
+    assert {r for r, _ in parts} == {0.0}
+    assert_within_2_to_the_minus_140_of_100_digits(eq, x, indices, parts)
 
 
 def test_verify_example_3_has_an_exact_zero_residual(capsys):
@@ -325,12 +453,14 @@ def test_failing_coefficient_raises_where_the_per_index_loop_does(inf_at, raised
     assert shown(lambda: staircase(eq, xs, 3, 3, 19)) == expected
 
 
-@pytest.mark.parametrize("name, beta", [("example-2", "5/3"), ("example-4", "1/1"), ("example-1", "3/5")])
+@pytest.mark.parametrize("name, beta", [("example-2", "5/3"), ("example-4", "1/1"), ("example-1", "3/5"),
+                                        ("example-1", "3/1")])
 def test_residuals_do_not_depend_on_the_callers_context(name, beta):
     # every map is consumed inside the residual's own 40-digit context: none at the caller's 10 digits, none
-    # rounded toward -inf, and none raises where the caller traps an inexact result
+    # rounded toward -inf, and none raises where the caller traps an inexact result.  Example-1's d
+    # overflows doubles from n = 337 at beta 3/1, so those indices run in 40 digits.
     eq = qd.example_equation(name, beta=beta)
-    indices = range(eq.n0, eq.n0 + 300)
+    indices = range(eq.n0, eq.n0 + 400)
     reads = model.residual_reads(eq, indices)
     x = qd.Window.from_evaluator(qd.example_closed_form(name), reads.start, reads.stop - 1)
     expected = [r.hex() for r in model.relative_residuals(eq, x, indices)]
@@ -345,7 +475,7 @@ def test_one_index_ranges_and_the_fallback_block_equal_the_reference():
     for n in (eq.n0, 30, 50):
         assert shown(lambda: [model._residual_parts(eq, x, n, n)]) == shown(lambda: [reference_parts(eq, x, n, n)])
         assert model.relative_residuals(eq, x, range(n, n + 1)) == [qd.relative_residual(eq, x, n)]
-    # a = 2^n is infinite from n = 1024: the block [900, 1155] is redone index by index
+    # a = 2^n is infinite from n = 1024: the block [900, 1155] is cut into runs
     eq = plain_equation(a=qd.Geometric(1.0, 2.0))
     x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1300)
     got = model._residual_parts(eq, x, 900, 1155)
@@ -381,6 +511,22 @@ def test_fractional_power_is_correctly_rounded(m, k):
             v = mag if i % 2 == 0 else -mag
             expected = reference_power(mag, e)
             assert model._dec_spow(v, e) == (expected if i % 2 == 0 else -expected), mag
+
+
+@pytest.mark.parametrize("m, k", [(1, 3), (3, 5), (5, 3), (7, 9), (9, 7), (1, 5)])
+def test_binary_fractional_power_is_rounded_to_odd_at_144_bits(m, k):
+    # (v / 2^s)^(m/k) from integers of 1 to 400 bits on scales from 2^200 to 2^-600: the 144-bit round to odd
+    # of binary_power, within 2^-142 of the 120-digit power
+    rng = random.Random(10 * m + k)
+    for _ in range(300):
+        v, s = (rng.getrandbits(rng.randint(1, 400)) or 1) * rng.choice((1, -1)), rng.randint(-200, 600)
+        r, q = model._root_pow(v, s, m, k)
+        assert r * Fraction(2) ** q == binary_power(Fraction(v) / Fraction(2) ** s, qd.OddRatio(m, k)), (v, s)
+        with localcontext() as ctx:
+            ctx.prec = 120
+            exact = Fraction(reference_power(abs(v) * Decimal(2) ** -s, qd.OddRatio(m, k)))
+        assert 2 ** 143 <= abs(r) < 2 ** 145
+        assert abs(abs(r) * Fraction(2) ** q - exact) < exact / 2 ** 142, (v, s)
 
 
 @pytest.mark.parametrize("k", [3, 5, 9])
