@@ -592,7 +592,7 @@ def _x_values(x: Evaluator, lo: int, hi: int):
 
 
 RESIDUAL_BLOCK = 256
-RESIDUAL_WIDTH = 8192  # bits: a block with a wider column is halved; the benchmark and the corpus reach 3,342
+RESIDUAL_WIDTH = 8192  # bits: a block is halved where a column this wide meets a power, which multiplies widths
 # The residual's 40 digits, whatever the caller's context: the rounding is fixed, and nothing traps.
 _DIGITS40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
 
@@ -681,7 +681,7 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     low = (low & -low).bit_length() - 1 if low else 0
     z, s = list(map(operator.rshift, z, repeat(low))), s + ps - low
     for (m, ms), e in zip(steps, (eq.gamma, eq.beta, eq.alpha)):  # y = c (D z)^gamma, w = b (D y)^beta, t
-        if lo < hi and max(max(z), -min(z)).bit_length() > RESIDUAL_WIDTH:  # each index as in a one-index call
+        if lo < hi and e.denominator != e.numerator and max(max(z), -min(z)).bit_length() > RESIDUAL_WIDTH:
             return _residual_parts(eq, x, lo, (lo + hi) // 2) + _residual_parts(eq, x, (lo + hi) // 2 + 1, hi)
         powers, s = _int_powers(list(map(operator.sub, z[1:], z)), s, e)
         z, s = list(map(operator.mul, m, powers)), s + ms  # each product adds its column's scale

@@ -351,6 +351,23 @@ def test_an_infinite_x_is_one_40_digit_run_of_the_indices_that_read_it(monkeypat
     assert [r.hex() for r in got] == [qd.relative_residual(eq, x, n).hex() for n in indices]
 
 
+def test_a_block_whose_column_is_too_wide_for_a_power_is_halved(monkeypatch):
+    # at beta 3/1, w = b (D y)^3, and y_n = D z_n is about 2^n: with a bound of 200 bits, a block is halved
+    # until its y is at most 200 bits wide or it is one index, and each index keeps its value
+    eq = qd.example_equation("example-1", beta="3/1")
+    indices = range(eq.n0, eq.n0 + 300)
+    reads = model.residual_reads(eq, indices)
+    x = qd.Window.from_evaluator(qd.example_closed_form("example-1"), reads.start, reads.stop - 1)
+    calls = spied_calls(monkeypatch, "_residual_parts")
+    expected = [r.hex() for r in model.relative_residuals(eq, x, indices)]
+    assert [(lo, hi) for _, lo, hi in calls] == [(3, 258), (259, 302)]
+    monkeypatch.setattr(model, "RESIDUAL_WIDTH", 200)
+    assert [r.hex() for r in model.relative_residuals(eq, x, indices)] == expected
+    assert [(lo, hi) for _, lo, hi in calls[2:8]] == [(3, 258), (3, 130), (131, 258), (131, 194), (131, 162),
+                                                     (163, 194)]
+    assert any(lo == hi for _, lo, hi in calls)
+
+
 def test_a_block_that_is_not_exact_is_redone_index_by_index():
     # x = 2^-n solves the inverse fixture exactly; c(150) = inf cuts the block [100, 355] into runs, and
     # every index that does not read it stays exact.  A 40-digit block would succeed here (inf * a
