@@ -592,7 +592,7 @@ def _x_values(x: Evaluator, lo: int, hi: int):
 
 
 RESIDUAL_BLOCK = 256
-RESIDUAL_WIDTH = 8192  # bits: a block is halved where a column this wide meets a power, which multiplies widths
+RESIDUAL_WIDTH = 8192  # bits: a block is halved where differences this wide meet a power other than 1
 # The residual's 40 digits, whatever the caller's context: the rounding is fixed, and nothing traps.
 _DIGITS40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
 
@@ -615,16 +615,13 @@ def _root_pow(v: int, s: int, m: int, k: int) -> tuple[int, int]:
     q = (e + power.bit_length()) // k - 144
     n, rest = (power << e - k * q, 0) if e >= k * q else divmod(power, 1 << k * q - e)
     r = _iroot(n, k)
-    r |= bool(rest or r ** k != n)  # between r and r + 1: the odd one of the two
-    return (r if v > 0 else -r), q
+    return (r | (rest != 0 or r ** k != n)) * (1 if v > 0 else -1), q  # inexact: the odd one of r and r + 1
 
 
 def _int_powers(diffs: list[int], s: int, e: OddRatio) -> tuple[list[int], int]:
     """(the signed powers of diffs[i] / 2**s as integers over 2**s', s'): exact for an integer exponent, else
     each by `_root_pow`, then shifted to the smallest scale of them; one power per distinct value."""
     m, k = e.numerator, e.denominator
-    if m == k:
-        return diffs, s
     roots = {v: (v ** m, -s * m) if k == 1 else _root_pow(v, s, m, k) for v in set(diffs) if v}
     s = -min((q for _, q in roots.values()), default=0)
     powers = {0: 0, **{v: r << q + s for v, (r, q) in roots.items()}}
@@ -677,14 +674,17 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
     z = list(map(operator.add, map(operator.lshift, xm[below:below + count], repeat(ps)),
                  map(operator.mul, pm, xm[below - eq.delta:])))  # x_j + p_j x_{j-delta}, count of them
-    low = reduce(operator.or_, z)  # the zero bits at the bottom of every z (p's scale can leave many) come off
-    low = (low & -low).bit_length() - 1 if low else 0
-    z, s = list(map(operator.rshift, z, repeat(low))), s + ps - low
+    s += ps
     for (m, ms), e in zip(steps, (eq.gamma, eq.beta, eq.alpha)):  # y = c (D z)^gamma, w = b (D y)^beta, t
-        if lo < hi and e.denominator != e.numerator and max(max(z), -min(z)).bit_length() > RESIDUAL_WIDTH:
-            return _residual_parts(eq, x, lo, (lo + hi) // 2) + _residual_parts(eq, x, (lo + hi) // 2 + 1, hi)
-        powers, s = _int_powers(list(map(operator.sub, z[1:], z)), s, e)
-        z, s = list(map(operator.mul, m, powers)), s + ms  # each product adds its column's scale
+        z = list(map(operator.sub, z[1:], z))
+        if e.numerator != e.denominator:  # a power multiplies widths: the zero bits at the bottom of every
+            low = reduce(operator.or_, z)  # difference (p's scale can leave many) come off, and a wide block halves
+            low = (low & -low).bit_length() - 1 if low else 0
+            z, s = list(map(operator.rshift, z, repeat(low))) if low else z, s - low
+            if lo < hi and max(max(z), -min(z)).bit_length() > RESIDUAL_WIDTH:
+                return _residual_parts(eq, x, lo, (lo + hi) // 2) + _residual_parts(eq, x, (lo + hi) // 2 + 1, hi)
+            z, s = _int_powers(z, s, e)
+        z, s = list(map(operator.mul, m, z)), s + ms  # each product adds its column's scale
     top = max(s, fs)
     t, forcing, den = [v << top - s for v in z], [v << top - fs for v in fm], 1 << top
     try:  # int / int is correctly rounded, and raises where that is 2**1024 or more

@@ -352,8 +352,8 @@ def test_an_infinite_x_is_one_40_digit_run_of_the_indices_that_read_it(monkeypat
 
 
 def test_a_block_whose_column_is_too_wide_for_a_power_is_halved(monkeypatch):
-    # at beta 3/1, w = b (D y)^3, and y_n = D z_n is about 2^n: with a bound of 200 bits, a block is halved
-    # until its y is at most 200 bits wide or it is one index, and each index keeps its value
+    # at beta 3/1, w = b (D y)^3, and D y_n is about 2^n: with a bound of 200 bits, a block is halved until
+    # its D y is at most 200 bits wide or it is one index, and each index keeps its value
     eq = qd.example_equation("example-1", beta="3/1")
     indices = range(eq.n0, eq.n0 + 300)
     reads = model.residual_reads(eq, indices)
@@ -363,8 +363,8 @@ def test_a_block_whose_column_is_too_wide_for_a_power_is_halved(monkeypatch):
     assert [(lo, hi) for _, lo, hi in calls] == [(3, 258), (259, 302)]
     monkeypatch.setattr(model, "RESIDUAL_WIDTH", 200)
     assert [r.hex() for r in model.relative_residuals(eq, x, indices)] == expected
-    assert [(lo, hi) for _, lo, hi in calls[2:8]] == [(3, 258), (3, 130), (131, 258), (131, 194), (131, 162),
-                                                     (163, 194)]
+    assert [(lo, hi) for _, lo, hi in calls[2:8]] == [(3, 258), (3, 130), (131, 258), (131, 194), (195, 258),
+                                                     (195, 226)]
     assert any(lo == hi for _, lo, hi in calls)
 
 
