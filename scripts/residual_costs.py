@@ -13,14 +13,16 @@ microseconds per index, with the arithmetic the exponents select:
 * the inverse-regime document, whose exact solution is 2^-n, from n = 1;
 * a wide unit-exponent equation: a = b = c = 2^-1000 * 16^n and
   x_n = (-1)^n 2^(4n-500), so that each column of a block spans about a
-  thousand binary orders of magnitude.
+  thousand binary orders of magnitude; 16^n overflows doubles from
+  n = 256, so the last five indices of its block read an inf.
 
 Then three verify requests whose residuals read an input that is not
 finite (d overflows doubles, or is perturbed to about 1e308) are timed
 end to end through ``quasidiff.cli.main``, in-process with their output
 discarded: the median of N runs in milliseconds, and the µs per index of
 their residual pass over the whole horizon (best of N).  Nothing is
-written to disk.
+written to disk, and a reader that leaves early (``| head``) ends the
+output without a traceback.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import time
 from dataclasses import replace
 
 from quasidiff import model
-from quasidiff.cli import _cached_equation, _sample_finite, main
+from quasidiff.cli import _cached_equation, _sample_finite, _say, entry, main
 from quasidiff.examples import example_closed_form
 from quasidiff.model import Constant, Geometric, Window, residual_reads
 
@@ -79,11 +81,11 @@ def main_costs() -> int:
     parser.add_argument("--repeat", type=int, default=15)
     parser.add_argument("--count", type=int, default=model.RESIDUAL_BLOCK)
     args = parser.parse_args()
-    print(f"residual pass over one block of {args.count} indices, best of {args.repeat}, us per index")
+    _say(f"residual pass over one block of {args.count} indices, best of {args.repeat}, us per index")
     for label, eq, form in cases():
         indices = range(eq.n0, eq.n0 + args.count)
-        print(f"  {label:32s} {best_us_per_index(eq, sampled(eq, form, indices), indices, args.repeat):8.2f}")
-    print(f"verify requests that read values that are not finite, median of {args.repeat} in main")
+        _say(f"  {label:32s} {best_us_per_index(eq, sampled(eq, form, indices), indices, args.repeat):8.2f}")
+    _say(f"verify requests that read values that are not finite, median of {args.repeat} in main")
     for argv in NON_FINITE_VERIFIES:
         times = []
         for _ in range(args.repeat):
@@ -96,10 +98,10 @@ def main_costs() -> int:
         eq = _cached_equation(argv[1], None, beta, None, None, perturb)
         indices = range(eq.n0, eq.n0 + int(argv[-1]))
         x = _sample_finite(example_closed_form(argv[1]), residual_reads(eq, indices))
-        print(f"  {' '.join(argv[1:]):45s} {statistics.median(times):7.2f} ms "
+        _say(f"  {' '.join(argv[1:]):45s} {statistics.median(times):7.2f} ms "
               f"{best_us_per_index(eq, x, indices, args.repeat):7.2f} us/index")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main_costs())
+    entry(main_costs)

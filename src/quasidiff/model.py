@@ -20,8 +20,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
+from functools import reduce
 from itertools import chain, groupby, repeat
 from typing import Callable, Union
 
