@@ -114,9 +114,7 @@ def _sign_census_values(values: tuple[float, ...], zero_tol: float) -> str:
 
 def _tends_to_zero(values: tuple[float, ...]) -> bool:
     i1, i2 = len(values) // 3, (2 * len(values)) // 3
-    m1 = max(abs(v) for v in values[:i1])
-    m2 = max(abs(v) for v in values[i1:i2])
-    m3 = max(abs(v) for v in values[i2:])
+    m1, m2, m3 = (max(map(abs, part)) for part in (values[:i1], values[i1:i2], values[i2:]))
     if m1 == 0.0:
         return False
     return m1 >= m2 >= m3 and abs(values[-1]) < EPS_LIMIT * m1
@@ -595,8 +593,9 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     xs[negated] = map(operator.neg, xs[negated])
     z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4)
     chain_side = list(map(operator.sub, t[:-1], t[1:]))
-    forcing_side = list(map(operator.mul, eq.d.read(n_lo, len(chain_side)),  # d_n, then
-                            map(eq.f.apply, xs[n_lo - eq.tau - q.start:])))  # f(x_{n-tau}), as far as d goes
+    fx = xs[n_lo - eq.tau - q.start:]  # q is finite and non-zero: a unit power leaves each x as it is
+    fx = map(operator.mul, repeat(eq.f.scale), fx) if eq.f.unit else map(eq.f.apply, fx)
+    forcing_side = list(map(operator.mul, eq.d.read(n_lo, len(chain_side)), fx))  # d_n f(x_{n-tau}), as far as d goes
     conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side))
     return ContradictionCertificate(
         parity=parity, n_start=n_lo, n_end=n_hi, conflicts=conflicts,
@@ -719,9 +718,9 @@ def _sign_census(w: Window) -> str:
 def _monotone_census(w: Window) -> str:
     suffix = w.suffix(_suffix_length(len(w)))
     slack = EPS_SIGN * max(w.max_abs(), 1e-300)
-    diffs = [suffix.values[i + 1] - suffix.values[i] for i in range(len(suffix) - 1)]
-    non_dec = all(d >= -slack for d in diffs)
-    non_inc = all(d <= slack for d in diffs)
+    diffs = list(map(operator.sub, suffix.values[1:], suffix.values))
+    non_dec = all(map((-slack).__le__, diffs))  # d >= -slack
+    non_inc = all(map(slack.__ge__, diffs))  # d <= slack
     if non_dec and non_inc:
         return "constant"
     if non_dec:

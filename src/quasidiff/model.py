@@ -44,7 +44,8 @@ def _raising(exc: Exception):
 
 class _Blocks:
     """block(start, count) is [self.at(n) for n in range(start, start + count)] bit for bit (but for the sign of
-    a NaN made of two NaNs) or raises what that loop raises first: the loop runs if `_fast` gives None or raises."""
+    a NaN that a leaf makes of two NaN parameters, which at() itself need not give the same on every call) or
+    raises what that loop raises first: the loop runs if `_fast` gives None or raises."""
 
     min_index = None
     settled: tuple[float, float] | None = None  # (N, v): at(n) is v bit for bit, and raises nothing, for n >= N
@@ -344,6 +345,11 @@ class OddPowerMap:
         return _xpow(value / self.scale, self.exponent.reciprocal())
 
     @property
+    def unit(self) -> bool:
+        """Whether the exponent is 1: apply is x -> scale * (x or 0.0) at a finite x, invert v -> v / scale or 0.0."""
+        return self.exponent.numerator == self.exponent.denominator
+
+    @property
     def sign_condition(self) -> bool:
         return self.scale > 0.0
 
@@ -361,6 +367,7 @@ class SignumMap:
     """x -> scale * sgn(x).  Not invertible, not continuous at zero."""
 
     scale: float
+    unit = False  # not an odd power
 
     def apply(self, x: float) -> float:
         if x > 0.0:

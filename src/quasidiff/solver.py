@@ -1,7 +1,8 @@
 """Trajectory production by exact recursion on the quasidifference system.
 
 The equation D t_n = -d_n * f(x_{n-tau}) is marched one index at a time by
-one loop, which carries the chain frontier (t_n, w_{n+1}, y_{n+2}, z_{n+3}).
+one loop per regime, which carries the chain frontier (t_n, w_{n+1}, y_{n+2},
+z_{n+3}) and reads the coefficients a block at a time.
 In forward mode (tau > min(-4, delta - 4)) the new t is unwound through the
 chain with inverse signed powers to reach the next x; in inverse mode
 (tau < min(-4, delta - 4)) the chain advances over known x values and the
@@ -13,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain, repeat
 
 from .errors import NumericRangeError, PivotError
 # max_relative_residual stays importable here: perfbench/tracing.py rebinds solver.max_relative_residual.
-from .model import (EquationSpec, _xpow, chain_windows, max_relative_residual,  # noqa: F401
-                    sign_of, staircase)
-from .numerics import EPS_SIGN, spow
+from .model import (Constant, EquationSpec, SequenceSpec, _xpow, chain_windows,  # noqa: F401
+                    max_relative_residual, sign_of, staircase)
+from .numerics import EPS_SIGN
 from .windows import Window
 
 
@@ -85,12 +87,27 @@ def _check_seed(seed: Window, lo: int, hi: int, mode: str) -> None:
         raise ValueError("seed values must all be finite")
 
 
+MARCH_BLOCK = 64  # coefficient values read at a time: a march evaluates at most this many past its last step
+
+
+def _column(seq: SequenceSpec, lo: int, hi: int):
+    """seq at lo, lo + 1, ..., hi - 1 as they are consumed, read MARCH_BLOCK at a time (a Constant once): an
+    index that raises raises when it is reached, as the per-index loop would, and no later block is read."""
+    if isinstance(seq, Constant):
+        return repeat(seq.at(lo), hi - lo)
+    return chain.from_iterable(seq.read(m, min(MARCH_BLOCK, hi - m)) for m in range(lo, hi, MARCH_BLOCK))
+
+
 def _march(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
     """Run `horizon` steps of the regime's step rule from a seeded x history.
 
     The step at n moves the frontier (t_n, w_{n+1}, y_{n+2}, z_{n+3}) on by one
-    index and appends x_{n+4} (forward) or x_{n-tau} (inverse).  A non-finite
-    value ends the march, truncated at the index of the x it failed to produce.
+    index and appends x_{n+4} (forward) or x_{n-tau} (inverse), reading d_n,
+    a_{n+1}, b_{n+2}, c_{n+3} and p_{n+4} from their columns in the order that
+    the step rule uses them.  A non-finite value ends the march, truncated at
+    the index of the x it failed to produce.  A block may give a NaN another
+    sign than at() (see `_Blocks`), but no NaN's sign reaches an answer: every
+    NaN coefficient makes a NaN in its step, which truncates the march there.
     """
     forward = eq.forward_mode
     if horizon < 1:
@@ -105,81 +122,81 @@ def _march(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:
     z, y, w, t = staircase(eq, xs, start, n0, n0 + 3)
     if forward and not all(map(math.isfinite, [*z, *y, *w, *t])):
         raise NumericRangeError("seed chain not finite", index=n0)
-    frontier = (t[0], w[1], y[2], z[3])
-    step = (partial(_forward_step, (eq.alpha.reciprocal(), eq.beta.reciprocal(), eq.gamma.reciprocal()))
-            if forward else _inverse_step)
-    d_sign = eq.d_sign()
-    d_break: int | None = None
-    for n in range(n0, n0 + horizon):
-        d_n = eq.d.at(n)
-        if d_break is None and sign_of(d_n) != d_sign:
-            d_break = n
-        advanced = step(eq, n, d_n, xs, start, frontier)
-        if advanced is None:
-            break
-        x_next, frontier = advanced
-        xs.append(x_next)
+    columns = [_column(seq, n0 + k, n0 + horizon + k) for k, seq in enumerate((eq.d, eq.a, eq.b, eq.c, eq.p))]
+    d_break = (_forward if forward else _inverse)(eq, xs, start, (t[0], w[1], y[2], z[3]), *columns)
     warnings = () if d_break is None else (f"one-sign assumption on d violated at n = {d_break}",)
     return Trajectory(eq, Window(start, tuple(xs)), Provenance.FORWARD if forward else Provenance.INVERSE,
-                      advanced is None, warnings)
+                      len(xs) < len(seed) + horizon, warnings)
 
 
-def _unwind(value: float, coeff: float, inverse_exponent, index: int) -> float | None:
-    try:
-        ratio = value / coeff
-    except ZeroDivisionError:
-        raise NumericRangeError(f"division by zero coefficient at n = {index}", index=index) from None
-    if not math.isfinite(ratio):
-        return None
-    return spow(ratio, inverse_exponent)
+def _zero_coefficient(index: int) -> NumericRangeError:
+    return NumericRangeError(f"division by zero coefficient at n = {index}", index=index)
 
 
-def _forward_step(inverse_exponents, eq: EquationSpec, n: int, d_n: float, xs: list[float],
-                  start: int, frontier):
-    """(x_{n+4}, the next frontier) as solve_forward describes; None at a non-finite value."""
-    t_n, w_n1, y_n2, z_n3 = frontier
-    inv_alpha, inv_beta, inv_gamma = inverse_exponents
-    t_next = t_n - d_n * eq.f.apply(xs[n - eq.tau - start])
-    if not math.isfinite(t_next):
-        return None
-    dw = _unwind(t_next, eq.a.at(n + 1), inv_alpha, n + 1)
-    if dw is None or not math.isfinite(w_next := w_n1 + dw):
-        return None
-    dy = _unwind(w_next, eq.b.at(n + 2), inv_beta, n + 2)
-    if dy is None or not math.isfinite(y_next := y_n2 + dy):
-        return None
-    dz = _unwind(y_next, eq.c.at(n + 3), inv_gamma, n + 3)
-    if dz is None or not math.isfinite(z_next := z_n3 + dz):
-        return None
-    if eq.delta == 0:
-        pivot = 1.0 + eq.p.at(n + 4)
-        if abs(pivot) <= EPS_SIGN * max(1.0, abs(eq.p.at(n + 4))):
-            raise PivotError(n + 4, pivot)
-        x_next = z_next / pivot
-    else:
-        x_next = z_next - eq.p.at(n + 4) * xs[n + 4 - eq.delta - start]
-    if not math.isfinite(x_next):
-        return None
-    return x_next, (t_next, w_next, y_next, z_next)
+def _forward(eq: EquationSpec, xs: list[float], start: int, frontier, d, a, b, c, p) -> int | None:
+    """Append x_{n+4} for each d_n as solve_forward describes, until a value is not finite; the first n at
+    which d_n leaves the sign of d_{n0}, or None.  A unit power is v or 0.0, which spow gives it."""
+    t, w, y, z = frontier
+    tau, delta, f, unit_f, scale = eq.tau, eq.delta, eq.f.apply, eq.f.unit, eq.f.scale
+    (ua, ia), (ub, ib), (uc, ic) = ((e.numerator == e.denominator, e.reciprocal())
+                                    for e in (eq.alpha, eq.beta, eq.gamma))
+    d_sign, d_break, isfinite = eq.d_sign(), None, math.isfinite
+    for n, d_n in enumerate(d, eq.n0):
+        if d_break is None and sign_of(d_n) != d_sign:
+            d_break = n
+        v = xs[n - tau - start]
+        t -= d_n * (scale * (v or 0.0) if unit_f else f(v))
+        if not isfinite(t):
+            break
+        if not (a_n := next(a)):  # w_{n+2} = w_{n+1} + (t_{n+1} / a_{n+1})^(1/alpha); z, y alike
+            raise _zero_coefficient(n + 1)
+        if not isfinite(w := w + ((t / a_n or 0.0) if ua else _xpow(t / a_n, ia))):
+            break
+        if not (b_n := next(b)):
+            raise _zero_coefficient(n + 2)
+        if not isfinite(y := y + ((w / b_n or 0.0) if ub else _xpow(w / b_n, ib))):
+            break
+        if not (c_n := next(c)):
+            raise _zero_coefficient(n + 3)
+        if not isfinite(z := z + ((y / c_n or 0.0) if uc else _xpow(y / c_n, ic))):
+            break
+        if delta == 0:
+            pivot = 1.0 + (p_n := next(p))
+            if abs(pivot) <= EPS_SIGN * max(1.0, abs(p_n)):
+                raise PivotError(n + 4, pivot)
+            x = z / pivot
+        else:
+            x = z - next(p) * xs[n + 4 - delta - start]
+        if not isfinite(x):
+            break
+        xs.append(x)
+    return d_break
 
 
-def _inverse_step(eq: EquationSpec, n: int, d_n: float, xs: list[float], start: int, frontier):
-    """(x_{n-tau}, the next frontier): z_{n+4}, y_{n+3}, w_{n+2} and t_{n+1} from known x,
-    then x_{n-tau} = f^{-1}(-D t_n / d_n).  None at a non-finite value."""
-    if abs(d_n) <= EPS_SIGN:
-        raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
-    t_n, w_n1, y_n2, z_n3 = frontier
-    z_next = xs[n + 4 - start] + eq.p.at(n + 4) * xs[n + 4 - eq.delta - start]
-    y_next = float(eq.c.at(n + 3)) * _xpow(z_next - z_n3, eq.gamma)  # the staircase's node formula
-    w_next = float(eq.b.at(n + 2)) * _xpow(y_next - y_n2, eq.beta)
-    t_next = float(eq.a.at(n + 1)) * _xpow(w_next - w_n1, eq.alpha)
-    target = (t_n - t_next) / d_n
-    if not math.isfinite(target):
-        return None
-    x_next = eq.f.invert(target)
-    if not math.isfinite(x_next):
-        return None
-    return x_next, (t_next, w_next, y_next, z_next)
+def _inverse(eq: EquationSpec, xs: list[float], start: int, frontier, d, a, b, c, p) -> int | None:
+    """Append x_{n-tau} for each d_n: z_{n+4}, y_{n+3}, w_{n+2} and t_{n+1} from known x by the staircase's
+    node formula, then x_{n-tau} = f^{-1}(-D t_n / d_n), until a value is not finite; as _forward otherwise."""
+    t, w, y, z = frontier
+    delta, alpha, beta, gamma = eq.delta, eq.alpha, eq.beta, eq.gamma
+    scale, unit_f, invert = eq.f.scale, eq.f.unit, eq.f.invert  # f is an OddPowerMap: solve_inverse checks it
+    ua, ub, uc = (e.numerator == e.denominator for e in (alpha, beta, gamma))
+    d_sign, d_break, isfinite = eq.d_sign(), None, math.isfinite
+    for n, d_n in enumerate(d, eq.n0):
+        if d_break is None and sign_of(d_n) != d_sign:
+            d_break = n
+        if abs(d_n) <= EPS_SIGN:
+            raise NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
+        v = (z_next := xs[n + 4 - start] + next(p) * xs[n + 4 - delta - start]) - z
+        v = (y_next := next(c) * ((v or 0.0) if uc else _xpow(v, gamma))) - y
+        v = (w_next := next(b) * ((v or 0.0) if ub else _xpow(v, beta))) - w
+        t_next = next(a) * ((v or 0.0) if ua else _xpow(v, alpha))
+        if not isfinite(target := (t - t_next) / d_n):
+            break
+        if not isfinite(x := (target / scale or 0.0) if unit_f else invert(target)):
+            break
+        xs.append(x)
+        t, w, y, z = t_next, w_next, y_next, z_next
+    return d_break
 
 
 def solve_forward(eq: EquationSpec, seed: Window, horizon: int) -> Trajectory:

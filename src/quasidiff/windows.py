@@ -23,7 +23,7 @@ class Window:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("a window needs at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @classmethod
     def from_evaluator(cls, fn: Callable[[int], float], start: int, end: int) -> "Window":
@@ -60,7 +60,7 @@ class Window:
         return Window(self.end - count + 1, self.values[-count:])
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
+        return max(map(abs, self.values))
 
     def all_finite(self) -> bool:
         return all(map(math.isfinite, self.values))

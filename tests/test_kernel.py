@@ -9,13 +9,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
 from quasidiff import model
 from quasidiff.cli import main
 from quasidiff.model import RESIDUAL_BLOCK, staircase
+from quasidiff.solver import MARCH_BLOCK
 from support import ARITHMETIC_NAN, SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences
 
 # The residual's 40 digits: inf - inf and inf * 0 are NaN, and an overflow is an inf, as nothing traps.
@@ -597,37 +598,81 @@ def test_block_residual_property(values, delta, tau, beta, gamma, p, c):
 
 def replay_inverse(eq, seed, horizon, eps_sign=1e-12):
     """The inverse march recomputing the staircase on [n, n+4] at every step,
-    then x_{n-tau} = f^{-1}(-D t_n / d_n): (x values, truncated)."""
-    xs = list(seed.values)
+    then x_{n-tau} = f^{-1}(-D t_n / d_n): (x values, truncated, warnings)."""
+    xs, d_sign, warnings = list(seed.values), model.sign_of(eq.d.at(eq.n0)), []
     for n in range(eq.n0, eq.n0 + horizon):
         d_n = eq.d.at(n)
+        if not warnings and model.sign_of(d_n) != d_sign:
+            warnings.append(f"one-sign assumption on d violated at n = {n}")
         if abs(d_n) <= eps_sign:
             raise qd.NumericRangeError(f"d({n}) = {d_n!r} too close to zero to invert through", index=n)
         t = staircase(eq, xs, seed.start, n, n + 4)[3]
         dt = t[1] - t[0]
         if not math.isfinite(dt):
-            return xs, True
+            return xs, True, warnings
         x_new = eq.f.invert(-dt / d_n)
         if not math.isfinite(x_new):
-            return xs, True
+            return xs, True, warnings
         xs.append(x_new)
-    return xs, False
+    return xs, False, warnings
+
+
+def replay_forward(eq, seed, horizon, eps_sign=1e-12):
+    """The forward march index by index through at(): t_{n+1} = t_n - d_n f(x_{n-tau}), then w, y and z
+    unwound through a_{n+1}, b_{n+2} and c_{n+3} with spow's inverse powers, then x_{n+4} from z_{n+4}:
+    (x values, truncated, warnings)."""
+    xs, n0 = list(seed.values), eq.n0
+    z, y, w, t = staircase(eq, xs, seed.start, n0, n0 + 3)
+    if not all(map(math.isfinite, [*z, *y, *w, *t])):
+        raise qd.NumericRangeError("seed chain not finite", index=n0)
+    frontier = [t[0], w[1], y[2], z[3]]
+    d_sign, warnings = model.sign_of(eq.d.at(n0)), []
+    for n in range(n0, n0 + horizon):
+        d_n = eq.d.at(n)
+        if not warnings and model.sign_of(d_n) != d_sign:
+            warnings.append(f"one-sign assumption on d violated at n = {n}")
+        frontier[0] = frontier[0] - d_n * eq.f.apply(xs[n - eq.tau - seed.start])
+        if not math.isfinite(frontier[0]):
+            return xs, True, warnings
+        for k, (seq, e) in enumerate(((eq.a, eq.alpha), (eq.b, eq.beta), (eq.c, eq.gamma)), 1):
+            coeff = seq.at(n + k)
+            try:
+                ratio = frontier[k - 1] / coeff
+            except ZeroDivisionError:
+                raise qd.NumericRangeError(f"division by zero coefficient at n = {n + k}", index=n + k) from None
+            if not math.isfinite(ratio):
+                return xs, True, warnings
+            frontier[k] = frontier[k] + qd.spow(ratio, e.reciprocal())
+            if not math.isfinite(frontier[k]):
+                return xs, True, warnings
+        p_n = eq.p.at(n + 4)
+        if eq.delta == 0:
+            pivot = 1.0 + p_n
+            if abs(pivot) <= eps_sign * max(1.0, abs(p_n)):
+                raise qd.PivotError(n + 4, pivot)
+            x_new = frontier[3] / pivot
+        else:
+            x_new = frontier[3] - p_n * xs[n + 4 - eq.delta - seed.start]
+        if not math.isfinite(x_new):
+            return xs, True, warnings
+        xs.append(x_new)
+    return xs, False, warnings
 
 
 def outcome(run):
-    """(x values as float.hex, truncated), or the exception a run raised."""
+    """(x values as float.hex, and the rest of what the run returns), or the exception it raised."""
     try:
-        xs, truncated = run()
+        xs, *rest = run()
     except (ValueError, ArithmeticError, qd.QuasidiffError) as exc:
         return type(exc).__name__, str(exc)
-    return [v.hex() for v in xs], truncated
+    return [v.hex() for v in xs], *rest
 
 
 def assert_inverse_matches_replay(eq, seed, horizon):
     def solved():
         traj = qd.solve_inverse(eq, seed, horizon)
         assert traj.truncation_index == (traj.n_end + 1 if traj.truncated else None)
-        return traj.x.values, traj.truncated
+        return traj.x.values, traj.truncated, list(traj.warnings)
 
     assert outcome(solved) == outcome(lambda: replay_inverse(eq, seed, horizon))
 
@@ -643,31 +688,110 @@ def test_inverse_march_equals_replay_on_corpus_document(horizon):
 FRACTIONAL_EXPONENTS = st.sampled_from([qd.OddRatio(1), qd.OddRatio(3), qd.OddRatio(1, 3),
                                         qd.OddRatio(3, 5), qd.OddRatio(5, 3)])
 POSITIVE_AFFINE = st.builds(qd.Affine, st.floats(0.0, 0.5), st.floats(0.1, 10.0))
+HORIZONS = st.one_of(st.integers(1, 60), st.integers(250, 400))  # the longer ones pass the validation sample
+
+
+def ending_table(n0: int, count: int, tail=()) -> qd.Table:
+    """Positive values on [n0, n0 + count), then the tail: an error past it, or its last value held."""
+    return qd.Table(tuple(1.0 + (m % 7) / 8 for m in range(count)) + tuple(tail), n0, "hold-last" if tail else "error")
+
+
+@st.composite
+def march_coefficients(draw, n0, horizon):
+    """A coefficient that is positive on the validation sample [n0, n0 + 255], as an equation's a, b, c and d
+    must be, and may then, inside the horizon, raise (a Table that ends, 1 / (k - n)), reach zero (k - n),
+    turn NaN, or overflow (a ratio of 1e3 from n = 103) or underflow (0.1**n) on the way."""
+    k = n0 + model.VALIDATION_SAMPLE + draw(st.integers(0, max(horizon - model.VALIDATION_SAMPLE, 0)))
+    return draw(st.one_of(
+        st.builds(qd.Constant, st.floats(0.5, 3.0)), POSITIVE_AFFINE,
+        st.builds(qd.Geometric, st.floats(0.5, 3.0), st.sampled_from((0.1, 0.5, 1.5, 1e3))),
+        st.just(ending_table(n0, k - n0)), st.just(ending_table(n0, k - n0, [math.nan])),
+        st.just(qd.Combine("/", qd.Constant(1.0), qd.Affine(-1.0, float(k)))), st.just(qd.Affine(-1.0, float(k))),
+    ))
 
 
 @st.composite
 def inverse_problems(draw):
     delta = draw(st.integers(min_value=-2, max_value=2))
     tau = min(-4, delta - 4) - draw(st.integers(min_value=1, max_value=3))
-    sign = draw(st.sampled_from([-1.0, 1.0]))
-    d = draw(POSITIVE_AFFINE)
+    horizon, n0 = draw(HORIZONS), max(1, delta)
+    coefficients = st.one_of(POSITIVE_AFFINE, march_coefficients(n0, horizon))
     eq = plain_equation(
         alpha=draw(FRACTIONAL_EXPONENTS), beta=draw(FRACTIONAL_EXPONENTS),
         gamma=draw(FRACTIONAL_EXPONENTS), tau=tau, delta=delta,
-        p=qd.Affine(draw(st.floats(-0.1, 0.1)), draw(st.floats(-2.0, 2.0))),
-        d=qd.Affine(sign * d.slope, sign * d.intercept),
-        a=draw(POSITIVE_AFFINE), b=draw(POSITIVE_AFFINE), c=draw(POSITIVE_AFFINE),
+        # p is read on [n0, n0 + 3] for the seed, then at n + 4: a table of 4 to horizon + 3 values ends in the march
+        p=draw(st.one_of(st.builds(qd.Affine, st.floats(-0.1, 0.1), st.floats(-2.0, 2.0)),
+                         st.integers(4, horizon + 3).map(lambda count: ending_table(n0, count)))),
+        d=qd.Combine("*", qd.Constant(draw(st.sampled_from([-1.0, 1.0]))), draw(coefficients)),
+        a=draw(coefficients), b=draw(coefficients), c=draw(coefficients),
         f=qd.OddPowerMap(draw(st.floats(0.5, 2.0)), draw(FRACTIONAL_EXPONENTS)),
     )
     lo, hi = qd.inverse_seed_span(eq)
     values = draw(st.lists(st.floats(-10.0, 10.0), min_size=hi - lo + 1, max_size=hi - lo + 1))
-    return eq, qd.Window(lo, tuple(values)), draw(st.integers(min_value=1, max_value=60))
+    return eq, qd.Window(lo, tuple(values)), horizon
+
+
+def inverse_case(horizon, **fields):
+    eq = plain_equation(tau=-7, delta=0, p=qd.Constant(1.0), **fields)  # inverse_fixture's shape
+    lo, hi = qd.inverse_seed_span(eq)
+    return eq, qd.Window.from_evaluator(lambda n: 2.0 ** -n, lo, hi), horizon
 
 
 @given(inverse_problems())
+@example(inverse_case(300, d=qd.Combine("*", qd.Constant(-16.0), ending_table(1, 270, [math.nan]))))  # a warning
 @settings(max_examples=80, deadline=None)
 def test_inverse_march_equals_replay_property(problem):
     assert_inverse_matches_replay(*problem)
+
+
+def assert_forward_matches_replay(eq, seed, horizon):
+    def solved():
+        traj = qd.solve_forward(eq, seed, horizon)
+        assert traj.truncation_index == (traj.n_end + 1 if traj.truncated else None)
+        return traj.x.values, traj.truncated, list(traj.warnings)
+
+    assert outcome(solved) == outcome(lambda: replay_forward(eq, seed, horizon))
+
+
+@st.composite
+def forward_problems(draw):
+    """Unit and other exponents, signum and odd-power f, delta = 0 (the pivot) and delta > 0, and
+    coefficients that raise, reach zero, turn NaN or overflow in the march; p may be any sequence."""
+    delta, tau, horizon = draw(st.integers(0, 2)), draw(st.integers(-3, 3)), draw(HORIZONS)
+    n0 = max(1, delta, tau)
+    coefficients = march_coefficients(n0, horizon)
+    p = draw(st.one_of(sequences, coefficients))
+    assume(p.min_index is None or p.min_index <= n0)
+    eq = plain_equation(
+        alpha=draw(FRACTIONAL_EXPONENTS), beta=draw(FRACTIONAL_EXPONENTS),
+        gamma=draw(FRACTIONAL_EXPONENTS), tau=tau, delta=delta, p=p,
+        d=qd.Combine("*", qd.Constant(draw(st.sampled_from([-1.0, 1.0]))), draw(coefficients)),
+        a=draw(coefficients), b=draw(coefficients), c=draw(coefficients),
+        f=draw(st.one_of(st.builds(qd.SignumMap, st.floats(0.5, 2.0)),
+                         st.builds(qd.OddPowerMap, st.floats(0.5, 2.0), FRACTIONAL_EXPONENTS))),
+    )
+    lo, hi = qd.forward_seed_span(eq)
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=hi - lo + 1, max_size=hi - lo + 1))
+    return eq, qd.Window(lo, tuple(values)), horizon
+
+
+def forward_case(horizon, seed_value=0.0, **fields):
+    eq = plain_equation(**fields)
+    lo, hi = qd.forward_seed_span(eq)
+    return eq, qd.Window(lo, (seed_value,) * (hi - lo + 1)), horizon
+
+
+@given(forward_problems())
+@example(forward_case(400, a=ending_table(2, 300)))  # a ends at n = 301: raises at the step n = 301
+@example(forward_case(400, c=qd.Combine("/", qd.Constant(1.0), qd.Affine(-1.0, 290.0))))  # raises at n = 290
+@example(forward_case(400, b=qd.Affine(-1.0, 280.0)))  # b_280 = 0: division by zero coefficient
+@example(forward_case(400, 1.0, d=ending_table(2, 270, [math.nan])))  # d turns NaN: truncated, with a warning
+@example(forward_case(200, d=qd.Geometric(1.0, 1e3), gamma=qd.OddRatio(3)))  # d_103 = inf: inf * f(0) is NaN
+@example(forward_case(20, 1.0, delta=0, p=qd.Constant(-1.0)))  # a zero pivot
+@example(forward_case(300, 1.0, f=qd.SignumMap(1.0), alpha=qd.OddRatio(3, 5)))
+@settings(max_examples=100, deadline=None)
+def test_forward_march_equals_replay_property(problem):
+    assert_forward_matches_replay(*problem)
 
 
 def huge_seed(lo, hi):
@@ -697,3 +821,48 @@ def test_forward_truncation_index_is_the_first_index_not_produced():
     traj = seeded_forward(eq, form, 1100)
     assert traj.truncated and traj.truncation_index == traj.n_end + 1
     assert seeded_forward(eq, form, 100).truncation_index is None
+
+
+def coefficient_reads(monkeypatch, eq):
+    """The last index of each of eq's d, a, b, c and p that a read or an at() evaluates, by name, from here on
+    (a read counts its whole range)."""
+    names = {id(getattr(eq, name)): name for name in "dabcp"}
+    last = dict.fromkeys("dabcp", -math.inf)
+
+    def seen(seq, n):
+        if id(seq) in names:
+            last[names[id(seq)]] = max(last[names[id(seq)]], n)
+
+    read = model._Blocks.read
+    monkeypatch.setattr(model._Blocks, "read", lambda seq, start, count: seen(seq, start + count - 1)
+                        or read(seq, start, count))
+    for kind in (qd.Constant, qd.Geometric, qd.Affine, qd.PowerLaw, qd.Table, qd.Combine, qd.SignedPower):
+        monkeypatch.setattr(kind, "at", lambda seq, n, at=kind.at: seen(seq, n) or at(seq, n))
+    return last
+
+
+def test_a_truncated_march_reads_at_most_one_block_past_its_last_step(monkeypatch):
+    eq = plain_equation(d=qd.Geometric(1.0, 1e3), a=qd.Affine(0.0, 1.0), b=qd.Affine(0.0, 2.0),
+                        c=qd.Affine(0.0, 0.5), p=qd.Affine(0.0, 0.25), gamma=qd.OddRatio(3))
+    lo, hi = qd.forward_seed_span(eq)
+    last = coefficient_reads(monkeypatch, eq)
+    traj = qd.solve_forward(eq, qd.Window(lo, (0.0,) * (hi - lo + 1)), 5000)
+    step = traj.truncation_index - 4  # the step at n makes x_{n+4}; d_103 = inf, and inf * f(0) is NaN
+    assert traj.truncated and step == 103
+    # the step at n reads d_n, a_{n+1}, b_{n+2}, c_{n+3} and p_{n+4}
+    assert all(step + k - 1 <= last[name] < step + k + MARCH_BLOCK for k, name in enumerate("dabcp")), last
+
+
+@pytest.mark.parametrize("tau, delta, d, seed", [(1, 2, 1.0, lambda n: 0.0), (-7, 0, -16.0, lambda n: 2.0 ** -n)],
+                         ids=["forward", "inverse"])
+def test_a_march_reads_no_coefficient_past_its_last_step(monkeypatch, tau, delta, d, seed):
+    # x = 2^-n solves the inverse equation exactly, as in inverse_fixture; x = 0 the forward one
+    eq = plain_equation(tau=tau, delta=delta, d=qd.Affine(0.0, d), a=qd.Affine(0.0, 1.0), b=qd.Affine(0.0, 1.0),
+                        c=qd.Affine(0.0, 1.0), p=qd.Affine(0.0, 1.0))
+    horizon = 300  # not a multiple of MARCH_BLOCK: the last block is clipped
+    lo, hi = qd.forward_seed_span(eq) if eq.forward_mode else qd.inverse_seed_span(eq)
+    last = coefficient_reads(monkeypatch, eq)
+    traj = (qd.solve_forward if eq.forward_mode else qd.solve_inverse)(eq, qd.Window.from_evaluator(seed, lo, hi),
+                                                                       horizon)
+    assert not traj.truncated
+    assert last == {name: eq.n0 + horizon - 1 + k for k, name in enumerate("dabcp")}

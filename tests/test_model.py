@@ -175,6 +175,7 @@ def scan_first_failure(seq, start, count, holds):
 @example(Geometric(1.0, 0.0), -3, 10)
 @example(SignedPower(Table((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0), 0, "error"), OddRatio(1)), 0, 6)
 @example(SignedPower(Table((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0), 0, "error"), OddRatio(1, 3)), 0, 6)
+@example(Combine("*", Affine(-math.inf, -9e-209), Constant(math.nan)), 0, 3)  # two NaN operands: one C call
 def test_block_matches_the_scalar_loop(seq, start, count):
     assert outcome(lambda: seq.block(start, count)) == outcome(lambda: scalar_block(seq, start, count))
 
