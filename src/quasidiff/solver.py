@@ -135,7 +135,7 @@ def _zero_coefficient(index: int) -> NumericRangeError:
 
 def _forward(eq: EquationSpec, xs: list[float], start: int, frontier, d, a, b, c, p) -> int | None:
     """Append x_{n+4} for each d_n as solve_forward describes, until a value is not finite; the first n at
-    which d_n leaves the sign of d_{n0}, or None.  A unit power is v or 0.0, which spow gives it."""
+    which d_n leaves the sign of d_{n0}, or None.  A unit power is v or 0.0, what spow gives, with no call."""
     t, w, y, z = frontier
     tau, delta, f, unit_f, scale = eq.tau, eq.delta, eq.f.apply, eq.f.unit, eq.f.scale
     (ua, ia), (ub, ib), (uc, ic) = ((e.numerator == e.denominator, e.reciprocal())
