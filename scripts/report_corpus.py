@@ -20,7 +20,9 @@ certificate run (400 windows on example 3), runs through the --delta and
 degenerate-zero note), and one usage error (exit 2) per command.  Two runs
 close the corpus whose coefficient 1e10^n leaves the double range, so that
 the residual meets inputs that are not finite: a verify on example 3 with
-that a, and a solve on example 2 at beta 5/3 with that b.
+that a, and a solve on example 2 at beta 5/3 with that b.  The last two are
+almost-oscillation reports on example 3: with a = 2^n, whose series A
+converges, and with a d table that ends inside the horizon.
 Everything the runs write is deterministic, so comparing the directories
 written by two versions of the package is a byte-identity check:
 
@@ -108,10 +110,18 @@ STEEP = {"kind": "geometric", "scale": 1, "ratio": 1e10}
 STEEP_A_DOCUMENT = {**example_document("example-3"), "a": STEEP}
 STEEP_B_DOCUMENT = {**example_document("example-2", beta="5/3"), "b": STEEP}
 
+# A = a**-1 = 2^-n sums to 0.5: the probe reads it as convergent.  A d table of 300 values ends at n = 299,
+# inside the horizon: its series is not checkable.
+GEOMETRIC_A_DOCUMENT = {**example_document("example-3"), "a": {"kind": "geometric", "scale": 1, "ratio": 2}}
+ENDING_D_DOCUMENT = {**example_document("example-3"),
+                     "d": {"kind": "table", "values": [1 - n for n in range(300)], "start": 0,
+                           "out_of_range": "error"}}
+
 DOCUMENTS = {INVERSE_PATH: INVERSE_DOCUMENT, "fractional.json": FRACTIONAL_DOCUMENT,
              "fading-d.json": FADING_D_DOCUMENT, "pivot.json": PIVOT_DOCUMENT,
              "sign-break.json": SIGN_BREAK_DOCUMENT, "steep-a.json": STEEP_A_DOCUMENT,
-             "steep-b.json": STEEP_B_DOCUMENT}
+             "steep-b.json": STEEP_B_DOCUMENT, "geometric-a.json": GEOMETRIC_A_DOCUMENT,
+             "ending-d.json": ENDING_D_DOCUMENT}
 
 
 def corpus() -> list[list[str]]:
@@ -169,6 +179,8 @@ def corpus() -> list[list[str]]:
              ["check", "example-3", "--certificate", "--windows", "0"]]
     runs += [["verify", "steep-a.json", "--horizon", "60", "--closed-form", "geometric:1,0.5"],
              ["solve", "steep-b.json", "--horizon", "300", "--seed-values", "1,-1,1,-1,1,-1"]]
+    runs += [["check", "geometric-a.json", "--almost-oscillation", "--horizon", "2000"],
+             ["check", "ending-d.json", "--almost-oscillation", "--horizon", "1000"]]
     return runs
 
 

@@ -297,7 +297,8 @@ CHUNK_FIRST = 64
 CHUNK_CAP = 2048
 
 
-def check_series_divergence(terms, start: int, horizon: int, threshold: float = 1e6) -> SeriesProbe:
+def check_series_divergence(terms, start: int, horizon: int, threshold: float = 1e6, *,
+                            ends: dict[int, float] | None = None) -> SeriesProbe:
     """Three-valued partial-sum probe for divergence of an infinite series.
 
     Divergent when |partial sums| pass the threshold (early exit) or when the
@@ -321,6 +322,14 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     sequence whose sign `sign_from(start)` proves) have monotone partial
     sums, because each rounding is monotone: a chunk's threshold test reads
     only the total before it and its last partial sum.
+
+    ends, when given, is a memo shared by probes of these terms from this
+    start under this threshold: {terms summed: partial sum} at each chunk end
+    a probe passed with no NaN term, no trip and no raise.  Every entry is a
+    state of the per-term loop, so the probe resumes from the last one below
+    two_thirds, and past it from the last one at or below the horizon, and
+    re-sums at most two chunks of what an earlier probe summed; its answer
+    is unchanged.  Without ends the probe keeps no state.
     """
     if horizon < 3:
         raise ValueError(f"series probe needs a horizon of at least 3, got {horizon}")
@@ -331,7 +340,15 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     one_signed = isinstance(terms, _ReciprocalPower) or terms.sign_from(start) is not None
     settled = terms.settled
     size = CHUNK_FIRST
+    past = None  # the side of two_thirds the probe last resumed on
     while summed < horizon:
+        if ends and past != (summed >= two_thirds):
+            past = summed >= two_thirds
+            stop = horizon if past else two_thirds - 1
+            resume = max((n for n in ends if summed < n <= stop), default=0)
+            if resume:
+                summed, total, size = resume, ends[resume], CHUNK_CAP
+                continue
         if settled is not None and start + summed >= settled[0]:
             return _settled_tail(settled[1], total, checkpoint, summed, horizon, two_thirds, threshold)
         count = min(size, horizon - summed)
@@ -340,13 +357,11 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
         vals = terms.read(start + summed, count)
         if isinstance(vals, list):  # else the per-term loop may stop before the term that raises
             sums = list(accumulate(vals, initial=total))
-            ends = (total, sums[-1]) if one_signed else sums  # where monotone sums take their max and min
-            if not math.isnan(sums[-1]) and max(ends) <= threshold >= -min(ends):
+            edges = (total, sums[-1]) if one_signed else sums  # where monotone sums take their max and min
+            if not math.isnan(sums[-1]) and max(edges) <= threshold >= -min(edges):
                 if summed < two_thirds <= summed + count:
                     checkpoint = sums[two_thirds - summed]
-                total = sums[-1]
-                summed += count
-                continue
+                total, summed, vals = sums[-1], summed + count, ()
         for v in vals:  # a chunk that trips replays its block's values; one read term by term is summed here
             if math.isnan(v):
                 return SeriesProbe(SeriesStatus.UNDETERMINED, total, math.nan, summed, False)
@@ -356,6 +371,8 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
                 checkpoint = total
             if abs(total) > threshold:
                 return SeriesProbe(SeriesStatus.DIVERGENT, total, 1.0, summed, True)
+        if ends is not None:
+            ends[summed] = total
     return _probe_at_horizon(total, checkpoint, summed)
 
 
@@ -493,8 +510,13 @@ class _ReciprocalPower(_Blocks):
         return list(map(math.pow, vals, repeat(self.exponent, count)))
 
 
-def _series_entry(name: str, terms, start: int, horizon: int) -> ConditionEntry:
-    probe = check_series_divergence(terms, start, horizon)
+def _series_entry(series: str, terms, eq: EquationSpec, horizon: int) -> ConditionEntry:
+    name, start = f"series-{series}-divergent", eq.n0
+    try:
+        probe = check_series_divergence(terms, start, horizon, ends=eq._series_ends.setdefault(series, {}))
+    except SequenceDomainError as exc:
+        return ConditionEntry(name, CheckStatus.NOT_CHECKABLE, None,
+                              f"series {series} not evaluable across the horizon: {exc}")
     satisfied = {SeriesStatus.DIVERGENT: True,
                  SeriesStatus.CONVERGENT: False,
                  SeriesStatus.UNDETERMINED: None}[probe.status]
@@ -509,16 +531,19 @@ def check_almost_oscillation(eq: EquationSpec, horizon: int = 100_000) -> Condit
     Aggregates the p-limit condition, the sign condition on f, continuity of
     f, divergence of the reciprocal-coefficient series A, B, C, and
     divergence of the d series.  Series entries are heuristic partial-sum
-    evidence at the given horizon.
+    evidence at the given horizon; a series whose terms raise is not
+    checkable.  The equation keeps each series' chunk-end partial sums
+    (`check_series_divergence`'s ends), so a later report on it re-sums at
+    most two chunks of what an earlier one summed, with the same answer.
     """
     entries = (
         _p_limit_entry(eq, horizon),
         _sign_condition_entry(eq),
         _continuity_entry(eq),
-        _series_entry("series-A-divergent", _ReciprocalPower(eq.a, eq.alpha, "a", eq.n0), eq.n0, horizon),
-        _series_entry("series-B-divergent", _ReciprocalPower(eq.b, eq.beta, "b", eq.n0), eq.n0, horizon),
-        _series_entry("series-C-divergent", _ReciprocalPower(eq.c, eq.gamma, "c", eq.n0), eq.n0, horizon),
-        _series_entry("series-d-divergent", eq.d, eq.n0, horizon),
+        _series_entry("A", _ReciprocalPower(eq.a, eq.alpha, "a", eq.n0), eq, horizon),
+        _series_entry("B", _ReciprocalPower(eq.b, eq.beta, "b", eq.n0), eq, horizon),
+        _series_entry("C", _ReciprocalPower(eq.c, eq.gamma, "c", eq.n0), eq, horizon),
+        _series_entry("d", eq.d, eq, horizon),
     )
     failing = [e for e in entries if e.satisfied is not True]
     if not failing:

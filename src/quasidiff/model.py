@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from functools import reduce
 from itertools import chain, groupby, repeat
@@ -449,6 +449,8 @@ class EquationSpec:
     c: SequenceSpec
     f: Nonlinearity
     n0: int
+    # {series: {terms summed: partial sum}}, the memo of the almost-oscillation probes (analysis._series_entry)
+    _series_ends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("tau", "delta", "n0"):

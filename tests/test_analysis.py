@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
@@ -495,8 +496,9 @@ def probe_outcome(probe, terms, start, horizon, threshold):
     return outcome(packed)
 
 
-def assert_probe_matches_per_term_loop(terms, start, horizon, threshold=1e6):
-    assert (probe_outcome(check_series_divergence, terms, start, horizon, threshold)
+def assert_probe_matches_per_term_loop(terms, start, horizon, threshold=1e6, ends=None):
+    probe = check_series_divergence if ends is None else functools.partial(check_series_divergence, ends=ends)
+    assert (probe_outcome(probe, terms, start, horizon, threshold)
             == probe_outcome(per_term_probe, terms, start, horizon, threshold))
 
 
@@ -599,6 +601,55 @@ class TestChunkedSeriesProbe:
            st.sampled_from((1e6, 10.0, 0.5, 1e300, math.inf, -1.0)))
     def test_random_one_signed_sequences(self, seq, start, horizon, threshold):
         assert_probe_matches_per_term_loop(seq, start, horizon, threshold)
+
+
+_HARMONIC = analysis._ReciprocalPower(Affine(1.0, 0.0), OddRatio(1), "a", 1)
+
+
+class TestSeriesMemo:
+    """Probes that share one memo of chunk-end partial sums each return what the per-term loop returns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(sequences, signed_sequences), st.integers(-5, 30),
+           st.lists(st.integers(3, 4500), min_size=2, max_size=6),
+           st.sampled_from((1e6, 10.0, 0.5, 1e300, math.inf, -1.0)))
+    @example(_HARMONIC, 1, [1000, 288, 96, 1000], 1e6)  # two_thirds 192 and 64 are recorded ends, so is 1000
+    @example(_HARMONIC, 1, [448, 448, 672, 960], 1e6)  # horizons at recorded ends; 672's two_thirds is 448
+    @example(_HARMONIC, 1, [3000, 50, 3, 63], 1e6)  # horizons below the first chunk end
+    @example(_HARMONIC, 1, [4500, 700, 3000, 4400], 1e6)  # horizons that shrink, then grow
+    @example(_NAN_AT_100, 0, [1000, 90, 101, 1000], 1e6)  # a NaN term at 100
+    @example(Constant(1.0), 0, [1000, 100, 101, 200], 100.5)  # a trip at term 101
+    @example(Affine(-1.0, 1.0), 2, [3000, 1000, 1500], 1e6)  # a trip of the negative sign, at term 1414
+    @example(Table((2e6, -2e6, 0.0), 0, "hold-last"), 0, [1000, 3, 500], 1e6)  # sums that trip and come back
+    @example(Table((1.0,) * 150, 0, "error"), 0, [1000, 100, 149, 150, 151], 1e6)  # the table ends at 149
+    @example(qd.example_equation("example-2", beta="3/1").d, 2, [4500, 2000, 100], 1e6)  # settled from 35
+    def test_matches_per_term_loop(self, terms, start, horizons, threshold):
+        ends = {}
+        for horizon in horizons:
+            assert_probe_matches_per_term_loop(terms, start, horizon, threshold, ends)
+
+    def test_a_warm_probe_resums_at_most_two_chunks(self, monkeypatch):
+        ends = {}
+        cold = check_series_divergence(Affine(1.0, 0.0), 1, 100_000, ends=ends)
+        read = []
+        block = Affine.block
+        monkeypatch.setattr(Affine, "block", lambda seq, start, count, done=None: read.append(count)
+                            or block(seq, start, count, done))
+        assert check_series_divergence(Affine(1.0, 0.0), 1, 100_000, ends=ends) == cold
+        assert read == [analysis.CHUNK_CAP]  # the chunk across two_thirds; then the horizon is a recorded end
+
+    def test_a_filled_memo_leaves_the_equation_equal(self):
+        eq = qd.example_equation("example-3")
+        check_almost_oscillation(eq, horizon=5000)
+        assert eq._series_ends["A"][5000] > 0.0
+        fresh = qd.example_equation("example-3")
+        assert (eq, hash(eq), repr(eq)) == (fresh, hash(fresh), repr(fresh))
+
+    def test_a_probe_without_a_memo_keeps_no_state(self):
+        eq = qd.example_equation("example-3")
+        first = check_series_divergence(eq.d, eq.n0, 5000)
+        assert check_series_divergence(eq.d, eq.n0, 5000) == first
+        assert eq._series_ends == {}
 
 
 _DYADIC = st.builds(lambda i, k: math.ldexp(i, k), st.integers(-2 ** 20, 2 ** 20), st.integers(-1074, 40))

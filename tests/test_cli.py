@@ -612,6 +612,34 @@ def test_check_almost_oscillation_overflowing_reciprocal_coefficient(a, alpha, t
             "over 1 terms from n = 2, tail ratio 1.000e+00\n") in out
 
 
+def test_a_series_whose_terms_end_is_not_checkable(tmp_path, capsys):
+    # d's table ends inside the horizon: the d series is not checkable, as a p that ends is, and the report goes on
+    doc = qd.example_document("example-3")
+    doc["d"] = {"kind": "table", "values": [1.0 - n for n in range(300)], "start": 0, "out_of_range": "error"}
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["check", str(path), "--almost-oscillation", "--horizon", "1000"], capsys)
+    assert (code, err) == (1, "")
+    assert ("  [   ?] series-d-divergent (not-checkable): series d not evaluable across the horizon: "
+            "table ends at 299, asked for 300\n") in out
+    assert out.endswith("conclusion: hypotheses not confirmed: first failing condition 'series-d-divergent'\n")
+
+
+def test_almost_oscillation_on_a_cached_equation_answers_as_on_a_fresh_one(equation_cache, capsys):
+    # the later reports resume from the partial sums the earlier ones left on the cached equation
+    argv = ["check", "example-3", "--almost-oscillation", "--horizon"]
+    horizons = ("200000", "50000", "120000")
+    warm = [run([*argv, h], capsys) for h in horizons]
+    assert equation_cache.cache_info().misses == 1
+    eq, _ = cli._load_equation(cli.make_parser().parse_args([*argv, "3"]))
+    assert {200_000, 50_000, 120_000} <= eq._series_ends["A"].keys()
+    fresh = []
+    for h in horizons:
+        equation_cache.cache_clear()
+        fresh.append(run([*argv, h], capsys))
+    assert warm == fresh
+
+
 def test_check_certificates(capsys):
     code, out, err = run(["check", "example-1", "--certificate", "--windows", "50"], capsys)
     assert code == 1

@@ -630,9 +630,10 @@ class TestDerivedCoefficients:
         message = r"nonpositive coefficient a\(301\) = -1\.0"
         with pytest.raises(SequenceDomainError, match=message):
             reciprocal_coefficients(eq_bad)[0].at(301)
-        with pytest.raises(SequenceDomainError, match=message) as err:
-            check_almost_oscillation(eq_bad, horizon=1000)
-        assert err.value.index == 301
+        entry = check_almost_oscillation(eq_bad, horizon=1000).entries[3]  # the report goes on past series A
+        assert (entry.condition, entry.status, entry.satisfied) == ("series-A-divergent", qd.CheckStatus.NOT_CHECKABLE,
+                                                                    None)
+        assert entry.detail == "series A not evaluable across the horizon: nonpositive coefficient a(301) = -1.0"
 
 
 # ---------------------------------------------------------------------------
