@@ -340,7 +340,7 @@ def check_series_divergence(terms, start: int, horizon: int, threshold: float = 
     one_signed = isinstance(terms, _ReciprocalPower) or terms.sign_from(start) is not None
     settled = terms.settled
     size = CHUNK_FIRST
-    past = None  # the side of two_thirds the probe last resumed on
+    past = None  # the side of two_thirds the memo was last searched on
     while summed < horizon:
         if ends and past != (summed >= two_thirds):
             past = summed >= two_thirds

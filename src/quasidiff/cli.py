@@ -159,9 +159,9 @@ def _cached_equation(example: str | None, text: str | None, beta: str | None, la
                      delta_override: int | None, perturb_d: float | None) -> EquationSpec:
     """The equation of a bundled example or of a document's text, with the overrides applied.
 
-    An equation is frozen, with every derived field set when it is built, so one spec serves every
-    request with the same key; a file is keyed on its text, so a rewritten file is built again.  An
-    input that fails raises here and is not cached."""
+    An equation is frozen, with every derived field set when it is built (its series probes' memo
+    changes no answer), so one spec serves every request with the same key; a file is keyed on its
+    text, so a rewritten file is built again.  An input that fails raises here and is not cached."""
     if example is not None:
         kwargs = {key: value for key, value in (("beta", beta), ("lam", lam)) if value is not None}
         document = example_document(example, **kwargs)
