@@ -630,13 +630,15 @@ class TestSeriesMemo:
 
     def test_a_warm_probe_resums_at_most_two_chunks(self, monkeypatch):
         ends = {}
-        cold = check_series_divergence(Affine(1.0, 0.0), 1, 100_000, ends=ends)
+        cold = check_series_divergence(_HARMONIC, 1, 100_000, ends=ends)
+        assert cold.status is SeriesStatus.DIVERGENT and not cold.threshold_exceeded
         read = []
-        block = Affine.block
-        monkeypatch.setattr(Affine, "block", lambda seq, start, count, done=None: read.append(count)
+        block = Affine.block  # the harmonic terms' base, n
+        monkeypatch.setattr(Affine, "block", lambda seq, start, count, done=None: read.append((start, count))
                             or block(seq, start, count, done))
-        assert check_series_divergence(Affine(1.0, 0.0), 1, 100_000, ends=ends) == cold
-        assert read == [analysis.CHUNK_CAP]  # the chunk across two_thirds; then the horizon is a recorded end
+        assert check_series_divergence(_HARMONIC, 1, 100_000, ends=ends) == cold
+        # the chunk across two_thirds = 66,666 from the last end below it; then the horizon is a recorded end
+        assert read == [(65_473, analysis.CHUNK_CAP)]
 
     def test_a_filled_memo_leaves_the_equation_equal(self):
         eq = qd.example_equation("example-3")
