@@ -103,9 +103,9 @@ SIGN_BREAK_SEED = "0.5,0.6,0.7,0.8,0.9,1.0"
 # after it; at beta 3/1 they pass it at term 3,907, and at beta 1/3 never.
 SETTLED_SERIES = (("1/1", (62_499, 62_500, 62_501)), ("3/1", (100_000,)), ("1/3", (100_000,)))
 
-# A coefficient of 1e10^n is inf from n = 31 on, so the residual meets inputs that are not finite: a block
-# is cut into a run in integers and a run, of the indices that read the inf, in 40 digits, where inf - inf
-# and inf * 0 are met (example-3's unit exponents, and example-2 at beta 5/3).
+# A coefficient of 1e10^n is inf from n = 31 on, so the residual meets inputs that are not finite: the
+# indices of a block that read the inf are NaN, and the others stay exact in the block's one integer pass
+# (example-3's unit exponents, and example-2 at beta 5/3).
 STEEP = {"kind": "geometric", "scale": 1, "ratio": 1e10}
 STEEP_A_DOCUMENT = {**example_document("example-3"), "a": STEEP}
 STEEP_B_DOCUMENT = {**example_document("example-2", beta="5/3"), "b": STEEP}

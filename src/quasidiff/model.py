@@ -20,9 +20,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, getcontext, localcontext
 from functools import reduce
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from typing import Callable, Union
 
 from .errors import SequenceDomainError
@@ -510,16 +509,12 @@ def _xpow(v: float, e: OddRatio) -> float:
     return v
 
 
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for an integer n >= 1, by Newton's method from above.
 
-    The float seed is only a starting point: both callers scale n so that its root has 136 to 145 bits
-    (`_dec_root_pow` 42 digits, `_root_pow` 144 or 145 bits), and exp(log(n) / k) is then within a
-    relative 1e-13 of the root, so the 2**-40 margin puts the seed above it.  From above, the integer
-    Newton steps decrease to the floor of the root and stop there.
+    The float seed is only a starting point: `_root_pow` scales n so that its root has 144 or 145 bits, and
+    exp(log(n) / k) is then within a relative 1e-13 of the root, so the 2**-40 margin puts the seed above
+    it.  From above, the integer Newton steps decrease to the floor of the root and stop there.
     """
     x = int(math.exp(math.log(n) / k) * (1 + 2.0 ** -40)) + 1
     while True:
@@ -527,42 +522,6 @@ def _iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _dec_root_pow(mag: Decimal, m: int, k: int) -> Decimal:
-    """mag ** (m/k) for a finite mag > 0, correctly rounded to the context.
-
-    With mag = M * 10**e, the root is the exact integer k-th root of
-    M**m * 10**s, times 10**q, where s is chosen so that the root has two
-    digits more than the context's precision.  A root that is not exact
-    gets a sticky digit, so the one rounding, by unary plus, is the
-    correct rounding of the true power.
-    """
-    e = mag.as_tuple().exponent
-    power = int(mag.scaleb(-e, _EXACT)) ** m  # mag**m = power * 10**(e*m)
-    places = getcontext().prec + 2
-    q = (m * mag.adjusted() - k * (places - 1)) // k  # so that the root is >= 10**(places - 1)
-    s = e * m - k * q
-    n, rest = (power * 10 ** s, 0) if s >= 0 else divmod(power, 10 ** -s)
-    r = _iroot(n, k)
-    if rest or r ** k != n:
-        r, q = 10 * r + 1, q - 1  # the root lies strictly between r and r + 1
-    return +Decimal(r).scaleb(q, _EXACT)
-
-
-def _dec_spow(v: Decimal, e: OddRatio) -> Decimal:
-    if v == 0:
-        return Decimal(0)
-    if e.numerator == 1 and e.denominator == 1:
-        return v
-    mag = abs(v)
-    if e.denominator == 1:
-        power = mag ** e.numerator
-    elif mag.is_finite():
-        power = _dec_root_pow(mag, e.numerator, e.denominator)
-    else:
-        power = mag  # inf or NaN, as ** left them
-    return power if v > 0 else -power
 
 
 def _coefficients(seq: SequenceSpec, lo: int, count: int, num: Callable):
@@ -579,8 +538,8 @@ def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
     The one definition of the staircase z -> y -> w -> t.  xs[i] is x_{x0+i},
     already of the number type `num`, which also converts the coefficient
     values; `power` is the signed power of that type (the totalized `_xpow`
-    for float, `_dec_spow` for Decimal under the caller's context); a unit
-    exponent's power is what both give, v or num(0) for a zero, with no call.
+    for float); a unit exponent's power is v, or num(0) for a zero, with no
+    call.
     """
     count, lag, zero = hi - lo + 1, lo - eq.delta - x0, num(0)
     columns = [list(map(operator.add, xs[lo - x0:lo - x0 + count],  # z_j = x_j + p_j * x_{j-delta}
@@ -602,8 +561,6 @@ def _x_values(x: Evaluator, lo: int, hi: int):
 
 RESIDUAL_BLOCK = 256
 RESIDUAL_WIDTH = 8192  # bits: a block is halved where differences this wide meet a power other than 1
-# The residual's 40 digits, whatever the caller's context: the rounding is fixed, and nothing traps.
-_DIGITS40 = Context(prec=40, rounding=ROUND_HALF_EVEN, traps=[])
 
 
 def _binary(vals) -> tuple[list[int], int]:
@@ -644,15 +601,32 @@ def _parts(t: list, forcing: list, rounded: Callable) -> list[tuple[float, float
                     map(rounded, map(max, abs_t[1:], abs_t, map(abs, forcing)))))
 
 
+def _zero_not_finite(readers, size: int) -> bytearray:
+    """1 at each index i of range(size) that reads a value that is not finite, else 0; each such value is set to
+    0.0 in place.  readers holds (values, windows): i reads values[i + shift:i + shift + width + 1] for each
+    (shift, width) of windows, and every i reads a one-value column (a Constant's)."""
+    marked = bytearray(size)
+    for values, windows in readers:
+        for bad in re.finditer(b"\0+", bytes(map(math.isfinite, values))):
+            start, end = bad.span()
+            values[start:end] = [0.0] * (end - start)
+            for shift, width in windows:
+                i, j = (0, size) if len(values) == 1 else (start - shift - width, end - shift)
+                i, j = min(max(i, 0), size), min(max(j, 0), size)  # a negative end would count from the back
+                marked[i:j] = b"\1" * (j - i)
+    return marked
+
+
 def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tuple[float, float]]:
     """(residual, scale of the cancelled terms) at each index of [lo, hi].
 
     The residual subtracts nearly equal t values, whose recomputation noise in doubles the exponents and
     the differences would amplify.  Its inputs (x, the coefficients and the float forcing) are doubles, so
     the staircase runs in integers on one power-of-two scale per column, a fractional power rounded once
-    from its value alone, and each result rounds once.  A run of indices that each read a value that is
-    not finite runs in 40 digits, untrapped: inf - inf is NaN, an overflow is an inf.  So no result
-    depends on the range.
+    from its value alone, and each result rounds once: no result depends on the range.  An index that
+    reads a value that is not finite (x at n..n+4 and n-delta..n+4-delta, p to n+4, c to n+3, b to n+2,
+    a to n+1, or the forcing at n) gets (NaN, NaN): an inf or NaN that enters z reaches t, and inf * 0
+    and inf - inf are NaN.  The pass reads such a value as 0.0, which changes no other index's result.
     """
     forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
                          map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
@@ -661,25 +635,13 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     count = hi - lo + 5
     reads = [[seq.at(lo)] if isinstance(seq, Constant) else list(seq.read(lo, count - k))
              for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a))]  # every column is read before any converts
+    inputs, marked = (forcing_f, xs, *reads), None
     try:  # as_integer_ratio raises for inf and NaN
-        (fm, fs), (xm, s), *columns = map(_binary, (forcing_f, xs, *reads))
-    except (ValueError, OverflowError):  # n reads xs[n - lo + i] for i <= reach, p[n - lo + i] for i <= 4, ...
-        reach, parts, b = len(xs) - (hi - lo + 1), [], lo - 1
-        finite = bytearray(b"\1") * (len(xs) + reach)  # whether n reads only finite values, at n - lo + reach
-        for values, last in ((xs, reach), (forcing_f, 0),
-                             *((r * (count - k) if len(r) == 1 else r, 4 - k) for k, r in enumerate(reads))):
-            for bad in re.finditer(b"\0+", bytes(map(math.isfinite, values))):
-                finite[bad.start() + reach - last:bad.end() + reach] = bytes(bad.end() - bad.start() + last)
-        for run_finite, run in groupby(finite[reach:reach + hi - lo + 1]):
-            a, b = b + 1, b + len(list(run))
-            if run_finite:
-                parts += _residual_parts(eq, x, a, b)
-                continue
-            with localcontext(_DIGITS40):
-                t = staircase(eq, list(map(Decimal, xs[a - lo:b - lo + reach + 1])), a - below, a, b + 4,
-                              Decimal, _dec_spow)[3]
-                parts += _parts(t, list(map(Decimal, forcing_f[a - lo:b - lo + 1])), float)
-        return parts
+        (fm, fs), (xm, s), *columns = map(_binary, inputs)
+    except (ValueError, OverflowError):
+        marked = _zero_not_finite(((forcing_f, ((0, 0),)), (xs, ((below, 4), (below - eq.delta, 4))),
+                                   *((r, ((0, 4 - k),)) for k, r in enumerate(reads))), hi - lo + 1)
+        (fm, fs), (xm, s), *columns = map(_binary, inputs)
     (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
     z = list(map(operator.add, map(operator.lshift, xm[below:below + count], repeat(ps)),
                  map(operator.mul, pm, xm[below - eq.delta:])))  # x_j + p_j x_{j-delta}, count of them
@@ -697,10 +659,13 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     top = max(s, fs)
     t, forcing, den = [v << top - s for v in z], [v << top - fs for v in fm], 1 << top
     try:  # int / int is correctly rounded, and raises where that is 2**1024 or more
-        return _parts(t, forcing, den.__rtruediv__)
+        parts = _parts(t, forcing, den.__rtruediv__)
     except OverflowError:
         limit = ((1 << 54) - 1) << 970 + top  # (2**1024 - 2**970) * den: from this tie on, an infinity
-        return _parts(t, forcing, lambda v: v / den if abs(v) < limit else math.inf if v > 0 else -math.inf)
+        parts = _parts(t, forcing, lambda v: v / den if abs(v) < limit else math.inf if v > 0 else -math.inf)
+    if marked is None:
+        return parts
+    return [(math.nan, math.nan) if bad else part for part, bad in zip(parts, marked)]
 
 
 def relative_residual(eq: EquationSpec, x: Evaluator, n: int) -> float:
@@ -743,8 +708,8 @@ def residual_reads(eq: EquationSpec, indices: range) -> range:
 
 def relative_residuals(eq: EquationSpec, x: Evaluator, indices: range) -> list[float]:
     """The relative residual |r| / scale at each index of a step-1 range (0 for an exact zero, inf for a
-    non-zero residual over a zero scale).  One staircase serves RESIDUAL_BLOCK indices, and each value
-    equals that of a one-index range."""
+    non-zero residual over a zero scale, NaN where a value the index reads is not finite).  One staircase
+    serves RESIDUAL_BLOCK indices, and each value equals that of a one-index range."""
     return [abs(r) / scale if scale else (0.0 if r == 0.0 else math.inf) for lo in indices[::RESIDUAL_BLOCK]
             for r, scale in _residual_parts(eq, x, lo, min(lo + RESIDUAL_BLOCK, indices.stop) - 1)]
 
