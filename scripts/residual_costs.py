@@ -14,7 +14,9 @@ microseconds per index, with the arithmetic the exponents select:
 * a wide unit-exponent equation: a = b = c = 2^-1000 * 16^n and
   x_n = (-1)^n 2^(4n-500), so that each column of a block spans about a
   thousand binary orders of magnitude; 16^n overflows doubles from
-  n = 256, so the last five indices of its block read an inf.
+  n = 256, so the last five indices of its block read an inf;
+* example-1 at beta 3/1 from n = 600, where d overflows doubles (from
+  n = 337), so every index of the block reads an inf and is NaN.
 
 Then three verify requests whose residuals read an input that is not
 finite (d overflows doubles, or is perturbed to about 1e308) are timed
@@ -48,18 +50,19 @@ def example(name: str, beta: str | None = None):
 
 
 def cases():
-    """(label, equation, x evaluator) of each timed residual block."""
+    """(label, equation, x evaluator, first index or None for n0) of each timed residual block."""
     for name in ("example-1", "example-2"):
         for beta in BETAS:
-            yield f"{name} beta {beta}", example(name, beta), example_closed_form(name)
+            yield f"{name} beta {beta}", example(name, beta), example_closed_form(name), None
     for name in ("example-3", "example-4"):
-        yield name, example(name), example_closed_form(name)
+        yield name, example(name), example_closed_form(name), None
     unit = Constant(1.0)  # the inverse regime: tau = -7, and d = -16 makes x_{n+7} the forcing preimage
     yield "inverse document", replace(example("example-3"), tau=-7, delta=0, n0=1, p=unit, a=unit, b=unit,
-                                      c=unit, d=Constant(-16.0)), lambda n: 2.0 ** -n
+                                      c=unit, d=Constant(-16.0)), lambda n: 2.0 ** -n, None
     wide = Geometric(2.0 ** -1000, 16.0)
     yield "wide columns (unit exponents)", replace(example("example-3"), a=wide, b=wide, c=wide), \
-        lambda n: (-1.0) ** n * 2.0 ** (4 * n - 500)
+        lambda n: (-1.0) ** n * 2.0 ** (4 * n - 500), None
+    yield "example-1 beta 3/1 from 600 (all NaN)", example("example-1", "3/1"), example_closed_form("example-1"), 600
 
 
 def best_us_per_index(eq, x, indices: range, repeat: int) -> float:
@@ -82,9 +85,9 @@ def main_costs() -> int:
     parser.add_argument("--count", type=int, default=model.RESIDUAL_BLOCK)
     args = parser.parse_args()
     _say(f"residual pass over one block of {args.count} indices, best of {args.repeat}, us per index")
-    for label, eq, form in cases():
-        indices = range(eq.n0, eq.n0 + args.count)
-        _say(f"  {label:32s} {best_us_per_index(eq, sampled(eq, form, indices), indices, args.repeat):8.2f}")
+    for label, eq, form, start in cases():
+        indices = range(start or eq.n0, (start or eq.n0) + args.count)
+        _say(f"  {label:38s} {best_us_per_index(eq, sampled(eq, form, indices), indices, args.repeat):8.2f}")
     _say(f"verify requests that read values that are not finite, median of {args.repeat} in main")
     for argv in NON_FINITE_VERIFIES:
         times = []

@@ -7,6 +7,7 @@ alternating solutions and for companion-sequence bounds.
 
 from .analysis import (
     BoundCertificate,
+    CertificatePlan,
     CheckStatus,
     ComponentSummary,
     ConditionEntry,
@@ -26,6 +27,7 @@ from .analysis import (
     classify,
     companion_bound_certificate,
     component_sign_profile,
+    prepare_certificate,
     sign_conflict_certificate,
 )
 from .document import build_equation, build_sequence, parse_equation_document
@@ -78,7 +80,7 @@ from .windows import Window
 __version__ = "0.1.0"
 
 __all__ = [
-    "Affine", "BoundCertificate", "CheckStatus", "Combine", "ComponentSummary",
+    "Affine", "BoundCertificate", "CertificatePlan", "CheckStatus", "Combine", "ComponentSummary",
     "ConditionEntry", "ConditionReport", "Constant", "ContradictionCertificate",
     "DocumentError", "EXAMPLE_NAMES", "EquationSpec", "Geometric", "HypothesisViolation",
     "Nonlinearity", "NumericRangeError", "OddPowerMap", "OddRatio", "PivotError",
@@ -90,6 +92,6 @@ __all__ = [
     "check_series_divergence", "classify", "companion_bound_certificate",
     "component_sign_profile", "example_closed_form", "example_document", "example_equation",
     "example_summary", "forward_seed_span", "inverse_seed_span", "max_relative_residual",
-    "parse_equation_document", "relative_residual", "residual_range", "sample_trajectory",
-    "sign_conflict_certificate", "solve_forward", "solve_inverse", "spow",
+    "parse_equation_document", "prepare_certificate", "relative_residual", "residual_range",
+    "sample_trajectory", "sign_conflict_certificate", "solve_forward", "solve_inverse", "spow",
 ]

@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import accumulate, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import VALIDATION_SAMPLE, EquationSpec, SequenceSpec, _Blocks, first_failure, residual_range, staircase
+from .model import (VALIDATION_SAMPLE, EquationSpec, SequenceSpec, _Blocks, _coefficients, _residual_reach,
+                    first_failure, staircase)
 from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
 from .windows import Window
@@ -586,8 +587,55 @@ class ContradictionCertificate:
         return self.chain_finite_nonzero and bool(self.conflicts) and all(self.conflicts)
 
 
+@dataclass(frozen=True, eq=False)
+class CertificatePlan:
+    """What the sign-conflict certificates of one equation on q windows [start, start + size) share.
+
+    `refusal` says why the quick-exclusion hypotheses refuse (None when they
+    hold), `certified` is the range each window certifies, and `negated`
+    gives, per parity, the slice of a window where x = -q.  `columns` reads
+    p, c, b and a over the staircase range and d over `certified` on the
+    first certificate that passes its q and range checks, so a read that
+    raises raises there, as it does when each certificate reads for itself.
+    """
+
+    eq: EquationSpec
+    start: int
+    size: int
+    refusal: str | None
+    certified: range
+    negated: dict[QuickParity, slice]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[list, ...], list]:
+        """((p, c, b, a) over [n_lo, n_hi + 4] to [n_lo, n_hi + 1], d over the certified range), floats."""
+        eq, lo, count = self.eq, self.certified.start, len(self.certified) + 4
+        coefficients = tuple(list(_coefficients(seq, lo, count - k, float))
+                             for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a)))
+        return coefficients, list(eq.d.read(lo, count - 4))
+
+
+def prepare_certificate(eq: EquationSpec, start: int, size: int,
+                        exclusion: ConditionReport | None = None) -> CertificatePlan:
+    """The plan that sign_conflict_certificate runs every q window of this start and size against.
+
+    `exclusion` is check_quick_exclusion(eq) when the caller holds it
+    already; None runs it.  Nothing is read here: see CertificatePlan.
+    """
+    report = check_quick_exclusion(eq) if exclusion is None else exclusion
+    bad = next((e for e in report.entries if e.satisfied is not True), None)  # None: all hold
+    below, above = _residual_reach(eq)
+    return CertificatePlan(
+        eq, start, size,
+        refusal=None if bad is None else f"certificate refused: condition '{bad.condition}' fails ({bad.detail})",
+        certified=range(start + below, start + size - above),  # residual_range of such a window
+        negated={parity: slice((start + (parity is QuickParity.EVEN_POSITIVE)) % 2, None, 2)
+                 for parity in QuickParity},  # x_m = -q_m at the indices m of the other parity
+    )
+
+
 def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
-                              exclusion: ConditionReport | None = None) -> ContradictionCertificate:
+                              plan: CertificatePlan | None = None) -> ContradictionCertificate:
     """Build the sign-conflict certificate for candidate x_n = +-(-1)^n q_n.
 
     The candidate has positive terms at the indices of the given parity, and
@@ -595,32 +643,33 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     unless the quick-exclusion hypotheses hold for the equation and q is
     finite and strictly positive on its window.  The window must reach
     delta (and tau) indices behind and four (and -tau, and -delta) ahead of
-    the certified range.  `exclusion` is check_quick_exclusion(eq) when the
-    caller holds it already (one report serves every window of a request);
-    None runs it.
+    the certified range.  `plan` is prepare_certificate(eq, q.start, len(q))
+    when the caller holds it already (one plan serves every window of a
+    request, and reads the coefficients once); None prepares one for q.
     """
-    report = check_quick_exclusion(eq) if exclusion is None else exclusion
-    if not report.all_hold:
-        bad = next(e for e in report.entries if e.satisfied is not True)
-        raise HypothesisViolation(f"certificate refused: condition '{bad.condition}' fails ({bad.detail})")
+    if plan is None:
+        plan = prepare_certificate(eq, q.start, len(q))
+    elif plan.eq is not eq or (plan.start, plan.size) != (q.start, len(q)):
+        raise ValueError(f"certificate plan prepared for q windows [{plan.start}, {plan.start + plan.size - 1}]"
+                         f"{'' if plan.eq is eq else ' of another equation'}, given [{q.start}, {q.end}]")
+    if plan.refusal is not None:
+        raise HypothesisViolation(plan.refusal)
     if not (all(map(math.isfinite, q.values)) and min(q.values) > 0.0):
         raise HypothesisViolation("certificate requires a strictly positive q window")
-
-    certified = residual_range(eq, q)
-    n_lo, n_hi = certified.start, certified.stop - 1
+    n_lo, n_hi = plan.certified.start, plan.certified.stop - 1
     if n_hi < n_lo:
         raise HypothesisViolation(
             f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]"
         )
 
-    xs = list(q.values)  # x_m = -q_m at the indices m of the other parity
-    negated = slice((q.start + (parity is QuickParity.EVEN_POSITIVE)) % 2, None, 2)
-    xs[negated] = map(operator.neg, xs[negated])
-    z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4)
+    coefficients, d = plan.columns
+    xs = list(q.values)
+    xs[plan.negated[parity]] = map(operator.neg, xs[plan.negated[parity]])
+    z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4, coefficients=coefficients)
     chain_side = list(map(operator.sub, t[:-1], t[1:]))
     fx = xs[n_lo - eq.tau - q.start:]  # q is finite and non-zero: a unit power leaves each x as it is
     fx = map(operator.mul, repeat(eq.f.scale), fx) if eq.f.unit else map(eq.f.apply, fx)
-    forcing_side = list(map(operator.mul, eq.d.read(n_lo, len(chain_side)), fx))  # d_n f(x_{n-tau}), as far as d goes
+    forcing_side = list(map(operator.mul, d, fx))  # d_n f(x_{n-tau})
     conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side))
     return ContradictionCertificate(
         parity=parity, n_start=n_lo, n_end=n_hi, conflicts=conflicts,

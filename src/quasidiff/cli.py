@@ -35,6 +35,7 @@ from .analysis import (
     companion_bound_certificate,
     component_sign_profile,
     p_tail,
+    prepare_certificate,
     sign_conflict_certificate,
 )
 from .document import _integer, _need, build_equation, build_sequence, load_document
@@ -372,10 +373,11 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list
     rand = random.Random(args.rng_seed).random
     below, above = _residual_reach(eq)
     span = below + 16 + above  # each window certifies 16 indices
+    plan = prepare_certificate(eq, eq.n0, span, exclusion)  # the windows share their reads of p, a, b, c and d
     valid_count = 0
     for _ in range(args.windows):  # q_n = 10 ** uniform(-3, 3), which is -3 + 6 * random()
         q = Window(eq.n0, tuple(map((10.0).__pow__, [-3.0 + 6.0 * rand() for _ in range(span)])))
-        valid_count += sign_conflict_certificate(eq, q, parity, exclusion).valid
+        valid_count += sign_conflict_certificate(eq, q, parity, plan).valid
     all_valid = valid_count == args.windows
     lines = [f"sign-conflict certificates ({parity.value}): "
              f"{valid_count}/{args.windows} valid on random positive q windows"]

@@ -531,24 +531,28 @@ def _coefficients(seq: SequenceSpec, lo: int, count: int, num: Callable):
     return map(num, seq.read(lo, count))
 
 
-def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int,
-              num: Callable = float, power: Callable = _xpow) -> tuple[list, list, list, list]:
+def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int, num: Callable = float, power: Callable = _xpow,
+              coefficients: tuple | None = None) -> tuple[list, list, list, list]:
     """The chain columns z on [lo, hi], y on [lo, hi-1], w on [lo, hi-2], t on [lo, hi-3].
 
     The one definition of the staircase z -> y -> w -> t.  xs[i] is x_{x0+i},
     already of the number type `num`, which also converts the coefficient
     values; `power` is the signed power of that type (the totalized `_xpow`
     for float); a unit exponent's power is v, or num(0) for a zero, with no
-    call.
+    call.  `coefficients` holds p, c, b and a as `num` values over the ranges
+    their columns use, [lo, hi] to [lo, hi-3], when the caller has read them
+    already; else each is read (`_coefficients`) as its column starts.
     """
     count, lag, zero = hi - lo + 1, lo - eq.delta - x0, num(0)
+    p = _coefficients(eq.p, lo, count, num) if coefficients is None else coefficients[0]
     columns = [list(map(operator.add, xs[lo - x0:lo - x0 + count],  # z_j = x_j + p_j * x_{j-delta}
-                        map(operator.mul, _coefficients(eq.p, lo, count, num), xs[lag:lag + count])))]
-    for seq, e in ((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)):
+                        map(operator.mul, p, xs[lag:lag + count])))]
+    for k, (seq, e) in enumerate(((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)), 1):
         prev = columns[-1]  # the next column is seq_m * power(prev_{m+1} - prev_m, e)
         diffs = map(operator.sub, prev[1:], prev)  # the map stops with prev[1:]
         powers = (v if v else zero for v in diffs) if e.numerator == e.denominator else map(power, diffs, repeat(e))
-        columns.append(list(map(operator.mul, _coefficients(seq, lo, len(prev) - 1, num), powers)))
+        values = _coefficients(seq, lo, len(prev) - 1, num) if coefficients is None else coefficients[k]
+        columns.append(list(map(operator.mul, values, powers)))
     return tuple(columns)
 
 
@@ -626,7 +630,8 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     from its value alone, and each result rounds once: no result depends on the range.  An index that
     reads a value that is not finite (x at n..n+4 and n-delta..n+4-delta, p to n+4, c to n+3, b to n+2,
     a to n+1, or the forcing at n) gets (NaN, NaN): an inf or NaN that enters z reaches t, and inf * 0
-    and inf - inf are NaN.  The pass reads such a value as 0.0, which changes no other index's result.
+    and inf - inf are NaN.  The pass reads such a value as 0.0, which changes no other index's result; a
+    block whose every index reads one runs no pass.
     """
     forcing_f = list(map(operator.mul, eq.d.read(lo, hi - lo + 1),
                          map(eq.f.apply, _x_values(x, lo - eq.tau, hi - eq.tau))))
@@ -641,6 +646,8 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     except (ValueError, OverflowError):
         marked = _zero_not_finite(((forcing_f, ((0, 0),)), (xs, ((below, 4), (below - eq.delta, 4))),
                                    *((r, ((0, 4 - k),)) for k, r in enumerate(reads))), hi - lo + 1)
+        if 0 not in marked:  # every index reads a value that is not finite: no pass
+            return [(math.nan, math.nan)] * (hi - lo + 1)
         (fm, fs), (xm, s), *columns = map(_binary, inputs)
     (pm, ps), *steps = ((repeat(m[0]) if len(m) == 1 else m, ms) for m, ms in columns)  # a Constant once
     z = list(map(operator.add, map(operator.lshift, xm[below:below + count], repeat(ps)),

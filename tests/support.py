@@ -8,6 +8,7 @@ import struct
 from hypothesis import strategies as st
 
 import quasidiff as qd
+from quasidiff import model
 
 ONE = qd.OddRatio(1)
 
@@ -101,3 +102,19 @@ def outcome(fn) -> tuple:
     if isinstance(result, list):
         return "returns", [struct.pack("d", v) for v in result]
     return "returns", result
+
+
+def spy_coefficient_reads(monkeypatch, eq, seen):
+    """From here on, call seen(name, start, stop) at each read of eq's d, a, b, c or p over [start, stop), and
+    at each at(n) with stop = n + 1."""
+    names = {id(getattr(eq, name)): name for name in "dabcp"}
+
+    def spy(seq, start, stop):
+        if id(seq) in names:
+            seen(names[id(seq)], start, stop)
+
+    read = model._Blocks.read
+    monkeypatch.setattr(model._Blocks, "read", lambda seq, start, count: spy(seq, start, start + count)
+                        or read(seq, start, count))
+    for kind in (qd.Constant, qd.Geometric, qd.Affine, qd.PowerLaw, qd.Table, qd.Combine, qd.SignedPower):
+        monkeypatch.setattr(kind, "at", lambda seq, n, at=kind.at: spy(seq, n, n + 1) or at(seq, n))

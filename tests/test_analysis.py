@@ -2,13 +2,14 @@ import functools
 import math
 import random
 import struct
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
-from quasidiff import analysis
+from quasidiff import analysis, cli
 from quasidiff.analysis import TAIL_GROW, TAIL_SETTLE
 from quasidiff import (
     Affine,
@@ -31,10 +32,11 @@ from quasidiff import (
     classify,
     companion_bound_certificate,
     component_sign_profile,
+    prepare_certificate,
     sample_trajectory,
     sign_conflict_certificate,
 )
-from support import outcome, plain_equation, sequences, signed_sequences
+from support import outcome, plain_equation, sequences, signed_sequences, spy_coefficient_reads
 
 # ---------------------------------------------------------------------------
 # Classification
@@ -247,16 +249,16 @@ class TestSignConflictCertificate:
             sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE)
         with pytest.raises(HypothesisViolation, match="delta-even"):
             sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE,
-                                      check_quick_exclusion(eq))
+                                      prepare_certificate(eq, 3, 20, check_quick_exclusion(eq)))
 
     def test_a_held_exclusion_report_gives_the_same_certificate(self):
         rng = random.Random(5)
         for name in ("example-1", "example-3"):
             eq = qd.example_equation(name)
-            report = check_quick_exclusion(eq)
+            plan = prepare_certificate(eq, eq.n0, 16, check_quick_exclusion(eq))
             q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(16)))
             for parity in QuickParity:
-                assert sign_conflict_certificate(eq, q, parity, report) == \
+                assert sign_conflict_certificate(eq, q, parity, plan) == \
                     sign_conflict_certificate(eq, q, parity)
 
     def test_refused_for_nonpositive_q(self):
@@ -318,6 +320,122 @@ def eager_certificate(eq, q, parity) -> dict:
             "conflicts": conflicts, "n_start": n_lo, "n_end": n_hi,
             "chain_finite_nonzero": all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col.values),
             "valid": all(conflicts) and all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col.values)}
+
+
+
+def per_window_certificate(eq, q, parity):
+    """The certificate as one window built it before plans: each check in turn, then each coefficient read as
+    its staircase column starts and d as the forcing side needs it."""
+    report = check_quick_exclusion(eq)
+    if not report.all_hold:
+        bad = next(e for e in report.entries if e.satisfied is not True)
+        raise HypothesisViolation(f"certificate refused: condition '{bad.condition}' fails ({bad.detail})")
+    if not (all(map(math.isfinite, q.values)) and min(q.values) > 0.0):
+        raise HypothesisViolation("certificate requires a strictly positive q window")
+    n_lo, n_hi = qd.residual_range(eq, q).start, qd.residual_range(eq, q).stop - 1
+    if n_hi < n_lo:
+        raise HypothesisViolation(f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]")
+    even = parity is QuickParity.EVEN_POSITIVE
+    xs = [-v if (m + even) % 2 == 0 else v for m, v in q.items()]
+    z, y, w, t = qd.model.staircase(eq, xs, q.start, n_lo, n_hi + 4)
+    chain_side = [a - b for a, b in zip(t, t[1:])]
+    forcing_side = [d * eq.f.apply(xs[n - eq.tau - q.start])
+                    for n, d in zip(range(n_lo, n_hi + 1), eq.d.read(n_lo, n_hi - n_lo + 1))]
+    conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side))
+    return analysis.ContradictionCertificate(
+        parity, n_lo, n_hi, conflicts, all(math.isfinite(v) and v != 0.0 for v in z + y + w + t),
+        (z, y, w, t, chain_side, forcing_side))
+
+
+def certificate_outcome(fn) -> tuple:
+    """fn()'s certificate with its columns as packed doubles, or the type and message of what it raises."""
+    try:
+        cert = fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc)
+    return (cert.parity, cert.n_start, cert.n_end, cert.conflicts, cert.chain_finite_nonzero, cert.valid,
+            [[struct.pack("d", v) for v in column] for column in cert.columns])
+
+
+def sample_table(n0: int, value: float, extra: int) -> Table:
+    """value on the validation sample from n0 and `extra` indices past it, and nowhere else: it validates, and
+    raises in a range past its end or below n0."""
+    return Table((value,) * (qd.model.VALIDATION_SAMPLE + extra), n0, "error")
+
+
+_exponents = st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3), OddRatio(5, 3)))
+
+
+@st.composite
+def certificate_problems(draw):
+    """(equation, q windows of one start and size, parity).  The hypotheses hold or fail (p from `sequences`,
+    odd delta, f without the sign condition); a window is positive, or has a zero, negative, NaN or infinite
+    value, or is too short; windows near n0 + 255 read p, a, b, c or d past a table's end, and windows below
+    n0 read before its start."""
+    delta, tau = draw(st.one_of(st.sampled_from((-2, 0, 2, 4)), st.integers(-3, 4))), draw(st.integers(-5, 4))
+    if tau == min(-4, delta - 4):
+        tau += 1
+    n0 = max(1, delta, tau) + draw(st.integers(0, 2))
+    tables = st.builds(functools.partial(sample_table, n0), st.floats(1e-3, 1e3), st.integers(0, 8))
+    positive = st.one_of(signed_sequences, tables)
+    fields = {name: draw(positive) for name in "abc"}
+    fields["d"] = draw(st.one_of(signed_sequences, st.builds(functools.partial(sample_table, n0),
+                                                             st.sampled_from((1.0, -1.0)), st.integers(0, 8))))
+    fields["p"] = draw(st.one_of(*[positive] * 3, sequences))
+    f = draw(st.sampled_from((qd.OddPowerMap(1.0, OddRatio(1)), qd.OddPowerMap(0.5, OddRatio(3)), qd.SignumMap(1.0),
+                              qd.OddPowerMap(2.0, OddRatio(1, 3)), qd.OddPowerMap(-1.0, OddRatio(1)))))
+    try:
+        eq = qd.EquationSpec(alpha=draw(_exponents), beta=draw(_exponents), gamma=draw(_exponents), tau=tau,
+                             delta=delta, f=f, n0=n0, **fields)
+    except ValueError:
+        assume(False)
+    start = n0 + draw(st.one_of(st.integers(-3, 3), st.integers(236, 252)))
+    size = draw(st.integers(1, 30))
+    magnitudes = st.floats(1e-3, 1e3)
+    spoilt = st.one_of(st.none(), st.none(), st.none(), st.tuples(st.integers(0, size - 1),
+                                            st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf, -math.inf))))
+    windows = []
+    scales = st.sampled_from((1.0, 1.0, 1.0, 1e300, 1e-300))  # the staircase overflows or underflows
+    for values, scale, spoil in draw(st.lists(st.tuples(st.lists(magnitudes, min_size=size, max_size=size), scales,
+                                                        spoilt), min_size=1, max_size=4)):
+        values = [v * scale for v in values]
+        if spoil is not None:
+            values[spoil[0]] = spoil[1]
+        windows.append(Window(start, tuple(values)))
+    return eq, windows, draw(st.sampled_from(QuickParity))
+
+
+class TestCertificatePlan:
+    @settings(max_examples=200, deadline=None)
+    @given(certificate_problems())
+    # a (to 260) and d (to 258) both end inside [251, 263]: a raises, as its staircase column comes first
+    @example((plain_equation(tau=3, delta=2, a=sample_table(3, 1.0, 2), d=sample_table(3, -1.0, 0)),
+              [Window(248, (0.0,) + (1.0,) * 19), Window(248, (1.0,) * 20)], QuickParity.ODD_POSITIVE))
+    def test_a_shared_plan_gives_each_window_its_one_shot_certificate(self, problem):
+        # bit for bit, or the same refusal or error, in the order hypotheses, q, range, coefficients, d
+        eq, windows, parity = problem
+        plan = prepare_certificate(eq, windows[0].start, len(windows[0]))
+        for q in windows:
+            shared = certificate_outcome(lambda: sign_conflict_certificate(eq, q, parity, plan))
+            assert shared == certificate_outcome(lambda: sign_conflict_certificate(eq, q, parity))
+            assert shared == certificate_outcome(lambda: per_window_certificate(eq, q, parity))
+
+    def test_a_plan_for_another_window_or_equation_is_refused(self):
+        eq = qd.example_equation("example-3")
+        plan = prepare_certificate(eq, eq.n0, 22)
+        for other, q in ((eq, Window(eq.n0, (1.0,) * 21)), (eq, Window(eq.n0 + 1, (1.0,) * 22)),
+                         (qd.example_equation("example-3"), Window(eq.n0, (1.0,) * 22))):
+            with pytest.raises(ValueError, match="certificate plan"):
+                sign_conflict_certificate(other, q, QuickParity.EVEN_POSITIVE, plan)
+
+    def test_check_certificate_reads_each_coefficient_once_per_request(self, monkeypatch, capsys):
+        # one read of p, c, b, a and d whatever the number of windows; d_sign's at(n0) is the second d
+        eq = cli._cached_equation("example-3", None, None, None, None, None)
+        reads = Counter()
+        spy_coefficient_reads(monkeypatch, eq, lambda name, start, stop: reads.update([name]))
+        assert cli.main(["check", "example-3", "--certificate", "--windows", "50"]) == 0
+        assert "50/50 valid" in capsys.readouterr().out
+        assert reads == {"p": 1, "c": 1, "b": 1, "a": 1, "d": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from quasidiff import model
 from quasidiff.cli import main
 from quasidiff.model import RESIDUAL_BLOCK, staircase
 from quasidiff.solver import MARCH_BLOCK
-from support import ARITHMETIC_NAN, SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences
+from support import (ARITHMETIC_NAN, SPECIAL_VALUES, inverse_fixture, plain_equation, seeded_forward, sequences,
+                     spy_coefficient_reads)
 
 
 def per_index_max(eq, x):
@@ -513,6 +514,19 @@ def test_one_index_ranges_and_the_fallback_block_equal_the_reference():
     assert math.isfinite(got[0][0]) and not math.isfinite(got[-1][0])
 
 
+def test_a_block_whose_every_index_reads_an_infinite_value_runs_no_pass(monkeypatch):
+    # a = 2^n is inf from n = 1024, and the residual at n reads a to n + 1: every index of [1100, 1355] reads
+    # it, and of [900, 1155] those from 1023 on
+    eq = plain_equation(a=qd.Geometric(1.0, 2.0))
+    x = qd.Window.from_evaluator(lambda n: 1.0 + 1e-12 * (n % 5), 700, 1400)
+    for lo, hi, passes in ((1100, 1355, 0), (900, 1155, 1)):
+        calls = spied_calls(monkeypatch, "_parts")
+        got = model._residual_parts(eq, x, lo, hi)
+        monkeypatch.undo()
+        assert len(calls) == passes
+        assert shown(lambda: [got]) == shown(lambda: [reference_parts(eq, x, lo, hi)])
+
+
 def reference_power(mag: Decimal, e: qd.OddRatio) -> Decimal:
     """mag ** e through a 120-digit decimal power, rounded once to the caller's context."""
     with localcontext() as ctx:
@@ -788,22 +802,6 @@ def test_forward_truncation_index_is_the_first_index_not_produced():
     traj = seeded_forward(eq, form, 1100)
     assert traj.truncated and traj.truncation_index == traj.n_end + 1
     assert seeded_forward(eq, form, 100).truncation_index is None
-
-
-def spy_coefficient_reads(monkeypatch, eq, seen):
-    """From here on, call seen(name, start, stop) at each read of eq's d, a, b, c or p over [start, stop), and
-    at each at(n) with stop = n + 1."""
-    names = {id(getattr(eq, name)): name for name in "dabcp"}
-
-    def spy(seq, start, stop):
-        if id(seq) in names:
-            seen(names[id(seq)], start, stop)
-
-    read = model._Blocks.read
-    monkeypatch.setattr(model._Blocks, "read", lambda seq, start, count: spy(seq, start, start + count)
-                        or read(seq, start, count))
-    for kind in (qd.Constant, qd.Geometric, qd.Affine, qd.PowerLaw, qd.Table, qd.Combine, qd.SignedPower):
-        monkeypatch.setattr(kind, "at", lambda seq, n, at=kind.at: spy(seq, n, n + 1) or at(seq, n))
 
 
 def coefficient_reads(monkeypatch, eq):
