@@ -620,7 +620,8 @@ def prepare_certificate(eq: EquationSpec, start: int, size: int,
     """The plan that sign_conflict_certificate runs every q window of this start and size against.
 
     `exclusion` is check_quick_exclusion(eq) when the caller holds it
-    already; None runs it.  Nothing is read here: see CertificatePlan.
+    already; None runs it.  No coefficient column is read here: see
+    CertificatePlan.
     """
     report = check_quick_exclusion(eq) if exclusion is None else exclusion
     bad = next((e for e in report.entries if e.satisfied is not True), None)  # None: all hold

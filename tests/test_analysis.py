@@ -322,7 +322,6 @@ def eager_certificate(eq, q, parity) -> dict:
             "valid": all(conflicts) and all(math.isfinite(v) and v != 0.0 for col in (z, y, w, t) for v in col.values)}
 
 
-
 def per_window_certificate(eq, q, parity):
     """The certificate as one window built it before plans: each check in turn, then each coefficient read as
     its staircase column starts and d as the forcing side needs it."""
@@ -391,13 +390,13 @@ def certificate_problems(draw):
         assume(False)
     start = n0 + draw(st.one_of(st.integers(-3, 3), st.integers(236, 252)))
     size = draw(st.integers(1, 30))
-    magnitudes = st.floats(1e-3, 1e3)
-    spoilt = st.one_of(st.none(), st.none(), st.none(), st.tuples(st.integers(0, size - 1),
-                                            st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf, -math.inf))))
-    windows = []
+    magnitudes = st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)
     scales = st.sampled_from((1.0, 1.0, 1.0, 1e300, 1e-300))  # the staircase overflows or underflows
-    for values, scale, spoil in draw(st.lists(st.tuples(st.lists(magnitudes, min_size=size, max_size=size), scales,
-                                                        spoilt), min_size=1, max_size=4)):
+    spoilt = st.one_of(st.none(), st.none(), st.none(),
+                       st.tuples(st.integers(0, size - 1), st.sampled_from((0.0, -0.0, -1.0, math.nan, math.inf,
+                                                                             -math.inf))))
+    windows = []
+    for values, scale, spoil in draw(st.lists(st.tuples(magnitudes, scales, spoilt), min_size=1, max_size=4)):
         values = [v * scale for v in values]
         if spoil is not None:
             values[spoil[0]] = spoil[1]
