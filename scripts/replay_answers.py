@@ -12,14 +12,16 @@ JSON report the request asked for (null when none was written).  The work
 directory is a fresh temporary directory entered with ``chdir`` and the
 generated documents live under the relative path ``work/``, so argv and
 answers do not depend on where the run happens, and two versions of the
-package can be compared byte for byte:
-
-    PYTHONPATH=src python scripts/replay_answers.py march 1 2 /tmp/new.jsonl
-    cmp /tmp/old.jsonl /tmp/new.jsonl
+package can be compared byte for byte.
 
 ``python3 perfbench/run.py --seconds 10`` sends 2 rounds of march, 5 of
-hypotheses and 19 of sweep.  The script reads ``perfbench/`` and writes
-nothing there.
+hypotheses and 19 of sweep (``ROUNDS``).  ``scripts/report_corpus.py``
+writes those answers at seeds 1-3 (``SEEDS``) into the corpus, one file
+each, so the golden manifest ``tests/golden/corpus.sha256`` pins them.  The
+answers depend on the generator in ``perfbench/workloads.py`` and on the
+examples and document it takes from ``perfbench/oracle.py``, so a change to
+either regenerates the manifest.  The script reads ``perfbench/`` and
+writes nothing there.
 """
 
 import argparse
@@ -39,6 +41,8 @@ from workloads import WORKLOADS, Workload  # noqa: E402
 from quasidiff.cli import main  # noqa: E402
 
 WORKDIR = "work"
+ROUNDS = {"march": 2, "hypotheses": 5, "sweep": 19}
+SEEDS = (1, 2, 3)
 
 
 def _sha256(path: str | None) -> str | None:

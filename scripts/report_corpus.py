@@ -20,11 +20,21 @@ certificate run (400 windows on example 3), runs through the --delta and
 degenerate-zero note), and one usage error (exit 2) per command.  Two runs
 close the corpus whose coefficient 1e10^n leaves the double range, so that
 the residual meets inputs that are not finite: a verify on example 3 with
-that a, and a solve on example 2 at beta 5/3 with that b.  The last two are
+that a, and a solve on example 2 at beta 5/3 with that b.  Then come two
 almost-oscillation reports on example 3: with a = 2^n, whose series A
-converges, and with a d table that ends inside the horizon.
-Everything the runs write is deterministic, so comparing the directories
-written by two versions of the package is a byte-identity check:
+converges, and with a d table that ends inside the horizon.  The last run
+verifies example 3 with cubic exponents, whose residual differences grow
+wide enough to halve the block (``model.RESIDUAL_WIDTH``).
+
+After the runs, ``answers/<workload>-<seed>/<position>.json`` holds each
+answer of the benchmark's traffic: march, hypotheses and sweep at seeds 1-3
+for the rounds ``perfbench/run.py --seconds 10`` sends, one record of
+``replay_answers.answer`` per request.  These depend on the generator in
+``perfbench/workloads.py`` and on what it takes from
+``perfbench/oracle.py``, so a change to either alters them too.
+Everything written is deterministic, so comparing the directories written
+by two versions of the package is a byte-identity check, and ``diff -r``
+shows each run and answer that differs:
 
     PYTHONPATH=src python scripts/report_corpus.py /tmp/corpus-new
     diff -r /tmp/corpus-old /tmp/corpus-new
@@ -32,7 +42,8 @@ written by two versions of the package is a byte-identity check:
 ``--manifest PATH`` also writes one ``sha256sum`` line per file (sorted by
 relative path), and without OUTDIR the runs go to a temporary directory.
 The committed ``tests/golden/corpus.sha256`` is that manifest; a change
-that alters answers regenerates it, and its diff lists the changed runs:
+that alters answers, the benchmark's generator included, regenerates it,
+and its diff lists the changed runs and answers:
 
     PYTHONPATH=src python scripts/report_corpus.py --manifest tests/golden/corpus.sha256
 
@@ -47,6 +58,8 @@ import json
 import os
 import sys
 import tempfile
+
+from replay_answers import ROUNDS, SEEDS, answer, workload_requests
 
 from quasidiff.cli import main
 from quasidiff.examples import example_document
@@ -117,11 +130,15 @@ ENDING_D_DOCUMENT = {**example_document("example-3"),
                      "d": {"kind": "table", "values": [1 - n for n in range(300)], "start": 0,
                            "out_of_range": "error"}}
 
+# Each cubic power triples the width of the residual's integer differences: the block of verify at horizon 60
+# passes RESIDUAL_WIDTH bits and is halved, into [2, 31] and [32, 61].
+CUBIC_DOCUMENT = {**example_document("example-3"), "exponents": {"alpha": "3/1", "beta": "3/1", "gamma": "3/1"}}
+
 DOCUMENTS = {INVERSE_PATH: INVERSE_DOCUMENT, "fractional.json": FRACTIONAL_DOCUMENT,
              "fading-d.json": FADING_D_DOCUMENT, "pivot.json": PIVOT_DOCUMENT,
              "sign-break.json": SIGN_BREAK_DOCUMENT, "steep-a.json": STEEP_A_DOCUMENT,
              "steep-b.json": STEEP_B_DOCUMENT, "geometric-a.json": GEOMETRIC_A_DOCUMENT,
-             "ending-d.json": ENDING_D_DOCUMENT}
+             "ending-d.json": ENDING_D_DOCUMENT, "cubic.json": CUBIC_DOCUMENT}
 
 
 def corpus() -> list[list[str]]:
@@ -181,6 +198,7 @@ def corpus() -> list[list[str]]:
              ["solve", "steep-b.json", "--horizon", "300", "--seed-values", "1,-1,1,-1,1,-1"]]
     runs += [["check", "geometric-a.json", "--almost-oscillation", "--horizon", "2000"],
              ["check", "ending-d.json", "--almost-oscillation", "--horizon", "1000"]]
+    runs.append(["verify", "cubic.json", "--horizon", "60", "--closed-form", "geometric:1,1e-5"])
     return runs
 
 
@@ -208,8 +226,23 @@ def run(argv: list[str], outdir: str) -> None:
         fh.write(status + "\n")
 
 
-def write_corpus(outdir: str) -> int:
-    """Write every run's files under outdir (which must not exist yet); the number of runs."""
+def write_answers(outdir: str) -> int:
+    """Write each answer of the benchmark's traffic under outdir/answers; the number of answers."""
+    count = 0
+    for workload, rounds in ROUNDS.items():
+        for seed in SEEDS:
+            folder = os.path.abspath(os.path.join(outdir, "answers", f"{workload}-{seed}"))
+            os.makedirs(folder)
+            with workload_requests(workload, seed, rounds) as requests:  # which changes directory
+                for position, request in enumerate(requests):
+                    with open(os.path.join(folder, f"{position:04d}.json"), "w", encoding="utf-8") as fh:
+                        fh.write(json.dumps(answer(request), indent=2) + "\n")
+                    count += 1
+    return count
+
+
+def write_corpus(outdir: str) -> tuple[int, int]:
+    """Write every run's files and every answer under outdir (which must not exist yet); (runs, answers)."""
     os.makedirs(outdir)
     cwd = os.getcwd()
     os.chdir(outdir)  # relative paths keep the reports independent of where outdir lives
@@ -222,7 +255,7 @@ def write_corpus(outdir: str) -> int:
             run(argv, run_name(index, argv))
     finally:
         os.chdir(cwd)
-    return len(runs)
+    return len(runs), write_answers(outdir)
 
 
 def manifest(outdir: str) -> str:
@@ -247,11 +280,11 @@ def main_corpus() -> int:
         parser.error("give OUTDIR, --manifest PATH, or both")
     with tempfile.TemporaryDirectory() as scratch:
         outdir = args.outdir or os.path.join(scratch, "corpus")
-        count = write_corpus(outdir)
+        runs, answers = write_corpus(outdir)
         if args.manifest:
             with open(args.manifest, "w", encoding="utf-8") as fh:
                 fh.write(manifest(outdir))
-    print(f"{count} runs written to {args.outdir or 'a temporary directory'}"
+    print(f"{runs} runs and {answers} answers written to {args.outdir or 'a temporary directory'}"
           + (f", manifest to {args.manifest}" if args.manifest else ""))
     return 0
 

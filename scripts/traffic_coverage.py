@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """List the lines of the package's functions that the benchmark's traffic never runs.
 
-    PYTHONPATH=src python scripts/traffic_coverage.py [--seed N]
+    PYTHONPATH=src python scripts/traffic_coverage.py
 
-The traffic is what ``python3 perfbench/run.py --seconds 10`` sends at seed
-N (default 1): 2 rounds of march, 5 of hypotheses and 19 of sweep, answered
-through ``replay_answers.py``, plus every run of ``report_corpus.py``.  A
-``sys.settrace`` line tracer, limited to the files of the ``quasidiff``
-package, is started before the package is imported, so import-time code is
-traced too.  A function-body line is the first line of a statement inside a
-function that compiles to bytecode (docstrings do not).  Each such line that
-no run reached is printed as ``file:line: text``, followed by a count per
-module.  The runs happen in temporary directories; nothing is written under
-``perfbench/``.
+The traffic is every run of ``report_corpus.py``, which ends with what
+``python3 perfbench/run.py --seconds 10`` sends at seeds 1-3: 2 rounds of
+march, 5 of hypotheses and 19 of sweep, answered through
+``replay_answers.answer``.  A ``sys.settrace`` line tracer, limited to the
+files of the ``quasidiff`` package, is started before the package is
+imported, so import-time code is traced too.  A function-body line is the
+first line of a statement inside a function that compiles to bytecode
+(docstrings do not).  Each such line that no run reached is printed as
+``file:line: text``, followed by a count per module.  The runs happen in
+temporary directories; nothing is written under ``perfbench/``.
 """
 
 import argparse
@@ -79,23 +79,17 @@ class LineTracer:
         return by_file
 
 
-def run_traffic(seed: int) -> None:
-    import replay_answers
+def run_traffic() -> None:
     import report_corpus
-    from identity_check import ROUNDS
 
-    for workload, rounds in ROUNDS.items():
-        count = replay_answers.replay(workload, seed, rounds, os.devnull)
-        print(f"# {workload} seed {seed}: {rounds} rounds, {count} requests", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="traffic-coverage-") as scratch:
-        runs = report_corpus.write_corpus(os.path.join(scratch, "corpus"))
-    print(f"# report_corpus: {runs} runs", file=sys.stderr)
+        runs, answers = report_corpus.write_corpus(os.path.join(scratch, "corpus"))
+    print(f"# report_corpus: {runs} runs, {answers} answers", file=sys.stderr)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    args = parser.parse_args()
+    parser.parse_args()
     spec = importlib.util.find_spec("quasidiff")  # locates the package without importing it
     if spec is None or not spec.submodule_search_locations:
         parser.error("quasidiff is not importable; run with PYTHONPATH=src")
@@ -103,7 +97,7 @@ def main() -> int:
     tracer = LineTracer(package + os.sep)
     sys.settrace(tracer.on_call)
     try:
-        run_traffic(args.seed)
+        run_traffic()
     finally:
         sys.settrace(None)
     reached = tracer.reached()
