@@ -278,27 +278,30 @@ class SignedPower(_Blocks):
         object.__setattr__(self, "min_index", self.base.min_index)
         self._set_settled()
 
-    def at(self, n: int) -> float:
-        v = self.base.at(n)
-        if not math.isfinite(v):
-            return math.copysign(math.inf, v)
-        return spow(v, self.exponent)
+    def _of(self, v: float) -> float:  # the power of one base value; one that is not finite gives inf of its sign
+        return spow(v, self.exponent) if math.isfinite(v) else math.copysign(math.inf, v)
 
-    def _fast(self, start: int, count: int) -> list[float] | None:
+    def at(self, n: int) -> float:
+        return self._of(self.base.at(n))
+
+    def _fast(self, start: int, count: int) -> list[float]:
         vals, e = self.base.block(start, count), self.exponent
         # The unit power maps every value but a zero (-0.0 -> 0.0) and a NaN (-> +-inf) to float(v).
-        if e.numerator == e.denominator and all(map((0.0).__lt__, map(abs, vals))):
+        if e.unit and all(map((0.0).__lt__, map(abs, vals))):
             return list(map(float, vals))
-        # A positive finite base takes spow's C pow(); an overflow raises into the loop, where spow saturates to inf.
+        # A positive finite base takes spow's C pow(); where that overflows, _of saturates to inf.
         if all(map((0.0).__lt__, vals)) and max(vals, default=0.0) < math.inf:
-            return list(map(math.pow, vals, repeat(e.numerator / e.denominator, count)))
-        return None
+            try:
+                return list(map(math.pow, vals, repeat(e.numerator / e.denominator, count)))
+            except OverflowError:
+                pass
+        return list(map(self._of, vals))
 
     def _settle(self) -> tuple[float, float] | None:
         if self.base.settled is None:
             return None
         lo, v = self.base.settled  # as at() takes the power
-        return lo, spow(v, self.exponent) if math.isfinite(v) else math.copysign(math.inf, v)
+        return lo, self._of(v)
 
 
 SequenceSpec = Union[Constant, Geometric, Affine, PowerLaw, Table, Combine, SignedPower]
@@ -346,7 +349,7 @@ class OddPowerMap:
     @property
     def unit(self) -> bool:
         """Whether the exponent is 1: apply is x -> scale * (x or 0.0) at a finite x, invert v -> v / scale or 0.0."""
-        return self.exponent.numerator == self.exponent.denominator
+        return self.exponent.unit
 
     @property
     def sign_condition(self) -> bool:
@@ -550,7 +553,7 @@ def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int, num: Callable = f
     for k, (seq, e) in enumerate(((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)), 1):
         prev = columns[-1]  # the next column is seq_m * power(prev_{m+1} - prev_m, e)
         diffs = map(operator.sub, prev[1:], prev)  # the map stops with prev[1:]
-        powers = (v if v else zero for v in diffs) if e.numerator == e.denominator else map(power, diffs, repeat(e))
+        powers = (v if v else zero for v in diffs) if e.unit else map(power, diffs, repeat(e))
         values = _coefficients(seq, lo, len(prev) - 1, num) if coefficients is None else coefficients[k]
         columns.append(list(map(operator.mul, values, powers)))
     return tuple(columns)
@@ -655,7 +658,7 @@ def _residual_parts(eq: EquationSpec, x: Evaluator, lo: int, hi: int) -> list[tu
     s += ps
     for (m, ms), e in zip(steps, (eq.gamma, eq.beta, eq.alpha)):  # y = c (D z)^gamma, w = b (D y)^beta, t
         z = list(map(operator.sub, z[1:], z))
-        if e.numerator != e.denominator:  # a power multiplies widths: the zero bits at the bottom of every
+        if not e.unit:  # a power multiplies widths: the zero bits at the bottom of every
             low = reduce(operator.or_, z)  # difference (p's scale can leave many) come off, and a wide block halves
             low = (low & -low).bit_length() - 1 if low else 0
             z, s = list(map(operator.rshift, z, repeat(low))) if low else z, s - low

@@ -9,7 +9,7 @@ negative base well defined.  Everything here is pure scalar float work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class OddRatio:
 
     numerator: int
     denominator: int = 1
+    unit: bool = field(init=False, repr=False, compare=False)  # numerator == denominator; hot loops read it, no call
 
     def __post_init__(self) -> None:
         for name in ("numerator", "denominator"):
@@ -36,6 +37,7 @@ class OddRatio:
         g = math.gcd(self.numerator, self.denominator)
         object.__setattr__(self, "numerator", self.numerator // g)
         object.__setattr__(self, "denominator", self.denominator // g)
+        object.__setattr__(self, "unit", self.numerator == self.denominator)
 
     @classmethod
     def parse(cls, text: str) -> "OddRatio":
@@ -69,7 +71,7 @@ def spow(x: float, e: OddRatio) -> float:
         raise ValueError(f"spow requires a finite base, got {x!r}")
     if x == 0.0:
         return 0.0
-    if e.numerator == 1 and e.denominator == 1:
+    if e.unit:
         return x
     sign = 1.0 if x > 0.0 else -1.0
     ax = x if x > 0.0 else -x

@@ -138,8 +138,7 @@ def _forward(eq: EquationSpec, xs: list[float], start: int, frontier, d, a, b, c
     which d_n leaves the sign of d_{n0}, or None.  A unit power is v or 0.0, what spow gives, with no call."""
     t, w, y, z = frontier
     tau, delta, f, unit_f, scale = eq.tau, eq.delta, eq.f.apply, eq.f.unit, eq.f.scale
-    (ua, ia), (ub, ib), (uc, ic) = ((e.numerator == e.denominator, e.reciprocal())
-                                    for e in (eq.alpha, eq.beta, eq.gamma))
+    (ua, ia), (ub, ib), (uc, ic) = ((e.unit, e.reciprocal()) for e in (eq.alpha, eq.beta, eq.gamma))
     d_sign, d_break, isfinite = eq.d_sign(), None, math.isfinite
     for n, d_n in enumerate(d, eq.n0):
         if d_break is None and sign_of(d_n) != d_sign:
@@ -179,7 +178,7 @@ def _inverse(eq: EquationSpec, xs: list[float], start: int, frontier, d, a, b, c
     t, w, y, z = frontier
     delta, alpha, beta, gamma = eq.delta, eq.alpha, eq.beta, eq.gamma
     scale, unit_f, invert = eq.f.scale, eq.f.unit, eq.f.invert  # f is an OddPowerMap: solve_inverse checks it
-    ua, ub, uc = (e.numerator == e.denominator for e in (alpha, beta, gamma))
+    ua, ub, uc = (e.unit for e in (alpha, beta, gamma))
     d_sign, d_break, isfinite = eq.d_sign(), None, math.isfinite
     for n, d_n in enumerate(d, eq.n0):
         if d_break is None and sign_of(d_n) != d_sign:

@@ -195,6 +195,28 @@ def test_signed_power_block_of_positive_values(values, count, e):
     assert outcome(lambda: seq.block(0, count)) == outcome(lambda: scalar_block(seq, 0, count))
 
 
+def _signed_powers(seq):
+    if isinstance(seq, SignedPower):
+        yield seq
+    for name in ("left", "right", "base"):
+        if hasattr(seq, name):
+            yield from _signed_powers(getattr(seq, name))
+
+
+# Blocks that neither one-pass map takes: the d nodes of example-1 at beta 3/1 overflow math.pow from n = 515,
+# and the root of an affine that crosses 0 meets a zero and negative values.
+@pytest.mark.parametrize("seq, start", [
+    *((node, 515) for node in _signed_powers(examples.example_equation("example-1", beta="3/1").d)),
+    (SignedPower(Affine(1.0, -5.0), OddRatio(1, 3)), 0),
+], ids=["d-node-1", "d-node-2", "d-node-3", "affine-crossing-0"])
+def test_signed_power_block_reads_its_base_once(monkeypatch, seq, start):
+    expected = [seq.at(n).hex() for n in range(start, start + 232)]
+    calls, at = [], type(seq.base).at
+    monkeypatch.setattr(type(seq.base), "at", lambda s, n: (s is seq.base and calls.append(n)) or at(s, n))
+    assert [v.hex() for v in seq.block(start, 232)] == expected
+    assert calls == []  # the block powers the base block it read, not base.at(n) index by index
+
+
 def test_block_of_a_tree_too_deep_for_two_frames_per_level():
     # a block nests two calls per level where at() nests one
     depth = sys.getrecursionlimit() * 3 // 5
