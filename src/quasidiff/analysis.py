@@ -25,8 +25,8 @@ from functools import cached_property
 from itertools import accumulate, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import (VALIDATION_SAMPLE, EquationSpec, SequenceSpec, _Blocks, _coefficients, _residual_reach,
-                    first_failure, staircase)
+from .model import (VALIDATION_SAMPLE, EquationSpec, OddPowerMap, SequenceSpec, SignumMap, _Blocks, _coefficients,
+                    _residual_reach, first_failure, staircase)
 from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
 from .windows import Window
@@ -587,6 +587,64 @@ class ContradictionCertificate:
         return self.chain_finite_nonzero and bool(self.conflicts) and all(self.conflicts)
 
 
+# The q windows `check --certificate` draws: q_n = 10 ** u_n, u_n uniform on Q_EXPONENTS, a box that
+# CertificatePlan.proves covers whole.
+Q_EXPONENTS = (-3.0, 3.0)
+
+# A band that leaves these limits proves nothing.  Inside them every float of a certificate's run is a normal
+# double with 2**222 to spare either way, so the relative error each rounding adds cannot take it out of range.
+BAND_LIMITS = (2.0 ** -800, 2.0 ** 800)
+
+
+class _Band:
+    """A real of strict sign `sign` (+1 or -1) whose magnitude lies in [lo, hi] inside BAND_LIMITS; sign 0 is
+    _UNKNOWN, any real, and stays so through every operation.
+
+    A same-sign sum, a product and a signed power of bands are bands; a sum of opposite signs, and a result
+    whose magnitude may leave BAND_LIMITS, is _UNKNOWN.  The float operations of a certificate keep each of
+    these signs: a same-sign sum, a product and a signed power of non-zero normal doubles keep their sign
+    and stay non-zero, unless they overflow or underflow, which the limits rule out.
+    """
+
+    __slots__ = ("sign", "lo", "hi")
+
+    def __init__(self, sign: int, lo: float, hi: float) -> None:
+        self.sign, self.lo, self.hi = sign, lo, hi
+
+    @staticmethod
+    def point(v: float) -> _Band:
+        """The exact value v; a zero or a NaN has no sign."""
+        return _band((v > 0.0) - (v < 0.0), abs(v), abs(v))
+
+    def __neg__(self) -> _Band:
+        return _Band(-self.sign, self.lo, self.hi)
+
+    def __add__(self, other: _Band) -> _Band:
+        return _band(self.sign, self.lo + other.lo, self.hi + other.hi) if self.sign == other.sign else _UNKNOWN
+
+    def __sub__(self, other: _Band) -> _Band:
+        return _band(self.sign, self.lo + other.lo, self.hi + other.hi) if self.sign == -other.sign else _UNKNOWN
+
+    def __mul__(self, other: _Band) -> _Band:
+        return _band(self.sign * other.sign, self.lo * other.lo, self.hi * other.hi)
+
+    def power(self, e: OddRatio) -> _Band:
+        """The signed power, as numerics.spow takes it; a magnitude that overflows a float is _UNKNOWN."""
+        exponent = e.numerator if e.denominator == 1 else e.numerator / e.denominator
+        try:
+            return _band(self.sign, self.lo ** exponent, self.hi ** exponent)
+        except OverflowError:
+            return _UNKNOWN
+
+
+def _band(sign: int, lo: float, hi: float) -> _Band:
+    """The band, or _UNKNOWN for sign 0 or a magnitude that may leave BAND_LIMITS."""
+    return _Band(sign, lo, hi) if sign and BAND_LIMITS[0] <= lo and hi <= BAND_LIMITS[1] else _UNKNOWN
+
+
+_UNKNOWN = _Band(0, 0.0, math.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class CertificatePlan:
     """What the sign-conflict certificates of one equation on q windows [start, start + size) share.
@@ -613,6 +671,36 @@ class CertificatePlan:
         coefficients = tuple(list(_coefficients(seq, lo, count - k, float))
                              for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a)))
         return coefficients, list(eq.d.read(lo, count - 4))
+
+    def proves(self, parity: QuickParity) -> bool:
+        """Whether every q window inside the box 10 ** Q_EXPONENTS gives a valid certificate of this parity.
+
+        One staircase runs over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and p, c, b, a and d as the
+        exact points of `columns`; the chain and forcing sides are formed as sign_conflict_certificate forms
+        them, for f an odd power or signum.  True when every z, y, w and t value and both sides at every
+        certified index are bands, and the two sides have opposite signs at every certified index.  False for a
+        refusal, an empty certified range or another f, before `columns` is read; False is no verdict.
+        """
+        f = self.eq.f
+        if self.refusal is not None or not self.certified or not isinstance(f, (OddPowerMap, SignumMap)):
+            return False
+        coefficients, d = self.columns
+        q_lo, q_hi = (10.0 ** u for u in Q_EXPONENTS)
+        xs = [_Band(1, q_lo, q_hi)] * self.size
+        xs[self.negated[parity]] = map(operator.neg, xs[self.negated[parity]])
+        n_lo, n_hi = self.certified.start, self.certified.stop - 1
+        z, y, w, t = staircase(self.eq, xs, self.start, n_lo, n_hi + 4, num=_Band.point, power=_Band.power,
+                               coefficients=tuple(list(map(_Band.point, column)) for column in coefficients))
+        chain_side = map(operator.sub, t[:-1], t[1:])
+        fx = xs[n_lo - self.eq.tau - self.start:]
+        if isinstance(f, SignumMap):
+            fx = (_Band.point(f.scale * v.sign) for v in fx)  # +-scale
+        else:
+            fx = map(operator.mul, repeat(_Band.point(f.scale)),
+                     fx if f.unit else map(_Band.power, fx, repeat(f.exponent)))
+        forcing_side = map(operator.mul, map(_Band.point, d), fx)
+        return (all(v.sign for v in z + y + w + t)
+                and all(a.sign * b.sign < 0 for a, b in zip(chain_side, forcing_side)))
 
 
 def prepare_certificate(eq: EquationSpec, start: int, size: int,

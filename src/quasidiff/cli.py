@@ -28,6 +28,7 @@ import sys
 from typing import Callable
 
 from .analysis import (
+    Q_EXPONENTS,
     QuickParity,
     check_almost_oscillation,
     check_quick_exclusion,
@@ -370,14 +371,18 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list
     else:
         raise HypothesisViolation(f"no parity to certify: {exclusion.conclusion}; "
                                   "pass --parity to force one")
-    rand = random.Random(args.rng_seed).random
     below, above = _residual_reach(eq)
     span = below + 16 + above  # each window certifies 16 indices
     plan = prepare_certificate(eq, eq.n0, span, exclusion)  # the windows share their reads of p, a, b, c and d
-    valid_count = 0
-    for _ in range(args.windows):  # q_n = 10 ** uniform(-3, 3), which is -3 + 6 * random()
-        q = Window(eq.n0, tuple(map((10.0).__pow__, [-3.0 + 6.0 * rand() for _ in range(span)])))
-        valid_count += sign_conflict_certificate(eq, q, parity, plan).valid
+    if plan.proves(parity):  # every window the loop below could draw is valid
+        valid_count = args.windows
+    else:
+        rand = random.Random(args.rng_seed).random
+        low, width = Q_EXPONENTS[0], Q_EXPONENTS[1] - Q_EXPONENTS[0]
+        valid_count = 0
+        for _ in range(args.windows):  # q_n = 10 ** uniform(*Q_EXPONENTS), which is low + width * random()
+            q = Window(eq.n0, tuple(map((10.0).__pow__, [low + width * rand() for _ in range(span)])))
+            valid_count += sign_conflict_certificate(eq, q, parity, plan).valid
     all_valid = valid_count == args.windows
     lines = [f"sign-conflict certificates ({parity.value}): "
              f"{valid_count}/{args.windows} valid on random positive q windows"]

@@ -362,6 +362,12 @@ def sample_table(n0: int, value: float, extra: int) -> Table:
     return Table((value,) * (qd.model.VALIDATION_SAMPLE + extra), n0, "error")
 
 
+def like_example_3(**fields) -> qd.EquationSpec:
+    """Example-3's equation with the given fields replaced."""
+    return plain_equation(**{"tau": -3, "delta": 2, "p": Constant(0.25), "d": Affine(-1.0, 1.0),
+                             "a": Affine(1.0, 0.0), **fields})
+
+
 _exponents = st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3), OddRatio(5, 3)))
 
 
@@ -418,6 +424,48 @@ class TestCertificatePlan:
             shared = certificate_outcome(lambda: sign_conflict_certificate(eq, q, parity, plan))
             assert shared == certificate_outcome(lambda: sign_conflict_certificate(eq, q, parity))
             assert shared == certificate_outcome(lambda: per_window_certificate(eq, q, parity))
+
+    @settings(max_examples=200, deadline=None)
+    @given(certificate_problems(), st.integers(0, 2 ** 32))
+    # an a that overflows the staircase at q = 1e3, one that underflows it at q = 1e-3, and a p that is negative
+    # past the validation sample, where x_n + p_n x_{n-2} is a sum of opposite signs
+    @example((like_example_3(a=Affine(1e304, 0.0)), [Window(2, (1.0,) * 22)], QuickParity.EVEN_POSITIVE), 0)
+    @example((like_example_3(a=Affine(5e-324, 0.0)), [Window(2, (1.0,) * 22)], QuickParity.ODD_POSITIVE), 0)
+    @example((like_example_3(p=Affine(-0.1, 26.05)), [Window(250, (1.0,) * 22)], QuickParity.EVEN_POSITIVE), 0)
+    @example((qd.example_equation("example-4"), [Window(2, (1.0,) * 22)], QuickParity.EVEN_POSITIVE), 0)
+    @example((qd.example_equation("example-1"), [Window(3, (1.0,) * 22)], QuickParity.ODD_POSITIVE), 0)
+    def test_a_proved_plan_certifies_every_window_of_the_box(self, problem, seed):
+        # the windows check --certificate draws, and the constant windows at both ends of the box
+        eq, windows, parity = problem
+        start, size = windows[0].start, len(windows[0])
+        plan = prepare_certificate(eq, start, size)
+        box = [Window(start, (10.0 ** u,) * size) for u in analysis.Q_EXPONENTS]
+        try:
+            proved = plan.proves(parity)
+        except Exception as exc:  # noqa: BLE001 - a coefficient read raises as a window's certificate does
+            assert certificate_outcome(lambda: sign_conflict_certificate(eq, box[0], parity, plan)) == \
+                ("raises", type(exc), str(exc))
+            return
+        if proved:
+            rand = random.Random(seed).random
+            low, width = analysis.Q_EXPONENTS[0], analysis.Q_EXPONENTS[1] - analysis.Q_EXPONENTS[0]
+            drawn = [Window(start, tuple(10.0 ** (low + width * rand()) for _ in range(size))) for _ in range(20)]
+            for q in box + drawn:
+                assert sign_conflict_certificate(eq, q, parity, plan).valid
+
+    @pytest.mark.parametrize("name, betas, proved", [
+        ("example-3", [None], True),
+        ("example-1", ["1/1", "3/1", "1/3", "3/5", "5/3"], False),
+        ("example-2", ["1/1", "3/1", "1/3", "3/5", "5/3"], False),
+        ("example-4", [None], False),
+    ])
+    def test_the_bundled_examples_proved(self, name, betas, proved):
+        for beta in betas:
+            eq = qd.example_equation(name) if beta is None else qd.example_equation(name, beta=beta)
+            below, above = qd.model._residual_reach(eq)
+            plan = prepare_certificate(eq, eq.n0, below + 16 + above)  # as check --certificate plans
+            assert plan.refusal is None
+            assert [plan.proves(parity) for parity in QuickParity] == [proved, proved]
 
     def test_a_plan_for_another_window_or_equation_is_refused(self):
         eq = qd.example_equation("example-3")

@@ -722,15 +722,28 @@ def test_check_certificate_non_excluded_parity_fails(capsys):
 @pytest.mark.parametrize("delta", [2, -14, -16, -20])
 def test_check_certificate_windows_certify_16_indices(delta, monkeypatch, capsys):
     # a q window reaches as far as the residual reads x: an advanced neutral term reads 4 - delta ahead
-    certified = []
-    certificate = cli.sign_conflict_certificate
-    monkeypatch.setattr(cli, "sign_conflict_certificate",
-                        lambda *args: certified.append(cert := certificate(*args)) or cert)
+    plans = []
+    prepare = cli.prepare_certificate
+    monkeypatch.setattr(cli, "prepare_certificate", lambda *args: plans.append(plan := prepare(*args)) or plan)
     argv = ["check", "example-3", f"--delta={delta}"]
     assert run([*argv, "--quick-exclusion"], capsys)[0] == 0
     code, out, _ = run([*argv, "--certificate", "--windows", "3"], capsys)
     assert (code, out) == (0, "sign-conflict certificates (even-positive): 3/3 valid on random positive q windows\n")
-    assert [cert.n_end - cert.n_start + 1 for cert in certified] == [16] * 3
+    assert [len(plan.certified) for plan in plans] == [16]
+
+
+@pytest.mark.parametrize("argv, calls, line", [
+    (["example-3", "--windows", "400"], 0, "(even-positive): 400/400 valid"),  # proved: no window is drawn
+    (["example-1", "--parity", "even", "--windows", "50"], 50, "(even-positive): 0/50 valid"),
+])
+def test_check_certificate_certifies_windows_only_where_unproved(argv, calls, line, monkeypatch, capsys):
+    certified = []
+    certificate = cli.sign_conflict_certificate
+    monkeypatch.setattr(cli, "sign_conflict_certificate",
+                        lambda *args: certified.append(cert := certificate(*args)) or cert)
+    code, out, _ = run(["check", "--certificate", *argv], capsys)
+    assert (code, len(certified)) == (0 if calls == 0 else 1, calls)
+    assert f"sign-conflict certificates {line} on random positive q windows\n" == out
 
 
 @pytest.mark.parametrize("windows", [0, -3])
