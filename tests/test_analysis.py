@@ -427,10 +427,13 @@ class TestCertificatePlan:
 
     @settings(max_examples=200, deadline=None)
     @given(certificate_problems(), st.integers(0, 2 ** 32))
-    # an a that overflows the staircase at q = 1e3, one that underflows it at q = 1e-3, and a p that is negative
-    # past the validation sample, where x_n + p_n x_{n-2} is a sum of opposite signs
+    # an a that overflows the staircase at q = 1e3, one that underflows it at q = 1e-3, a cube of y whose band
+    # overflows a float, and a p that is negative past the validation sample, where x_n + p_n x_{n-2} is a sum of
+    # opposite signs
     @example((like_example_3(a=Affine(1e304, 0.0)), [Window(2, (1.0,) * 22)], QuickParity.EVEN_POSITIVE), 0)
     @example((like_example_3(a=Affine(5e-324, 0.0)), [Window(2, (1.0,) * 22)], QuickParity.ODD_POSITIVE), 0)
+    @example((like_example_3(beta=OddRatio(3), c=Constant(1e200)), [Window(2, (1.0,) * 22)],
+              QuickParity.EVEN_POSITIVE), 0)
     @example((like_example_3(p=Affine(-0.1, 26.05)), [Window(250, (1.0,) * 22)], QuickParity.EVEN_POSITIVE), 0)
     @example((qd.example_equation("example-4"), [Window(2, (1.0,) * 22)], QuickParity.EVEN_POSITIVE), 0)
     @example((qd.example_equation("example-1"), [Window(3, (1.0,) * 22)], QuickParity.ODD_POSITIVE), 0)
