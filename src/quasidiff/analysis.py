@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, chain, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
-from .model import (VALIDATION_SAMPLE, EquationSpec, OddPowerMap, SequenceSpec, SignumMap, _Blocks, _coefficients,
-                    _residual_reach, first_failure, staircase)
+from .model import (VALIDATION_SAMPLE, EquationSpec, SequenceSpec, SignumMap, _Blocks, _coefficients, _residual_reach,
+                    _xpow, first_failure, staircase)
 from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
 from .windows import Window
@@ -603,7 +604,8 @@ class _Band:
     A same-sign sum, a product and a signed power of bands are bands; a sum of opposite signs, and a result
     whose magnitude may leave BAND_LIMITS, is _UNKNOWN.  The float operations of a certificate keep each of
     these signs: a same-sign sum, a product and a signed power of non-zero normal doubles keep their sign
-    and stay non-zero, unless they overflow or underflow, which the limits rule out.
+    and stay non-zero, unless they overflow or underflow, which the limits rule out.  Compared with 0.0, a
+    band answers as the floats of its strict sign do, and _UNKNOWN as a NaN does.
     """
 
     __slots__ = ("sign", "lo", "hi")
@@ -615,6 +617,12 @@ class _Band:
     def point(v: float) -> _Band:
         """The exact value v; a zero or a NaN has no sign."""
         return _band((v > 0.0) - (v < 0.0), abs(v), abs(v))
+
+    def __gt__(self, zero: float) -> bool:
+        return self.sign > 0
+
+    def __lt__(self, zero: float) -> bool:
+        return self.sign < 0
 
     def __neg__(self) -> _Band:
         return _Band(-self.sign, self.lo, self.hi)
@@ -649,17 +657,18 @@ _UNKNOWN = _Band(0, 0.0, math.inf)
 class CertificatePlan:
     """What the sign-conflict certificates of one equation on q windows [start, start + size) share.
 
-    `refusal` says why the quick-exclusion hypotheses refuse (None when they
-    hold), `certified` is the range each window certifies, and `negated`
-    gives, per parity, the slice of a window where x = -q.  `columns` reads
-    p, c, b and a over the staircase range and d over `certified` on the
-    first certificate that passes its q and range checks, so a read that
-    raises raises there, as it does when each certificate reads for itself.
+    `exclusion` is check_quick_exclusion(eq), `refusal` says why it refuses
+    (None when the hypotheses hold), `certified` is the range each window
+    certifies, and `negated` gives, per parity, the slice of a window where
+    x = -q.  `columns` reads p, c, b and a over the staircase range and d
+    over `certified` on the first run of `sides`, so a read that raises
+    raises there, as it does when each certificate reads for itself.
     """
 
     eq: EquationSpec
     start: int
     size: int
+    exclusion: ConditionReport
     refusal: str | None
     certified: range
     negated: dict[QuickParity, slice]
@@ -672,50 +681,51 @@ class CertificatePlan:
                              for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a)))
         return coefficients, list(eq.d.read(lo, count - 4))
 
+    def sides(self, xs: list, parity: QuickParity, num: Callable = float,
+              power: Callable = _xpow) -> tuple[tuple[list, ...], tuple[bool, ...]]:
+        """((z, y, w, t, chain_side, forcing_side), conflicts) of x_m = xs[m - start], the other parity's entries
+        negated in place, on the non-empty certified range: over floats (sign_conflict_certificate) or sign bands
+        (`proves`), `num` converting the float columns and `power` its signed power.  The chain side is
+        t_n - t_{n+1}, the forcing side d_n f(x_{n-tau}), and a conflict two strict signs, opposite."""
+        eq, f, (coefficients, d) = self.eq, self.eq.f, self.columns
+        if num is not float:  # one num value for each distinct float of the columns
+            to_num = {v: num(v) for v in set(chain(d, *coefficients))}.__getitem__
+            coefficients, d = tuple(list(map(to_num, column)) for column in coefficients), map(to_num, d)
+        xs[self.negated[parity]] = map(operator.neg, xs[self.negated[parity]])
+        n_lo, n_hi = self.certified.start, self.certified.stop - 1
+        z, y, w, t = staircase(eq, xs, self.start, n_lo, n_hi + 4, num=num, power=power, coefficients=coefficients)
+        chain_side = list(map(operator.sub, t[:-1], t[1:]))
+        fx = xs[n_lo - eq.tau - self.start:]  # x is finite and non-zero: a unit power leaves each x as it is
+        if isinstance(f, SignumMap):  # +-scale, a float for a band too
+            fx = map(f.apply, fx) if num is float else map(num, map(f.apply, fx))
+        else:
+            fx = map(operator.mul, repeat(num(f.scale)), fx if f.unit else map(power, fx, repeat(f.exponent)))
+        forcing_side = list(map(operator.mul, d, fx))
+        return ((z, y, w, t, chain_side, forcing_side),
+                tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side)))
+
     def proves(self, parity: QuickParity) -> bool:
         """Whether every q window inside the box 10 ** Q_EXPONENTS gives a valid certificate of this parity.
 
-        One staircase runs over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and p, c, b, a and d as the
-        exact points of `columns`; the chain and forcing sides are formed as sign_conflict_certificate forms
-        them, for f an odd power or signum.  True when every z, y, w and t value and both sides at every
-        certified index are bands, and the two sides have opposite signs at every certified index.  False for a
-        refusal, an empty certified range or another f, before `columns` is read; False is no verdict.
+        `sides` runs once over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and the exact points of
+        `columns`.  True when the two sides conflict at every certified index: each z, y, w and t value
+        reaches a side, where a band of sign 0 conflicts with nothing, so each of them is a band too.  False
+        for a refusal or an empty certified range, before `columns` is read; False is no verdict.
         """
-        f = self.eq.f
-        if self.refusal is not None or not self.certified or not isinstance(f, (OddPowerMap, SignumMap)):
+        if self.refusal is not None or not self.certified:
             return False
-        coefficients, d = self.columns
-        q_lo, q_hi = (10.0 ** u for u in Q_EXPONENTS)
-        xs = [_Band(1, q_lo, q_hi)] * self.size
-        xs[self.negated[parity]] = map(operator.neg, xs[self.negated[parity]])
-        n_lo, n_hi = self.certified.start, self.certified.stop - 1
-        z, y, w, t = staircase(self.eq, xs, self.start, n_lo, n_hi + 4, num=_Band.point, power=_Band.power,
-                               coefficients=tuple(list(map(_Band.point, column)) for column in coefficients))
-        chain_side = map(operator.sub, t[:-1], t[1:])
-        fx = xs[n_lo - self.eq.tau - self.start:]
-        if isinstance(f, SignumMap):
-            fx = (_Band.point(f.scale * v.sign) for v in fx)  # +-scale
-        else:
-            fx = map(operator.mul, repeat(_Band.point(f.scale)),
-                     fx if f.unit else map(_Band.power, fx, repeat(f.exponent)))
-        forcing_side = map(operator.mul, map(_Band.point, d), fx)
-        return (all(v.sign for v in z + y + w + t)
-                and all(a.sign * b.sign < 0 for a, b in zip(chain_side, forcing_side)))
+        xs = [_Band(1, *(10.0 ** u for u in Q_EXPONENTS))] * self.size
+        return all(self.sides(xs, parity, _Band.point, _Band.power)[1])
 
 
-def prepare_certificate(eq: EquationSpec, start: int, size: int,
-                        exclusion: ConditionReport | None = None) -> CertificatePlan:
-    """The plan that sign_conflict_certificate runs every q window of this start and size against.
-
-    `exclusion` is check_quick_exclusion(eq) when the caller holds it
-    already; None runs it.  No coefficient column is read here: see
-    CertificatePlan.
-    """
-    report = check_quick_exclusion(eq) if exclusion is None else exclusion
-    bad = next((e for e in report.entries if e.satisfied is not True), None)  # None: all hold
+def prepare_certificate(eq: EquationSpec, start: int, size: int) -> CertificatePlan:
+    """The plan that sign_conflict_certificate runs every q window of this start and size against: it runs
+    check_quick_exclusion(eq), and reads no coefficient column (see CertificatePlan)."""
+    exclusion = check_quick_exclusion(eq)
+    bad = next((e for e in exclusion.entries if e.satisfied is not True), None)  # None: all hold
     below, above = _residual_reach(eq)
     return CertificatePlan(
-        eq, start, size,
+        eq, start, size, exclusion,
         refusal=None if bad is None else f"certificate refused: condition '{bad.condition}' fails ({bad.detail})",
         certified=range(start + below, start + size - above),  # residual_range of such a window
         negated={parity: slice((start + (parity is QuickParity.EVEN_POSITIVE)) % 2, None, 2)
@@ -728,7 +738,7 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     """Build the sign-conflict certificate for candidate x_n = +-(-1)^n q_n.
 
     The candidate has positive terms at the indices of the given parity, and
-    its chain comes from model.staircase.  Refused (HypothesisViolation)
+    its chain comes from CertificatePlan.sides.  Refused (HypothesisViolation)
     unless the quick-exclusion hypotheses hold for the equation and q is
     finite and strictly positive on its window.  The window must reach
     delta (and tau) indices behind and four (and -tau, and -delta) ahead of
@@ -750,20 +760,12 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
         raise HypothesisViolation(
             f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]"
         )
-
-    coefficients, d = plan.columns
-    xs = list(q.values)
-    xs[plan.negated[parity]] = map(operator.neg, xs[plan.negated[parity]])
-    z, y, w, t = staircase(eq, xs, q.start, n_lo, n_hi + 4, coefficients=coefficients)
-    chain_side = list(map(operator.sub, t[:-1], t[1:]))
-    fx = xs[n_lo - eq.tau - q.start:]  # q is finite and non-zero: a unit power leaves each x as it is
-    fx = map(operator.mul, repeat(eq.f.scale), fx) if eq.f.unit else map(eq.f.apply, fx)
-    forcing_side = list(map(operator.mul, d, fx))  # d_n f(x_{n-tau})
-    conflicts = tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side))
+    columns, conflicts = plan.sides(list(q.values), parity)
+    z, y, w, t = columns[:4]
     return ContradictionCertificate(
         parity=parity, n_start=n_lo, n_end=n_hi, conflicts=conflicts,
-        chain_finite_nonzero=all(map(math.isfinite, chain := z + y + w + t)) and all(chain),  # finite, then non-zero
-        columns=(z, y, w, t, chain_side, forcing_side),
+        chain_finite_nonzero=all(map(math.isfinite, values := z + y + w + t)) and all(values),  # finite, non-zero
+        columns=columns,
     )
 
 
@@ -918,7 +920,7 @@ def component_sign_profile(sys: Trajectory) -> SignProfileReport:
     )
     statuses = {s.name: s.sign_status for s in summaries}
     degenerate = tuple(s.name for s in summaries if s.sign_status == "degenerate-zero")
-    x_to_zero = _tends_to_zero(sys.x.values)
+    x_to_zero = summaries[0].tends_to_zero
 
     if any(s == "straddling" for s in statuses.values()):
         case = SignCase.UNDETERMINED

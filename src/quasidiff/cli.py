@@ -363,17 +363,16 @@ def _condition_lines(report) -> list[str]:
 def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list[str], dict]:
     if args.windows < 1:
         raise ValueError(f"--windows must be at least 1, got {args.windows}")
-    exclusion = check_quick_exclusion(eq)
-    if args.parity is not None:
-        parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE
-    elif exclusion.alternation_excluded:
-        parity = QuickParity.EVEN_POSITIVE  # both parities are excluded
-    else:
-        raise HypothesisViolation(f"no parity to certify: {exclusion.conclusion}; "
-                                  "pass --parity to force one")
     below, above = _residual_reach(eq)
     span = below + 16 + above  # each window certifies 16 indices
-    plan = prepare_certificate(eq, eq.n0, span, exclusion)  # the windows share their reads of p, a, b, c and d
+    plan = prepare_certificate(eq, eq.n0, span)  # the windows share their reads of p, a, b, c and d
+    if args.parity is not None:
+        parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE
+    elif plan.exclusion.alternation_excluded:
+        parity = QuickParity.EVEN_POSITIVE  # both parities are excluded
+    else:
+        raise HypothesisViolation(f"no parity to certify: {plan.exclusion.conclusion}; "
+                                  "pass --parity to force one")
     if plan.proves(parity):  # every window the loop below could draw is valid
         valid_count = args.windows
     else:

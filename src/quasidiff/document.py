@@ -96,20 +96,17 @@ def _odd_ratio(value: Any, path: str) -> OddRatio:
         raise DocumentError(str(exc), path) from None
 
 
+# The sequence kinds whose fields are all numbers: the class and its fields, in the order they are read.
+_NUMBER_KINDS = {"constant": (Constant, ("value",)), "geometric": (Geometric, ("scale", "ratio")),
+                 "affine": (Affine, ("slope", "intercept")), "power": (PowerLaw, ("scale", "exponent"))}
+
+
 def build_sequence(obj: Any, path: str) -> SequenceSpec:
     kind = _need(obj, "kind", path)
     try:
-        if kind == "constant":
-            return Constant(_number(_need(obj, "value", path), f"{path}.value"))
-        if kind == "geometric":
-            return Geometric(_number(_need(obj, "scale", path), f"{path}.scale"),
-                             _number(_need(obj, "ratio", path), f"{path}.ratio"))
-        if kind == "affine":
-            return Affine(_number(_need(obj, "slope", path), f"{path}.slope"),
-                          _number(_need(obj, "intercept", path), f"{path}.intercept"))
-        if kind == "power":
-            return PowerLaw(_number(_need(obj, "scale", path), f"{path}.scale"),
-                            _number(_need(obj, "exponent", path), f"{path}.exponent"))
+        if isinstance(kind, str) and kind in _NUMBER_KINDS:
+            cls, names = _NUMBER_KINDS[kind]
+            return cls(*(_number(_need(obj, name, path), f"{path}.{name}") for name in names))
         if kind == "table":
             values = _need(obj, "values", path)
             if not isinstance(values, list) or not values:

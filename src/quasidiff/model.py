@@ -337,6 +337,7 @@ class OddPowerMap:
 
     scale: float
     exponent: OddRatio
+    continuous = True
 
     def apply(self, x: float) -> float:
         return self.scale * spow(x, self.exponent)
@@ -359,10 +360,6 @@ class OddPowerMap:
     def invertible(self) -> bool:
         return self.scale != 0.0
 
-    @property
-    def continuous(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class SignumMap:
@@ -370,6 +367,7 @@ class SignumMap:
 
     scale: float
     unit = False  # not an odd power
+    invertible = continuous = False
 
     def apply(self, x: float) -> float:
         if x > 0.0:
@@ -384,14 +382,6 @@ class SignumMap:
     @property
     def sign_condition(self) -> bool:
         return self.scale > 0.0
-
-    @property
-    def invertible(self) -> bool:
-        return False
-
-    @property
-    def continuous(self) -> bool:
-        return False
 
 
 Nonlinearity = Union[OddPowerMap, SignumMap]

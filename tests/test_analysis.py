@@ -5,7 +5,7 @@ import struct
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasidiff as qd
@@ -249,13 +249,15 @@ class TestSignConflictCertificate:
             sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE)
         with pytest.raises(HypothesisViolation, match="delta-even"):
             sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE,
-                                      prepare_certificate(eq, 3, 20, check_quick_exclusion(eq)))
+                                      prepare_certificate(eq, 3, 20))
 
     def test_a_held_exclusion_report_gives_the_same_certificate(self):
+        # the plan holds the quick-exclusion report that check --certificate reads its parity from
         rng = random.Random(5)
         for name in ("example-1", "example-3"):
             eq = qd.example_equation(name)
-            plan = prepare_certificate(eq, eq.n0, 16, check_quick_exclusion(eq))
+            plan = prepare_certificate(eq, eq.n0, 16)
+            assert plan.exclusion == check_quick_exclusion(eq)
             q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(16)))
             for parity in QuickParity:
                 assert sign_conflict_certificate(eq, q, parity, plan) == \
@@ -371,29 +373,46 @@ def like_example_3(**fields) -> qd.EquationSpec:
 _exponents = st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3), OddRatio(5, 3)))
 
 
+def one_signed_sequences(sign: float):
+    """Sequences of the given sign at every index from 1 on, so a, b and c (sign 1) and d pass EquationSpec's
+    validation by construction: the kinds sign_from reasons about, with a scale of at least 1e-3 where a term
+    could underflow, and in one draw of nine a term that is subnormal, overflows or is infinite."""
+    scales = st.floats(1e-3, 1e3).map(sign.__mul__)
+    tame = st.one_of(
+        st.builds(Constant, scales),
+        st.builds(Affine, st.floats(0.0, 1e3).map(sign.__mul__), scales),
+        st.builds(PowerLaw, scales, st.sampled_from((0.0, 0.5, 1.0, 2.0, -0.5))),
+        st.builds(Geometric, scales, st.sampled_from((1.0, 1.0 + 2.0 ** -52, 2.0, 0.5))),
+    )
+    extreme = st.one_of(st.builds(Constant, st.sampled_from((5e-324, 1e308, math.inf)).map(sign.__mul__)),
+                        st.builds(PowerLaw, scales, st.sampled_from((300.0, math.inf))),
+                        st.builds(Geometric, scales, st.sampled_from((1e10, math.inf))))
+    return st.one_of(*[tame] * 8, extreme)
+
+
 @st.composite
 def certificate_problems(draw):
-    """(equation, q windows of one start and size, parity).  The hypotheses hold or fail (p from `sequences`,
-    odd delta, f without the sign condition); a window is positive, or has a zero, negative, NaN or infinite
-    value, or is too short; windows near n0 + 255 read p, a, b, c or d past a table's end, and windows below
-    n0 read before its start."""
+    """(equation, q windows of one start and size, parity), every equation one that EquationSpec accepts.  The
+    hypotheses hold or fail (p from `sequences`, odd delta, f without the sign condition); a window is positive,
+    or has a zero, negative, NaN or infinite value, or is too short; windows near n0 + 255 read p, a, b, c or d
+    past a table's end, and windows below n0 read before its start."""
     delta, tau = draw(st.one_of(st.sampled_from((-2, 0, 2, 4)), st.integers(-3, 4))), draw(st.integers(-5, 4))
     if tau == min(-4, delta - 4):
         tau += 1
-    n0 = max(1, delta, tau) + draw(st.integers(0, 2))
+    any_p = draw(st.one_of(st.none(), st.none(), st.none(), sequences))  # None: a positive p
+    n0 = max(1, delta, tau, getattr(any_p, "min_index", None) or 1) + draw(st.integers(0, 2))
     tables = st.builds(functools.partial(sample_table, n0), st.floats(1e-3, 1e3), st.integers(0, 8))
-    positive = st.one_of(signed_sequences, tables)
+    positive = st.one_of(one_signed_sequences(1.0), tables)
     fields = {name: draw(positive) for name in "abc"}
-    fields["d"] = draw(st.one_of(signed_sequences, st.builds(functools.partial(sample_table, n0),
-                                                             st.sampled_from((1.0, -1.0)), st.integers(0, 8))))
-    fields["p"] = draw(st.one_of(*[positive] * 3, sequences))
+    # sgn(d)(-1)^tau = +1, the sign under which the hypotheses exclude alternation, in three draws of four
+    d_sign = draw(st.sampled_from((1.0, 1.0, 1.0, -1.0))) * (-1.0) ** tau
+    fields["d"] = draw(st.one_of(one_signed_sequences(d_sign),
+                                 st.builds(functools.partial(sample_table, n0, d_sign), st.integers(0, 8))))
+    fields["p"] = draw(positive) if any_p is None else any_p
     f = draw(st.sampled_from((qd.OddPowerMap(1.0, OddRatio(1)), qd.OddPowerMap(0.5, OddRatio(3)), qd.SignumMap(1.0),
                               qd.OddPowerMap(2.0, OddRatio(1, 3)), qd.OddPowerMap(-1.0, OddRatio(1)))))
-    try:
-        eq = qd.EquationSpec(alpha=draw(_exponents), beta=draw(_exponents), gamma=draw(_exponents), tau=tau,
-                             delta=delta, f=f, n0=n0, **fields)
-    except ValueError:
-        assume(False)
+    eq = qd.EquationSpec(alpha=draw(_exponents), beta=draw(_exponents), gamma=draw(_exponents), tau=tau,
+                         delta=delta, f=f, n0=n0, **fields)
     start = n0 + draw(st.one_of(st.integers(-3, 3), st.integers(236, 252)))
     size = draw(st.integers(1, 30))
     magnitudes = st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)
@@ -416,6 +435,12 @@ class TestCertificatePlan:
     # a (to 260) and d (to 258) both end inside [251, 263]: a raises, as its staircase column comes first
     @example((plain_equation(tau=3, delta=2, a=sample_table(3, 1.0, 2), d=sample_table(3, -1.0, 0)),
               [Window(248, (0.0,) + (1.0,) * 19), Window(248, (1.0,) * 20)], QuickParity.ODD_POSITIVE))
+    # each refusal: odd delta, f without the sign condition, a negative p, and a p the sample cannot read
+    @example((plain_equation(tau=1, delta=3, n0=3), [Window(3, (1.0,) * 20)], QuickParity.ODD_POSITIVE))
+    @example((like_example_3(f=qd.OddPowerMap(-1.0, OddRatio(1))), [Window(2, (1.0,) * 22)],
+              QuickParity.EVEN_POSITIVE))
+    @example((like_example_3(p=Affine(-0.1, 1.0)), [Window(2, (1.0,) * 22)], QuickParity.EVEN_POSITIVE))
+    @example((like_example_3(p=sample_table(2, 0.25, -200)), [Window(2, (1.0,) * 22)], QuickParity.ODD_POSITIVE))
     def test_a_shared_plan_gives_each_window_its_one_shot_certificate(self, problem):
         # bit for bit, or the same refusal or error, in the order hypotheses, q, range, coefficients, d
         eq, windows, parity = problem

@@ -735,14 +735,19 @@ def test_check_certificate_windows_certify_16_indices(delta, monkeypatch, capsys
 @pytest.mark.parametrize("argv, calls, line", [
     (["example-3", "--windows", "400"], 0, "(even-positive): 400/400 valid"),  # proved: no window is drawn
     (["example-1", "--parity", "even", "--windows", "50"], 50, "(even-positive): 0/50 valid"),
+    # example-3 with p = 0: a zero has no band sign, so nothing is proved, and every drawn window is valid
+    (["ZERO-P", "--windows", "30"], 30, "(even-positive): 30/30 valid"),
 ])
-def test_check_certificate_certifies_windows_only_where_unproved(argv, calls, line, monkeypatch, capsys):
+def test_check_certificate_certifies_windows_only_where_unproved(argv, calls, line, tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "zero-p.json"
+    doc.write_text(json.dumps({**qd.example_document("example-3"), "p": {"kind": "constant", "value": 0.0}}))
     certified = []
     certificate = cli.sign_conflict_certificate
     monkeypatch.setattr(cli, "sign_conflict_certificate",
                         lambda *args: certified.append(cert := certificate(*args)) or cert)
-    code, out, _ = run(["check", "--certificate", *argv], capsys)
-    assert (code, len(certified)) == (0 if calls == 0 else 1, calls)
+    code, out, _ = run(["check", "--certificate", *(str(doc) if arg == "ZERO-P" else arg for arg in argv)], capsys)
+    valid, windows = line.split()[1].split("/")
+    assert (code, len(certified)) == (0 if valid == windows else 1, calls)
     assert f"sign-conflict certificates {line} on random positive q windows\n" == out
 
 
