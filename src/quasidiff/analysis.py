@@ -694,7 +694,7 @@ class CertificatePlan:
         xs[self.negated[parity]] = map(operator.neg, xs[self.negated[parity]])
         n_lo, n_hi = self.certified.start, self.certified.stop - 1
         z, y, w, t = staircase(eq, xs, self.start, n_lo, n_hi + 4, num=num, power=power, coefficients=coefficients)
-        chain_side = list(map(operator.sub, t[:-1], t[1:]))
+        chain_side = list(map(operator.sub, t, t[1:]))  # the map stops with t[1:]
         fx = xs[n_lo - eq.tau - self.start:]  # x is finite and non-zero: a unit power leaves each x as it is
         if isinstance(f, SignumMap):  # +-scale, a float for a band too
             fx = map(f.apply, fx) if num is float else map(num, map(f.apply, fx))
