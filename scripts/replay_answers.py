@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""Replay a benchmark workload's requests through the CLI and record every answer.
+"""Replay a benchmark workload's requests through the CLI and describe every answer.
 
-    PYTHONPATH=src python scripts/replay_answers.py WORKLOAD SEED ROUNDS OUT
-
-The requests are the first ROUNDS rounds that the seeded generator of
-``perfbench/workloads.py`` yields for WORKLOAD and SEED, in the order the
-benchmark sends them; each is answered by ``quasidiff.cli.main`` in-process.
-OUT gets one JSON line per answer: the argv, the exit code or the exception
-that escaped ``main``, stdout, stderr, and the SHA-256 of the CSV and the
-JSON report the request asked for (null when none was written).  The work
-directory is a fresh temporary directory entered with ``chdir`` and the
-generated documents live under the relative path ``work/``, so argv and
-answers do not depend on where the run happens, and two versions of the
-package can be compared byte for byte.
+``workload_requests`` yields the requests of the first ROUNDS rounds that the
+seeded generator of ``perfbench/workloads.py`` yields for WORKLOAD and SEED,
+in the order the benchmark sends them; ``answer`` runs one through
+``quasidiff.cli.main`` in-process and returns a record of it: the argv, the
+exit code or the exception that escaped ``main``, stdout, stderr, and the
+SHA-256 of the CSV and the JSON report the request asked for (null when none
+was written).  The work directory is a fresh temporary directory entered
+with ``chdir`` and the generated documents live under the relative path
+``work/``, so argv and answers do not depend on where the run happens, and
+two versions of the package can be compared byte for byte.
 
 ``python3 perfbench/run.py --seconds 10`` sends 2 rounds of march, 5 of
 hypotheses and 19 of sweep (``ROUNDS``).  ``scripts/report_corpus.py``
@@ -20,23 +18,21 @@ writes those answers at seeds 1-3 (``SEEDS``) into the corpus, one file
 each, so the golden manifest ``tests/golden/corpus.sha256`` pins them.  The
 answers depend on the generator in ``perfbench/workloads.py`` and on the
 examples and document it takes from ``perfbench/oracle.py``, so a change to
-either regenerates the manifest.  The script reads ``perfbench/`` and
-writes nothing there.
+either regenerates the manifest.  The module reads ``perfbench/`` and
+writes nothing there; it has no command line of its own.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
 import itertools
-import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import WORKLOADS, Workload  # noqa: E402
+from workloads import WORKLOADS, Workload  # noqa: E402, F401 - WORKLOADS is re-exported for request_costs.py
 
 from quasidiff.cli import main  # noqa: E402
 
@@ -85,30 +81,3 @@ def workload_requests(workload: str, seed: int, rounds: int):
             yield (request for batch in batches for request in batch)
         finally:
             os.chdir(cwd)
-
-
-def replay(workload: str, seed: int, rounds: int, out: str) -> int:
-    count = 0
-    with open(out, "w", encoding="utf-8") as fh, workload_requests(workload, seed, rounds) as requests:
-        for request in requests:
-            fh.write(json.dumps(answer(request)) + "\n")
-            count += 1
-    return count
-
-
-def main_replay() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(WORKLOADS))
-    parser.add_argument("seed", type=int)
-    parser.add_argument("rounds", type=int)
-    parser.add_argument("out", help="JSON-lines file to write")
-    args = parser.parse_args()
-    if args.rounds < 1:
-        parser.error(f"rounds must be at least 1, got {args.rounds}")
-    count = replay(args.workload, args.seed, args.rounds, args.out)
-    print(f"{count} answers of {args.workload} seed {args.seed} written to {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main_replay())

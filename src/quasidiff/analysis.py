@@ -872,27 +872,20 @@ class SignProfileReport:
         raise KeyError(name)
 
 
-def _sign_census(w: Window) -> str:
-    scale = w.max_abs()
-    if scale == 0.0:
-        return "degenerate-zero"
-    suffix = w.suffix(_suffix_length(len(w)))
-    return _sign_census_values(suffix.values, EPS_SIGN * scale)
-
-
-def _monotone_census(w: Window) -> str:
-    suffix = w.suffix(_suffix_length(len(w)))
-    slack = EPS_SIGN * max(w.max_abs(), 1e-300)
-    diffs = list(map(operator.sub, suffix.values[1:], suffix.values))
+def _summary(name: str, w: Window, peak: float) -> ComponentSummary:
+    """One component's sign census, monotonicity and decay: its decided suffix read once, and its peak |value|
+    setting both the census band EPS_SIGN * peak and the monotone slack EPS_SIGN * max(peak, 1e-300)."""
+    suffix = w.values[-_suffix_length(len(w)):]
+    slack = EPS_SIGN * max(peak, 1e-300)
+    diffs = list(map(operator.sub, suffix[1:], suffix))
     non_dec = all(map((-slack).__le__, diffs))  # d >= -slack
     non_inc = all(map(slack.__ge__, diffs))  # d <= slack
-    if non_dec and non_inc:
-        return "constant"
-    if non_dec:
-        return "increasing"
-    if non_inc:
-        return "decreasing"
-    return "none"
+    return ComponentSummary(
+        name=name,
+        sign_status="degenerate-zero" if peak == 0.0 else _sign_census_values(suffix, EPS_SIGN * peak),
+        monotone=("constant" if non_inc else "increasing") if non_dec else ("decreasing" if non_inc else "none"),
+        tends_to_zero=_tends_to_zero(w.values),
+    )
 
 
 def component_sign_profile(sys: Trajectory) -> SignProfileReport:
@@ -908,16 +901,9 @@ def component_sign_profile(sys: Trajectory) -> SignProfileReport:
     if len(t) < 16:
         raise ValueError(f"sign profile needs at least 16 chain values, got {len(t)}")
 
-    named = (("x", sys.x), ("y", y), ("w", w), ("t", t))
-    summaries = tuple(
-        ComponentSummary(
-            name=name,
-            sign_status=_sign_census(win),
-            monotone=_monotone_census(win),
-            tends_to_zero=_tends_to_zero(win.values),
-        )
-        for name, win in named
-    )
+    windows = (sys.x, y, w, t)
+    peaks = [win.max_abs() for win in windows]
+    summaries = tuple(map(_summary, "xywt", windows, peaks))
     statuses = {s.name: s.sign_status for s in summaries}
     degenerate = tuple(s.name for s in summaries if s.sign_status == "degenerate-zero")
     x_to_zero = summaries[0].tends_to_zero
@@ -934,6 +920,6 @@ def component_sign_profile(sys: Trajectory) -> SignProfileReport:
         case=case,
         components=summaries,
         degenerate_zero=degenerate,
-        max_abs_x=sys.x.max_abs(),
+        max_abs_x=peaks[0],
         x_tends_to_zero=x_to_zero,
     )

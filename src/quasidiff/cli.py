@@ -50,9 +50,10 @@ from .errors import (
 )
 from .examples import EXAMPLE_NAMES, example_closed_form, example_document, example_summary
 # relative_residual stays importable here: perfbench/tracing.py rebinds cli.relative_residual.
-from .model import (EquationSpec, _chain_reach, _residual_reach, max_relative_residual, relative_residual,  # noqa: F401
-                    relative_residuals, residual_range, residual_reads)
+from .model import (EquationSpec, _chain_reach, _residual_reach, relative_residual, relative_residuals,  # noqa: F401
+                    residual_range, residual_reads)
 from .numerics import EPS_RESIDUAL
+from . import solver
 from .solver import (
     Trajectory,
     forward_seed_span,
@@ -295,8 +296,9 @@ def cmd_solve(args) -> int:
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
     traj = _solve(args, eq, name)
-    # None when no index of the window reads only x values it holds.
-    worst = max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
+    # None when no index of the window reads only x values it holds; solver's name is looked up at each call, so
+    # that a rebinding of it sees every solve.
+    worst = solver.max_relative_residual(eq, traj.x)[0] if residual_range(eq, traj.x) else None
     lines = [f"solve {name} ({traj.provenance.value})", f"  x range: n = {traj.n_start} .. {traj.n_end}",
              "  max relative residual: none (no index has its residual inside the x range)" if worst is None
              else f"  max relative residual: {worst:.3e}"]

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, repeat
 
 from .errors import NumericRangeError, PivotError
-# max_relative_residual stays importable here: perfbench/tracing.py rebinds solver.max_relative_residual.
+# cli.cmd_solve calls max_relative_residual through this module, where perfbench/tracing.py rebinds it.
 from .model import (Constant, EquationSpec, SequenceSpec, _xpow, chain_windows,  # noqa: F401
                     max_relative_residual, sign_of, staircase)
 from .numerics import EPS_SIGN

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -373,10 +374,16 @@ def like_example_3(**fields) -> qd.EquationSpec:
 _exponents = st.sampled_from((OddRatio(1), OddRatio(3), OddRatio(1, 3), OddRatio(5, 3)))
 
 
-def one_signed_sequences(sign: float):
+# Coefficient scales at which a certificate's band leaves BAND_LIMITS (2**-800, 2**800): a subnormal, whose
+# products with q = 1e-3 round to 0, the limits' neighbourhood, and a c whose cube overflows a float
+LIMIT_SCALES = (5e-324, 1e-320, 2.0 ** -790, 1e200, 2.0 ** 790, 1e304)
+
+
+def one_signed_sequences(sign: float, stress: bool = True):
     """Sequences of the given sign at every index from 1 on, so a, b and c (sign 1) and d pass EquationSpec's
     validation by construction: the kinds sign_from reasons about, with a scale of at least 1e-3 where a term
-    could underflow, and in one draw of nine a term that is subnormal, overflows or is infinite."""
+    could underflow; with `stress`, in one draw of nine a term that is subnormal, overflows or is infinite, and in
+    one a constant or a multiple of n at one of LIMIT_SCALES."""
     scales = st.floats(1e-3, 1e3).map(sign.__mul__)
     tame = st.one_of(
         st.builds(Constant, scales),
@@ -387,7 +394,9 @@ def one_signed_sequences(sign: float):
     extreme = st.one_of(st.builds(Constant, st.sampled_from((5e-324, 1e308, math.inf)).map(sign.__mul__)),
                         st.builds(PowerLaw, scales, st.sampled_from((300.0, math.inf))),
                         st.builds(Geometric, scales, st.sampled_from((1e10, math.inf))))
-    return st.one_of(*[tame] * 8, extreme)
+    near_limits = st.sampled_from(LIMIT_SCALES).map(sign.__mul__)
+    limits = st.one_of(st.builds(Constant, near_limits), st.builds(Affine, near_limits, st.just(0.0)))
+    return st.one_of(*[tame] * 7, extreme, limits) if stress else tame
 
 
 @st.composite
@@ -395,26 +404,42 @@ def certificate_problems(draw):
     """(equation, q windows of one start and size, parity), every equation one that EquationSpec accepts.  The
     hypotheses hold or fail (p from `sequences`, odd delta, f without the sign condition); a window is positive,
     or has a zero, negative, NaN or infinite value, or is too short; windows near n0 + 255 read p, a, b, c or d
-    past a table's end, and windows below n0 read before its start."""
-    delta, tau = draw(st.one_of(st.sampled_from((-2, 0, 2, 4)), st.integers(-3, 4))), draw(st.integers(-5, 4))
+    past a table's end, and windows below n0 read before its start.  In one draw of two the problem is shaped as
+    a proved one: even delta, d of the sign that excludes alternation, no table, and windows of 16 values or
+    more; there a coefficient near the band limits, or (in half of them) a p that is >= 0 on the validation
+    sample and negative past it, where the windows read it, is what the band proof must not prove."""
+    shaped = draw(st.booleans())
+    # in half of those, p turns negative inside the windows' reach, past n0 + 255, as the problem's one stress
+    late = shaped and draw(st.booleans())
+    one_signed = functools.partial(one_signed_sequences, stress=not late)
+
+    def pick(proof_shaped, anything):
+        return proof_shaped if shaped else anything
+
+    even = st.sampled_from((-2, 0, 2, 4))
+    delta, tau = draw(pick(even, st.one_of(even, st.integers(-3, 4)))), draw(st.integers(-5, 4))
     if tau == min(-4, delta - 4):
         tau += 1
-    any_p = draw(st.one_of(st.none(), st.none(), st.none(), sequences))  # None: a positive p
+    any_p = draw(pick(st.none(), st.one_of(st.none(), st.none(), st.none(), sequences)))  # None: a positive p
     n0 = max(1, delta, tau, getattr(any_p, "min_index", None) or 1) + draw(st.integers(0, 2))
     tables = st.builds(functools.partial(sample_table, n0), st.floats(1e-3, 1e3), st.integers(0, 8))
-    positive = st.one_of(one_signed_sequences(1.0), tables)
+    positive = pick(one_signed(1.0), st.one_of(one_signed(1.0), tables))
     fields = {name: draw(positive) for name in "abc"}
     # sgn(d)(-1)^tau = +1, the sign under which the hypotheses exclude alternation, in three draws of four
-    d_sign = draw(st.sampled_from((1.0, 1.0, 1.0, -1.0))) * (-1.0) ** tau
-    fields["d"] = draw(st.one_of(one_signed_sequences(d_sign),
-                                 st.builds(functools.partial(sample_table, n0, d_sign), st.integers(0, 8))))
-    fields["p"] = draw(positive) if any_p is None else any_p
+    d_sign = draw(pick(st.just(1.0), st.sampled_from((1.0, 1.0, 1.0, -1.0)))) * (-1.0) ** tau
+    fields["d"] = draw(pick(one_signed(d_sign),
+                            st.one_of(one_signed(d_sign),
+                                      st.builds(functools.partial(sample_table, n0, d_sign), st.integers(0, 8)))))
+    # s (n0 + 255.5 + k - n): p >= 0 on the validation sample, and below 0 from n0 + 256 + k
+    late_negative = st.builds(lambda s, k: Affine(-s, s * (n0 + qd.model.VALIDATION_SAMPLE - 0.5 + k)),
+                              st.floats(0.1, 10.0), st.integers(0, 8))
+    fields["p"] = draw(late_negative) if late else draw(positive) if any_p is None else any_p
     f = draw(st.sampled_from((qd.OddPowerMap(1.0, OddRatio(1)), qd.OddPowerMap(0.5, OddRatio(3)), qd.SignumMap(1.0),
                               qd.OddPowerMap(2.0, OddRatio(1, 3)), qd.OddPowerMap(-1.0, OddRatio(1)))))
     eq = qd.EquationSpec(alpha=draw(_exponents), beta=draw(_exponents), gamma=draw(_exponents), tau=tau,
                          delta=delta, f=f, n0=n0, **fields)
-    start = n0 + draw(st.one_of(st.integers(-3, 3), st.integers(236, 252)))
-    size = draw(st.integers(1, 30))
+    start = n0 + draw(st.integers(244, 252) if late else st.one_of(st.integers(-3, 3), st.integers(236, 252)))
+    size = draw(pick(st.integers(16, 30), st.integers(1, 30)))
     magnitudes = st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)
     scales = st.sampled_from((1.0, 1.0, 1.0, 1e300, 1e-300))  # the staircase overflows or underflows
     spoilt = st.one_of(st.none(), st.none(), st.none(),
@@ -1044,6 +1069,46 @@ class TestAlmostOscillation:
 # ---------------------------------------------------------------------------
 
 
+def census_reference(name: str, w: Window) -> analysis.ComponentSummary:
+    """A component's summary as two census passes formed it, each reading the window's peak and suffix itself."""
+    scale = w.max_abs()
+    suffix = w.suffix(analysis._suffix_length(len(w)))
+    status = ("degenerate-zero" if scale == 0.0
+              else analysis._sign_census_values(suffix.values, qd.numerics.EPS_SIGN * scale))
+    slack = qd.numerics.EPS_SIGN * max(w.max_abs(), 1e-300)
+    diffs = [b - a for a, b in zip(suffix.values, suffix.values[1:])]
+    non_dec, non_inc = all(d >= -slack for d in diffs), all(d <= slack for d in diffs)
+    if non_dec and non_inc:
+        monotone = "constant"
+    elif non_dec:
+        monotone = "increasing"
+    elif non_inc:
+        monotone = "decreasing"
+    else:
+        monotone = "none"
+    return analysis.ComponentSummary(name, status, monotone, analysis._tends_to_zero(w.values))
+
+
+PROFILE_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def profile_windows(draw) -> Window:
+    """A window of 16 to 40 values: any signs, a geometric run (one-signed or alternating, growing or decaying)
+    or a constant, with some values replaced by zeros, subnormals, infinities or NaN, among them the first value
+    of the window or of one of the thirds that _tends_to_zero reads."""
+    size = draw(st.integers(16, 40))
+    scales = st.floats(-1e3, 1e3, allow_nan=False)
+    values = draw(st.one_of(
+        st.lists(scales, min_size=size, max_size=size),
+        st.builds(lambda c, r: [c * r ** i for i in range(size)], scales, st.floats(-1.5, 1.5)),
+        st.builds(lambda c: [c] * size, scales)))
+    at = st.one_of(st.integers(0, size - 1), st.sampled_from((0, size // 3, 2 * size // 3)))
+    for i, v in draw(st.lists(st.tuples(at, st.sampled_from(PROFILE_SPECIALS)), max_size=4)):
+        values[i] = v
+    return Window(draw(st.integers(-5, 5)), tuple(values))
+
+
 class TestComponentSignProfile:
     def test_decaying_solution_takes_the_decay_case(self):
         eq = qd.example_equation("example-3")
@@ -1075,6 +1140,28 @@ class TestComponentSignProfile:
         eq = qd.example_equation("example-4")
         traj = sample_trajectory(eq, qd.example_closed_form("example-4"), 0, 60)
         assert component_sign_profile(traj).max_abs_x == pytest.approx(0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(profile_windows(), min_size=4, max_size=4))
+    @example([Window(0, (math.nan,) + (1.0,) * 15)] * 4)
+    @example([Window(0, (1.0,) * 5 + (math.nan,) + (2.0,) * 10), Window(0, (0.0,) * 16),
+              Window(0, (-0.0, 5e-324) * 8), Window(0, (math.inf,) + (-1.0,) * 15)])
+    def test_each_window_is_summarised_as_two_census_passes_summarised_it(self, windows):
+        # the profile reads only .x and .chain; z, the chain's first window, is not profiled
+        x, y, w, t = windows
+        profile = component_sign_profile(SimpleNamespace(x=x, chain=(None, y, w, t)))
+        assert profile.components == tuple(map(census_reference, "xywt", windows))
+        assert struct.pack("d", profile.max_abs_x) == struct.pack("d", x.max_abs())  # a NaN peak too
+
+    def test_each_window_is_read_once(self, monkeypatch):
+        traj = sample_trajectory(qd.example_equation("example-3"), qd.example_closed_form("example-3"), 0, 63)
+        traj.chain  # materialised before counting
+        calls = Counter()
+        for method in ("max_abs", "suffix"):
+            monkeypatch.setattr(Window, method, lambda w, *a, m=method, f=getattr(Window, method):
+                                calls.update([m]) or f(w, *a))
+        component_sign_profile(traj)
+        assert calls == {"max_abs": 4}
 
     def test_requires_materialized_window(self):
         # delta = 2: five x values give z on three indices, one short of the chain's four

@@ -470,6 +470,15 @@ def test_solve_report_carries_the_solved_window_residual(tmp_path, capsys):
     assert f"  max relative residual: {worst:.3e}\n" in out
 
 
+def test_solve_reaches_its_residual_through_the_solver_module(monkeypatch, capsys):
+    # the name a rebinding of solver.max_relative_residual (a tracer's span) replaces is the one solve calls
+    calls, residual = [], solver.max_relative_residual
+    monkeypatch.setattr(solver, "max_relative_residual", lambda eq, x: calls.append(x) or residual(eq, x))
+    code, out, _ = run(["solve", "example-3", "--horizon", "200"], capsys)
+    assert code == 0 and "max relative residual:" in out
+    assert len(calls) == 1
+
+
 def test_classify_solve_runs_no_residual(monkeypatch, capsys):
     argv = ["classify", "--solve", "example-3", "--horizon", "200"]
     code, expected, _ = run(argv, capsys)
