@@ -22,9 +22,11 @@ close the corpus whose coefficient 1e10^n leaves the double range, so that
 the residual meets inputs that are not finite: a verify on example 3 with
 that a, and a solve on example 2 at beta 5/3 with that b.  Then come two
 almost-oscillation reports on example 3: with a = 2^n, whose series A
-converges, and with a d table that ends inside the horizon.  The last run
+converges, and with a d table that ends inside the horizon.  Next, a run
 verifies example 3 with cubic exponents, whose residual differences grow
-wide enough to halve the block (``model.RESIDUAL_WIDTH``).
+wide enough to halve the block (``model.RESIDUAL_WIDTH``).  The last two
+runs are usage errors (exit 2): a verify and a classify whose --closed-form
+literal is not finite (``nan``, and ``1e400``, which parses to inf).
 
 After the runs, ``answers/<workload>-<seed>/<position>.json`` holds each
 answer of the benchmark's traffic: march, hypotheses and sweep at seeds 1-3
@@ -199,6 +201,8 @@ def corpus() -> list[list[str]]:
     runs += [["check", "geometric-a.json", "--almost-oscillation", "--horizon", "2000"],
              ["check", "ending-d.json", "--almost-oscillation", "--horizon", "1000"]]
     runs.append(["verify", "cubic.json", "--horizon", "60", "--closed-form", "geometric:1,1e-5"])
+    runs += [["verify", "example-3", "--horizon", "20", "--closed-form", "geometric:nan,1"],
+             ["classify", "example-3", "--horizon", "20", "--closed-form", "alternating:1e400,0.5"]]
     return runs
 
 

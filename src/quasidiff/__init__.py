@@ -13,7 +13,6 @@ from .analysis import (
     ConditionEntry,
     ConditionReport,
     ContradictionCertificate,
-    QuickDecomposition,
     QuickParity,
     SeriesProbe,
     SeriesStatus,
@@ -84,7 +83,7 @@ __all__ = [
     "ConditionEntry", "ConditionReport", "Constant", "ContradictionCertificate",
     "DocumentError", "EXAMPLE_NAMES", "EquationSpec", "Geometric", "HypothesisViolation",
     "Nonlinearity", "NumericRangeError", "OddPowerMap", "OddRatio", "PivotError",
-    "PowerLaw", "Provenance", "QuasidiffError", "QuickDecomposition", "QuickParity",
+    "PowerLaw", "Provenance", "QuasidiffError", "QuickParity",
     "SequenceDomainError", "SequenceSpec", "SeriesProbe", "SeriesStatus", "SignCase",
     "SignProfileReport", "SignedPower", "SignumMap", "Table", "Trajectory", "Verdict",
     "VerdictKind", "Window", "WindowIndexError", "build_equation", "build_sequence",

@@ -59,33 +59,21 @@ class QuickParity(str, Enum):
 
 
 @dataclass(frozen=True)
-class QuickDecomposition:
-    """The one-signed magnitude sequence q with x_n = (-1)^n q_n."""
-
-    positive_parity: QuickParity
-    q: Window
-
-
-@dataclass(frozen=True)
 class Verdict:
+    """A classification; a quickly oscillatory one also carries q with x_n = (-1)^n q_n on its suffix.
+
+    to_dict is the --out section: every field that is set, in declaration order."""
+
     kind: VerdictKind
     tends_to_zero: bool
-    quick: QuickDecomposition | None = None
     degenerate_zero: bool = False
     suffix_start: int = 0
+    quick_positive_parity: QuickParity | None = None
+    quick_q_start: int | None = None
+    quick_q: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind.value,
-            "tends_to_zero": self.tends_to_zero,
-            "degenerate_zero": self.degenerate_zero,
-            "suffix_start": self.suffix_start,
-        }
-        if self.quick is not None:
-            out["quick_positive_parity"] = self.quick.positive_parity.value
-            out["quick_q_start"] = self.quick.q.start
-            out["quick_q"] = list(self.quick.q.values)
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _suffix_length(count: int) -> int:
@@ -159,11 +147,10 @@ def classify(t: Trajectory) -> Verdict:
         if all((values[i] > 0.0) == (values[i + 1] < 0.0) for i in range(len(values) - 1)) and all(
             m > EPS_SIGN * peak for m, peak in zip(mags, map(max, *lagged))
         ):
-            q = Window(suffix.start,
-                       tuple((v if n % 2 == 0 else -v) for n, v in suffix.items()))
-            parity = QuickParity.EVEN_POSITIVE if q.values[0] > 0 else QuickParity.ODD_POSITIVE
-            return Verdict(VerdictKind.QUICKLY_OSCILLATORY, tends,
-                           quick=QuickDecomposition(parity, q), suffix_start=suffix.start)
+            q = tuple((v if n % 2 == 0 else -v) for n, v in suffix.items())
+            parity = QuickParity.EVEN_POSITIVE if q[0] > 0 else QuickParity.ODD_POSITIVE
+            return Verdict(VerdictKind.QUICKLY_OSCILLATORY, tends, suffix_start=suffix.start,
+                           quick_positive_parity=parity, quick_q_start=suffix.start, quick_q=q)
         return Verdict(VerdictKind.OSCILLATORY, tends, suffix_start=suffix.start)
     return Verdict(VerdictKind.UNDETERMINED, tends,
                    degenerate_zero=census == "degenerate-zero", suffix_start=suffix.start)

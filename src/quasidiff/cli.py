@@ -186,7 +186,7 @@ def _cached_equation(example: str | None, text: str | None, beta: str | None, la
 
 
 def _closed_form(args, name: str) -> Callable[[int], float]:
-    spec = getattr(args, "closed_form", None)
+    spec = args.closed_form
     if spec is not None:
         try:
             family, params = spec.split(":", 1)
@@ -194,6 +194,8 @@ def _closed_form(args, name: str) -> Callable[[int], float]:
         except ValueError:
             raise ValueError(f"cannot parse closed form {spec!r}; "
                              "expected 'alternating:scale,ratio' or 'geometric:scale,ratio'") from None
+        if not (math.isfinite(scale) and math.isfinite(ratio)):
+            raise ValueError(f"closed form {spec!r} needs a finite scale and ratio")
         if family == "alternating":
             return lambda n: (scale if n % 2 == 0 else -scale) * ratio ** n
         if family == "geometric":
@@ -344,9 +346,9 @@ def cmd_classify(args) -> int:
     lines = [f"classify {name}: {verdict.kind.value}", f"  tends to zero (evidence): {verdict.tends_to_zero}"]
     if verdict.degenerate_zero:
         lines.append("  note: degenerate zero window")
-    if verdict.quick is not None:
-        q = verdict.quick
-        lines.append(f"  alternation magnitudes q from n = {q.q.start}, positive parity: {q.positive_parity.value}")
+    if verdict.quick_q is not None:
+        lines.append(f"  alternation magnitudes q from n = {verdict.quick_q_start}, "
+                     f"positive parity: {verdict.quick_positive_parity.value}")
     report = {"command": "classify", "equation": name, "horizon": args.horizon, "verdict": verdict.to_dict()}
     if len(t) >= 16:
         profile = component_sign_profile(traj)
@@ -394,7 +396,9 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list
 
 def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, list[str], dict]:
     _check_horizon(args.horizon)
-    traj = _sample_for_components(eq, _closed_form(args, name), min(args.horizon, 512))
+    if name not in EXAMPLE_NAMES:
+        raise ValueError("check --bound samples the closed form of a bundled example; a document equation has none")
+    traj = _sample_for_components(eq, example_closed_form(name), min(args.horizon, 512))
     z = traj.chain[0]
     horizon = max(args.horizon, 1000)
     p_limit, _, stable = p_tail(eq, horizon)

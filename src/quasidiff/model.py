@@ -43,7 +43,7 @@ def _raising(exc: Exception):
 
 class _Blocks:
     """block(start, count) is [self.at(n) for n in range(start, start + count)] bit for bit (but for the sign of
-    a NaN that a leaf makes of two NaN parameters, which at() itself need not give the same on every call) or
+    a NaN that a leaf's inline block arithmetic makes of two NaN parameters; at() gives one on every call) or
     raises what that loop raises first: the loop runs if `_fast` gives None or raises."""
 
     min_index = None
@@ -122,7 +122,7 @@ class Geometric(_Blocks):
             r = -math.inf if negative else math.inf
         except ZeroDivisionError:
             raise SequenceDomainError(f"0**{n} undefined in geometric sequence", index=n) from None
-        return self.scale * r
+        return operator.mul(self.scale, r)
 
     def _fast(self, start: int, count: int) -> list[float]:
         scale, ratio = self.scale, self.ratio
@@ -141,7 +141,7 @@ class Affine(_Blocks):
     intercept: float
 
     def at(self, n: int) -> float:
-        return self.slope * n + self.intercept
+        return operator.add(operator.mul(self.slope, n), self.intercept)
 
     def _fast(self, start: int, count: int) -> list[float]:
         slope, intercept = self.slope, self.intercept
@@ -165,7 +165,7 @@ class PowerLaw(_Blocks):
         if lo is not None and n < lo:
             raise SequenceDomainError(f"n**{self.exponent} not evaluable at n = {n}", index=n)
         try:
-            return self.scale * float(n) ** self.exponent
+            return operator.mul(self.scale, float(n) ** self.exponent)
         except OverflowError:
             return math.copysign(math.inf, self.scale)
 

@@ -82,7 +82,7 @@ def test_criterion_04_oscillatory_solution_and_hypotheses():
     assert worst <= 1e-9
     verdict = qd.classify(qd.sample_trajectory(eq, form, eq.n0, eq.n0 + 199))
     assert verdict.kind is VerdictKind.QUICKLY_OSCILLATORY
-    assert all(v == pytest.approx(0.1, rel=1e-12) for v in verdict.quick.q.values)
+    assert all(v == pytest.approx(0.1, rel=1e-12) for v in verdict.quick_q)
     report = qd.check_almost_oscillation(eq, horizon=100_000)
     assert report.all_hold
     for name in ("series-A-divergent", "series-B-divergent", "series-C-divergent",

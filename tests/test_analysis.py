@@ -55,9 +55,9 @@ class TestClassify:
         v = classify(traj)
         assert v.kind is VerdictKind.QUICKLY_OSCILLATORY
         assert not v.tends_to_zero
-        assert v.quick is not None
-        assert v.quick.positive_parity is QuickParity.EVEN_POSITIVE
-        assert all(qv == pytest.approx(0.1, rel=1e-12) for qv in v.quick.q.values)
+        assert v.quick_q is not None
+        assert v.quick_positive_parity is QuickParity.EVEN_POSITIVE
+        assert all(qv == pytest.approx(0.1, rel=1e-12) for qv in v.quick_q)
 
     def test_decaying_one_signed(self):
         eq = qd.example_equation("example-3")
@@ -101,7 +101,11 @@ class TestClassify:
         eq = qd.example_equation("example-4")
         quick = classify(_sampled(eq, qd.example_closed_form("example-4"), 0, 50))
         flat = classify(_sampled(plain_equation(), lambda n: 1.0, 0, 50))
-        assert quick.quick is not None and flat.quick is None
+        assert quick.quick_q is not None and flat.quick_q is None
+        # the --out section is every field that is set, in declaration order
+        assert list(flat.to_dict()) == ["kind", "tends_to_zero", "degenerate_zero", "suffix_start"]
+        assert list(quick.to_dict()) == ["kind", "tends_to_zero", "degenerate_zero", "suffix_start",
+                                         "quick_positive_parity", "quick_q_start", "quick_q"]
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=1e6), min_size=16, max_size=40),
@@ -115,7 +119,7 @@ def test_quick_decomposition_reconstructs_the_suffix(q_values, sigma):
     traj = qd.Trajectory(plain_equation(), x, qd.Provenance.SAMPLED)
     v = classify(traj)
     assert v.kind is VerdictKind.QUICKLY_OSCILLATORY
-    for n, qv in v.quick.q.items():
+    for n, qv in enumerate(v.quick_q, v.quick_q_start):
         assert (qv if n % 2 == 0 else -qv) == x[n]
 
 

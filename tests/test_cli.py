@@ -184,6 +184,17 @@ def test_non_finite_perturb_d_exits_2(factor, capsys):
     assert err == f"error: --perturb-d must be a finite factor, got {float(factor)!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "example-3", "--closed-form", "geometric:nan,1"],
+    ["classify", "example-3", "--closed-form", "alternating:inf,0.5"],
+    ["verify", "example-3", "--closed-form", "geometric:1,1e400"],  # 1e400 parses to inf
+])
+def test_non_finite_closed_form_literal_exits_2(argv, capsys):
+    code, out, err = run([*argv, "--horizon", "20"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: closed form {argv[-1]!r} needs a finite scale and ratio\n"
+
+
 @pytest.mark.parametrize("options", [["--out", "MISSING"], ["--csv", "MISSING"],
                                      ["--out", "OUT", "--csv", "MISSING"]], ids=["--out", "--csv", "--out-then-csv"])
 def test_unwritable_output_path_exits_2(options, tmp_path, capsys):
@@ -788,6 +799,16 @@ def test_beta_on_file_document_rejected(tmp_path, capsys):
     code, _, err = run(["verify", str(path), "--horizon", "20", "--beta", "3/1"], capsys)
     assert code == 2
     assert "bundled" in err
+
+
+def test_check_bound_on_a_document_asks_for_a_bundled_example(tmp_path, capsys):
+    # check takes no --closed-form, so the message must not ask for one
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(qd.example_document("example-3")))
+    code, out, err = run(["check", str(path), "--bound", "--horizon", "200"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: check --bound samples the closed form of a bundled example; "
+                   "a document equation has none\n")
 
 
 def test_verify_requires_closed_form_for_files(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -27,6 +29,8 @@ from quasidiff import (
     relative_residual,
 )
 from support import outcome, plain_equation, sequences, signed_sequences
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
 
 # ---------------------------------------------------------------------------
 # Windows
@@ -123,6 +127,20 @@ def test_combine_of_two_nans_is_one_value():
     reads = {seq.at(0) for _ in range(20)}
     assert len(reads) == 1
     assert seq.block(0, 3) == [seq.at(n) for n in range(3)]
+
+
+def test_leaf_of_two_nans_is_one_value():
+    # a leaf's float operation could keep one NaN operand or the other depending on whether the interpreter
+    # had specialized it yet, so the reads run in a fresh interpreter: 40 reads of each give one value
+    script = ("import math\n"
+              "from quasidiff import Affine, Geometric, OddRatio, PowerLaw, SignedPower\n"
+              "nan = math.nan\n"
+              "for leaf, n in ((Affine(nan, -nan), 0), (Geometric(nan, -nan), 1), (PowerLaw(nan, -nan), 2)):\n"
+              "    seq = SignedPower(leaf, OddRatio(1))\n"
+              "    print(len({seq.at(n) for _ in range(40)}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["1", "1", "1"], proc.stderr
 
 
 def test_combine_rejects_unknown_op():
