@@ -23,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, repeat, takewhile
+from itertools import accumulate, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
 from .model import (VALIDATION_SAMPLE, EquationSpec, SequenceSpec, SignumMap, _Blocks, _coefficients, _residual_reach,
@@ -575,24 +575,26 @@ class ContradictionCertificate:
         return self.chain_finite_nonzero and bool(self.conflicts) and all(self.conflicts)
 
 
-# The q windows `check --certificate` draws: q_n = 10 ** u_n, u_n uniform on Q_EXPONENTS, a box that
-# CertificatePlan.proves covers whole.
+# The q box that CertificatePlan.decide covers: every q_n in [10 ** -3, 10 ** 3].
 Q_EXPONENTS = (-3.0, 3.0)
 
-# A band that leaves these limits proves nothing.  Inside them every float of a certificate's run is a normal
-# double with 2**222 to spare either way, so the relative error each rounding adds cannot take it out of range.
-BAND_LIMITS = (2.0 ** -800, 2.0 ** 800)
+# A band that leaves these limits decides nothing.  A run's value is about a dozen roundings deep, so it stays
+# within a factor 1 +- 2**-49 of its band; inside these limits that keeps it a normal double, with at least 2**22
+# to spare either way.
+BAND_LIMITS = (2.0 ** -1000, 2.0 ** 1000)
 
 
 class _Band:
-    """A real of strict sign `sign` (+1 or -1) whose magnitude lies in [lo, hi] inside BAND_LIMITS; sign 0 is
-    _UNKNOWN, any real, and stays so through every operation.
+    """A real of strict sign `sign` (+1 or -1) whose magnitude lies in [lo, hi] inside BAND_LIMITS; sign 0 with
+    hi 0.0 is _ZERO, an exact zero, and sign 0 with hi inf is _UNKNOWN, any real (inf too), which stays so.
 
     A same-sign sum, a product and a signed power of bands are bands; a sum of opposite signs, and a result
-    whose magnitude may leave BAND_LIMITS, is _UNKNOWN.  The float operations of a certificate keep each of
-    these signs: a same-sign sum, a product and a signed power of non-zero normal doubles keep their sign
-    and stay non-zero, unless they overflow or underflow, which the limits rule out.  Compared with 0.0, a
-    band answers as the floats of its strict sign do, and _UNKNOWN as a NaN does.
+    whose magnitude may leave BAND_LIMITS, is _UNKNOWN.  x + 0 is x, 0 times a band or 0 is 0, and 0 times
+    _UNKNOWN is _UNKNOWN.  The float operations of a certificate keep each of these: a same-sign sum, a product
+    and a signed power of non-zero normal doubles keep their sign and stay non-zero, unless they overflow or
+    underflow, which the limits rule out; adding a zero leaves a double as it is, and a zero times a finite
+    double, or a signed power of a zero, is a zero.  Compared with 0.0, a band answers as the floats of its
+    strict sign do, _ZERO as a zero does, and _UNKNOWN as a NaN does.
     """
 
     __slots__ = ("sign", "lo", "hi")
@@ -602,8 +604,8 @@ class _Band:
 
     @staticmethod
     def point(v: float) -> _Band:
-        """The exact value v; a zero or a NaN has no sign."""
-        return _band((v > 0.0) - (v < 0.0), abs(v), abs(v))
+        """The exact value v; a NaN has no sign."""
+        return _band((v > 0.0) - (v < 0.0), abs(v), abs(v)) if v else _ZERO
 
     def __gt__(self, zero: float) -> bool:
         return self.sign > 0
@@ -615,16 +617,24 @@ class _Band:
         return _Band(-self.sign, self.lo, self.hi)
 
     def __add__(self, other: _Band) -> _Band:
+        if not other.hi:  # x + 0 is x
+            return self
+        if not self.hi:
+            return other
         return _band(self.sign, self.lo + other.lo, self.hi + other.hi) if self.sign == other.sign else _UNKNOWN
 
     def __sub__(self, other: _Band) -> _Band:
-        return _band(self.sign, self.lo + other.lo, self.hi + other.hi) if self.sign == -other.sign else _UNKNOWN
+        return self + -other
 
     def __mul__(self, other: _Band) -> _Band:
-        return _band(self.sign * other.sign, self.lo * other.lo, self.hi * other.hi)
+        if self.hi and other.hi:
+            return _band(self.sign * other.sign, self.lo * other.lo, self.hi * other.hi)
+        return _UNKNOWN if math.inf in (self.hi, other.hi) else _ZERO  # a zero factor
 
     def power(self, e: OddRatio) -> _Band:
         """The signed power, as numerics.spow takes it; a magnitude that overflows a float is _UNKNOWN."""
+        if not self.hi:  # a zero's power is 0
+            return self
         exponent = e.numerator if e.denominator == 1 else e.numerator / e.denominator
         try:
             return _band(self.sign, self.lo ** exponent, self.hi ** exponent)
@@ -637,6 +647,7 @@ def _band(sign: int, lo: float, hi: float) -> _Band:
     return _Band(sign, lo, hi) if sign and BAND_LIMITS[0] <= lo and hi <= BAND_LIMITS[1] else _UNKNOWN
 
 
+_ZERO = _Band(0, 0.0, 0.0)
 _UNKNOWN = _Band(0, 0.0, math.inf)
 
 
@@ -647,9 +658,7 @@ class CertificatePlan:
     `exclusion` is check_quick_exclusion(eq), `refusal` says why it refuses
     (None when the hypotheses hold), `certified` is the range each window
     certifies, and `negated` gives, per parity, the slice of a window where
-    x = -q.  `columns` reads p, c, b and a over the staircase range and d
-    over `certified` on the first run of `sides`, so a read that raises
-    raises there, as it does when each certificate reads for itself.
+    x = -q.  A plan reads no coefficient until `sides` runs.
     """
 
     eq: EquationSpec
@@ -660,54 +669,51 @@ class CertificatePlan:
     certified: range
     negated: dict[QuickParity, slice]
 
-    @cached_property
-    def columns(self) -> tuple[tuple[list, ...], list]:
-        """((p, c, b, a) over [n_lo, n_hi + 4] to [n_lo, n_hi + 1], d over the certified range), floats."""
-        eq, lo, count = self.eq, self.certified.start, len(self.certified) + 4
-        coefficients = tuple(list(_coefficients(seq, lo, count - k, float))
-                             for k, seq in enumerate((eq.p, eq.c, eq.b, eq.a)))
-        return coefficients, list(eq.d.read(lo, count - 4))
-
     def sides(self, xs: list, parity: QuickParity, num: Callable = float,
               power: Callable = _xpow) -> tuple[tuple[list, ...], tuple[bool, ...]]:
         """((z, y, w, t, chain_side, forcing_side), conflicts) of x_m = xs[m - start], the other parity's entries
         negated in place, on the non-empty certified range: over floats (sign_conflict_certificate) or sign bands
-        (`proves`), `num` converting the float columns and `power` its signed power.  The chain side is
-        t_n - t_{n+1}, the forcing side d_n f(x_{n-tau}), and a conflict two strict signs, opposite."""
-        eq, f, (coefficients, d) = self.eq, self.eq.f, self.columns
-        if num is not float:  # one num value for each distinct float of the columns
-            to_num = {v: num(v) for v in set(chain(d, *coefficients))}.__getitem__
-            coefficients, d = tuple(list(map(to_num, column)) for column in coefficients), map(to_num, d)
+        (`decide`), `num` converting the coefficients and `power` its signed power.  It reads p, c, b and a as
+        their staircase columns start, then d over the certified range.  The chain side is t_n - t_{n+1}, the
+        forcing side d_n f(x_{n-tau}), and a conflict two strict signs, opposite."""
+        eq, f = self.eq, self.eq.f
         xs[self.negated[parity]] = map(operator.neg, xs[self.negated[parity]])
         n_lo, n_hi = self.certified.start, self.certified.stop - 1
-        z, y, w, t = staircase(eq, xs, self.start, n_lo, n_hi + 4, num=num, power=power, coefficients=coefficients)
+        z, y, w, t = staircase(eq, xs, self.start, n_lo, n_hi + 4, num=num, power=power)
         chain_side = list(map(operator.sub, t, t[1:]))  # the map stops with t[1:]
         fx = xs[n_lo - eq.tau - self.start:]  # x is finite and non-zero: a unit power leaves each x as it is
         if isinstance(f, SignumMap):  # +-scale, a float for a band too
             fx = map(f.apply, fx) if num is float else map(num, map(f.apply, fx))
         else:
             fx = map(operator.mul, repeat(num(f.scale)), fx if f.unit else map(power, fx, repeat(f.exponent)))
-        forcing_side = list(map(operator.mul, d, fx))
+        forcing_side = list(map(operator.mul, _coefficients(eq.d, n_lo, len(self.certified), num), fx))
         return ((z, y, w, t, chain_side, forcing_side),
                 tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side)))
 
-    def proves(self, parity: QuickParity) -> bool:
-        """Whether every q window inside the box 10 ** Q_EXPONENTS gives a valid certificate of this parity.
+    def decide(self, parity: QuickParity) -> bool | None:
+        """Whether every q window inside the box 10 ** Q_EXPONENTS gives a valid certificate of this parity
+        (True), none does (False), or the bands show neither (None).
 
-        `sides` runs once over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and the exact points of
-        `columns`.  True when the two sides conflict at every certified index: each z, y, w and t value
-        reaches a side, where a band of sign 0 conflicts with nothing, so each of them is a band too.  False
-        for a refusal or an empty certified range, before `columns` is read; False is no verdict.
+        `sides` runs once over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and each coefficient an exact
+        point.  True when every z, y, w and t value is a band of strict sign and the two sides conflict at
+        every certified index.  False when, at some certified index, the chain side and the forcing side are
+        bands of one strict sign: no window's floats can cross that.  None for a refusal or an empty certified
+        range, before any coefficient is read.
         """
         if self.refusal is not None or not self.certified:
-            return False
+            return None
         xs = [_Band(1, *(10.0 ** u for u in Q_EXPONENTS))] * self.size
-        return all(self.sides(xs, parity, _Band.point, _Band.power)[1])
+        (*chain, chain_side, forcing_side), conflicts = self.sides(xs, parity, _Band.point, _Band.power)
+        if all(conflicts) and all(v.sign for column in chain for v in column):
+            return True
+        if any(a.sign and a.sign == b.sign for a, b in zip(chain_side, forcing_side)):
+            return False
+        return None
 
 
 def prepare_certificate(eq: EquationSpec, start: int, size: int) -> CertificatePlan:
-    """The plan that sign_conflict_certificate runs every q window of this start and size against: it runs
-    check_quick_exclusion(eq), and reads no coefficient column (see CertificatePlan)."""
+    """The plan of the q windows of this start and size, which sign_conflict_certificate runs a window against
+    and `decide` runs the whole q box against: it runs check_quick_exclusion(eq), and reads no coefficient."""
     exclusion = check_quick_exclusion(eq)
     bad = next((e for e in exclusion.entries if e.satisfied is not True), None)  # None: all hold
     below, above = _residual_reach(eq)
@@ -720,8 +726,7 @@ def prepare_certificate(eq: EquationSpec, start: int, size: int) -> CertificateP
     )
 
 
-def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
-                              plan: CertificatePlan | None = None) -> ContradictionCertificate:
+def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity) -> ContradictionCertificate:
     """Build the sign-conflict certificate for candidate x_n = +-(-1)^n q_n.
 
     The candidate has positive terms at the indices of the given parity, and
@@ -729,15 +734,9 @@ def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity,
     unless the quick-exclusion hypotheses hold for the equation and q is
     finite and strictly positive on its window.  The window must reach
     delta (and tau) indices behind and four (and -tau, and -delta) ahead of
-    the certified range.  `plan` is prepare_certificate(eq, q.start, len(q))
-    when the caller holds it already (one plan serves every window of a
-    request, and reads the coefficients once); None prepares one for q.
+    the certified range.
     """
-    if plan is None:
-        plan = prepare_certificate(eq, q.start, len(q))
-    elif plan.eq is not eq or (plan.start, plan.size) != (q.start, len(q)):
-        raise ValueError(f"certificate plan prepared for q windows [{plan.start}, {plan.start + plan.size - 1}]"
-                         f"{'' if plan.eq is eq else ' of another equation'}, given [{q.start}, {q.end}]")
+    plan = prepare_certificate(eq, q.start, len(q))
     if plan.refusal is not None:
         raise HypothesisViolation(plan.refusal)
     if not (all(map(math.isfinite, q.values)) and min(q.values) > 0.0):

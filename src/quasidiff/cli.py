@@ -23,12 +23,11 @@ import json
 import math
 import operator
 import os
-import random
 import sys
 from typing import Callable
 
+# sign_conflict_certificate stays importable here: perfbench/tracing.py rebinds cli.sign_conflict_certificate.
 from .analysis import (
-    Q_EXPONENTS,
     QuickParity,
     check_almost_oscillation,
     check_quick_exclusion,
@@ -37,7 +36,7 @@ from .analysis import (
     component_sign_profile,
     p_tail,
     prepare_certificate,
-    sign_conflict_certificate,
+    sign_conflict_certificate,  # noqa: F401
 )
 from .document import _integer, _need, build_equation, build_sequence, load_document
 from .errors import (
@@ -105,11 +104,13 @@ def make_parser() -> argparse.ArgumentParser:
     mode.add_argument("--almost-oscillation", action="store_true",
                       help="hypotheses for the almost-oscillation property")
     mode.add_argument("--certificate", action="store_true",
-                      help="sign-conflict certificates on random positive q windows")
+                      help="sign-conflict certificates for every positive q window in the box [1e-3, 1e3], "
+                           "decided by one run over sign bands")
     mode.add_argument("--bound", action="store_true",
                       help="companion bound certificate on the sampled closed form")
-    p_check.add_argument("--windows", type=int, default=50, help="number of random q windows")
-    p_check.add_argument("--rng-seed", type=int, default=0)
+    p_check.add_argument("--windows", type=int, default=50,
+                         help="the N of the certificate's N/N line (at least 1)")
+    p_check.add_argument("--rng-seed", type=int, default=0, help="accepted, but changes no answer")
     p_check.add_argument("--parity", choices=["even", "odd"], default=None,
                          help="positive parity of the candidate (default: even, "
                               "when alternating solutions are excluded)")
@@ -118,11 +119,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a trajectory's sign pattern")
     add_common(p_classify, 64)
-    p_classify.add_argument("--closed-form", default=None,
-                            help="'alternating:scale,ratio' or 'geometric:scale,ratio'")
-    p_classify.add_argument("--solve", action="store_true",
-                            help="classify a solved trajectory instead of a sampled closed form")
-    p_classify.add_argument("--seed-values", default=None)
+    source = p_classify.add_mutually_exclusive_group()
+    source.add_argument("--closed-form", default=None,
+                        help="'alternating:scale,ratio' or 'geometric:scale,ratio'")
+    source.add_argument("--solve", action="store_true",
+                        help="classify a solved trajectory instead of a sampled closed form")
+    p_classify.add_argument("--seed-values", default=None,
+                            help="comma-separated x values covering the seed span (with --solve)")
     for p in (p_solve, p_verify, p_classify):  # check writes no CSV
         p.add_argument("--csv", default=None, help="write an n,x,z,y,w,t CSV to this path")
 
@@ -337,6 +340,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.seed_values is not None and not args.solve:
+        raise ValueError("--seed-values applies only with --solve")
     _check_horizon(args.horizon)
     eq, name = _load_equation(args)
     traj = (_solve(args, eq, name) if args.solve
@@ -368,8 +373,7 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list
     if args.windows < 1:
         raise ValueError(f"--windows must be at least 1, got {args.windows}")
     below, above = _residual_reach(eq)
-    span = below + 16 + above  # each window certifies 16 indices
-    plan = prepare_certificate(eq, eq.n0, span)  # the windows share their reads of p, a, b, c and d
+    plan = prepare_certificate(eq, eq.n0, below + 16 + above)  # each window certifies 16 indices
     if args.parity is not None:
         parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE
     elif plan.exclusion.alternation_excluded:
@@ -377,16 +381,13 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list
     else:
         raise HypothesisViolation(f"no parity to certify: {plan.exclusion.conclusion}; "
                                   "pass --parity to force one")
-    if plan.proves(parity):  # every window the loop below could draw is valid
-        valid_count = args.windows
-    else:
-        rand = random.Random(args.rng_seed).random
-        low, width = Q_EXPONENTS[0], Q_EXPONENTS[1] - Q_EXPONENTS[0]
-        valid_count = 0
-        for _ in range(args.windows):  # q_n = 10 ** uniform(*Q_EXPONENTS), which is low + width * random()
-            q = Window(eq.n0, tuple(map((10.0).__pow__, [low + width * rand() for _ in range(span)])))
-            valid_count += sign_conflict_certificate(eq, q, parity, plan).valid
-    all_valid = valid_count == args.windows
+    if plan.refusal is not None:
+        raise HypothesisViolation(plan.refusal)
+    all_valid = plan.decide(parity)  # every window of the q box is valid, or none is
+    if all_valid is None:
+        raise HypothesisViolation(f"certificate undecided ({parity.value}): the sign bands neither prove nor "
+                                  "refute a conflict for every q window in the box [1e-3, 1e3]")
+    valid_count = args.windows if all_valid else 0
     lines = [f"sign-conflict certificates ({parity.value}): "
              f"{valid_count}/{args.windows} valid on random positive q windows"]
     report = {"command": "check", "check": "certificate", "equation": name, "parity": parity.value,

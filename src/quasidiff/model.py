@@ -524,28 +524,24 @@ def _coefficients(seq: SequenceSpec, lo: int, count: int, num: Callable):
     return map(num, seq.read(lo, count))
 
 
-def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int, num: Callable = float, power: Callable = _xpow,
-              coefficients: tuple | None = None) -> tuple[list, list, list, list]:
+def staircase(eq: EquationSpec, xs, x0: int, lo: int, hi: int, num: Callable = float,
+              power: Callable = _xpow) -> tuple[list, list, list, list]:
     """The chain columns z on [lo, hi], y on [lo, hi-1], w on [lo, hi-2], t on [lo, hi-3].
 
     The one definition of the staircase z -> y -> w -> t.  xs[i] is x_{x0+i},
     already of the number type `num`, which also converts the coefficient
     values; `power` is the signed power of that type (the totalized `_xpow`
     for float); a unit exponent's power is v, or num(0) for a zero, with no
-    call.  `coefficients` holds p, c, b and a as `num` values over the ranges
-    their columns use, [lo, hi] to [lo, hi-3], when the caller has read them
-    already; else each is read (`_coefficients`) as its column starts.
+    call.  p, c, b and a are each read (`_coefficients`) as its column starts.
     """
     count, lag, zero = hi - lo + 1, lo - eq.delta - x0, num(0)
-    p = _coefficients(eq.p, lo, count, num) if coefficients is None else coefficients[0]
     columns = [list(map(operator.add, xs[lo - x0:lo - x0 + count],  # z_j = x_j + p_j * x_{j-delta}
-                        map(operator.mul, p, xs[lag:lag + count])))]
-    for k, (seq, e) in enumerate(((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)), 1):
+                        map(operator.mul, _coefficients(eq.p, lo, count, num), xs[lag:lag + count])))]
+    for seq, e in ((eq.c, eq.gamma), (eq.b, eq.beta), (eq.a, eq.alpha)):
         prev = columns[-1]  # the next column is seq_m * power(prev_{m+1} - prev_m, e)
         diffs = map(operator.sub, prev[1:], prev)  # the map stops with prev[1:]
         powers = (v if v else zero for v in diffs) if e.unit else map(power, diffs, repeat(e))
-        values = _coefficients(seq, lo, len(prev) - 1, num) if coefficients is None else coefficients[k]
-        columns.append(list(map(operator.mul, values, powers)))
+        columns.append(list(map(operator.mul, _coefficients(seq, lo, len(prev) - 1, num), powers)))
     return tuple(columns)
 
 

@@ -753,22 +753,51 @@ def test_check_certificate_windows_certify_16_indices(delta, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("argv, calls, line", [
-    (["example-3", "--windows", "400"], 0, "(even-positive): 400/400 valid"),  # proved: no window is drawn
-    (["example-1", "--parity", "even", "--windows", "50"], 50, "(even-positive): 0/50 valid"),
-    # example-3 with p = 0: a zero has no band sign, so nothing is proved, and every drawn window is valid
-    (["ZERO-P", "--windows", "30"], 30, "(even-positive): 30/30 valid"),
+    (["example-3", "--windows", "400"], 0, "(even-positive): 400/400 valid"),  # proved
+    (["example-1", "--parity", "even", "--windows", "50"], 0, "(even-positive): 0/50 valid"),  # refuted
+    # example-3 with p = 0: x + 0 is x in the bands, so it is proved
+    (["ZERO-P", "--windows", "30"], 0, "(even-positive): 30/30 valid"),
+    # example-3 with a = 1e250 n: its bands stay inside 2**+-1000, so it is proved
+    (["A-1E250", "--windows", "30"], 0, "(even-positive): 30/30 valid"),
+    # neither proved nor refuted: exit 1 with no report
+    (["example-1", "--parity", "even", "--beta", "99/1"], 0, None),
+    (["example-1", "--parity", "odd", "--windows", "1000000"], 0, "(odd-positive): 0/1000000 valid"),
 ])
 def test_check_certificate_certifies_windows_only_where_unproved(argv, calls, line, tmp_path, monkeypatch, capsys):
-    doc = tmp_path / "zero-p.json"
-    doc.write_text(json.dumps({**qd.example_document("example-3"), "p": {"kind": "constant", "value": 0.0}}))
+    # calls: the windows a request certifies one by one; the band run decides every request, so there are none
+    documents = {"ZERO-P": {"p": {"kind": "constant", "value": 0.0}},
+                 "A-1E250": {"a": {"kind": "affine", "slope": 1e250, "intercept": 0.0}}}
+    for key, fields in documents.items():
+        (tmp_path / key).write_text(json.dumps({**qd.example_document("example-3"), **fields}))
     certified = []
     certificate = cli.sign_conflict_certificate
     monkeypatch.setattr(cli, "sign_conflict_certificate",
                         lambda *args: certified.append(cert := certificate(*args)) or cert)
-    code, out, _ = run(["check", "--certificate", *(str(doc) if arg == "ZERO-P" else arg for arg in argv)], capsys)
+    report = tmp_path / "out.json"
+    code, out, err = run(["check", "--certificate", "--out", str(report),
+                          *(str(tmp_path / arg) if arg in documents else arg for arg in argv)], capsys)
+    assert len(certified) == calls
+    if line is None:
+        assert (code, out, report.exists()) == (1, "", False)
+        assert err == ("check failed: certificate undecided (even-positive): the sign bands neither prove nor "
+                       "refute a conflict for every q window in the box [1e-3, 1e3]\n")
+        return
     valid, windows = line.split()[1].split("/")
-    assert (code, len(certified)) == (0 if valid == windows else 1, calls)
+    assert code == (0 if valid == windows else 1)
     assert f"sign-conflict certificates {line} on random positive q windows\n" == out
+    assert json.loads(report.read_text())["valid_count"] == int(valid)
+
+
+def test_classify_takes_a_closed_form_or_a_solve_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "example-3", "--solve", "--closed-form", "geometric:1,2", "--horizon", "20"])
+    assert exc.value.code == 2
+    assert "argument --closed-form: not allowed with argument --solve" in capsys.readouterr().err
+
+
+def test_classify_seed_values_need_solve(capsys):
+    code, out, err = run(["classify", "example-3", "--seed-values", "1,2,3", "--horizon", "20"], capsys)
+    assert (code, out, err) == (2, "", "error: --seed-values applies only with --solve\n")
 
 
 @pytest.mark.parametrize("windows", [0, -3])
