@@ -7,7 +7,6 @@ alternating solutions and for companion-sequence bounds.
 
 from .analysis import (
     BoundCertificate,
-    CertificatePlan,
     CheckStatus,
     ComponentSummary,
     ConditionEntry,
@@ -20,13 +19,14 @@ from .analysis import (
     SignProfileReport,
     Verdict,
     VerdictKind,
+    certificate_refusal,
     check_almost_oscillation,
     check_quick_exclusion,
     check_series_divergence,
     classify,
     companion_bound_certificate,
     component_sign_profile,
-    prepare_certificate,
+    decide_certificate,
     sign_conflict_certificate,
 )
 from .document import build_equation, build_sequence, parse_equation_document
@@ -79,7 +79,7 @@ from .windows import Window
 __version__ = "0.1.0"
 
 __all__ = [
-    "Affine", "BoundCertificate", "CertificatePlan", "CheckStatus", "Combine", "ComponentSummary",
+    "Affine", "BoundCertificate", "CheckStatus", "Combine", "ComponentSummary",
     "ConditionEntry", "ConditionReport", "Constant", "ContradictionCertificate",
     "DocumentError", "EXAMPLE_NAMES", "EquationSpec", "Geometric", "HypothesisViolation",
     "Nonlinearity", "NumericRangeError", "OddPowerMap", "OddRatio", "PivotError",
@@ -87,10 +87,10 @@ __all__ = [
     "SequenceDomainError", "SequenceSpec", "SeriesProbe", "SeriesStatus", "SignCase",
     "SignProfileReport", "SignedPower", "SignumMap", "Table", "Trajectory", "Verdict",
     "VerdictKind", "Window", "WindowIndexError", "build_equation", "build_sequence",
-    "chain_windows", "check_almost_oscillation", "check_quick_exclusion",
+    "certificate_refusal", "chain_windows", "check_almost_oscillation", "check_quick_exclusion",
     "check_series_divergence", "classify", "companion_bound_certificate",
-    "component_sign_profile", "example_closed_form", "example_document", "example_equation",
+    "component_sign_profile", "decide_certificate", "example_closed_form", "example_document", "example_equation",
     "example_summary", "forward_seed_span", "inverse_seed_span", "max_relative_residual",
-    "parse_equation_document", "prepare_certificate", "relative_residual", "residual_range",
+    "parse_equation_document", "relative_residual", "residual_range",
     "sample_trajectory", "sign_conflict_certificate", "solve_forward", "solve_inverse", "spow",
 ]

@@ -10,7 +10,8 @@ are exact, index-by-index checkable objects:
   candidate x_n = +-(-1)^n q_n with positive q and shows opposite signs on
   the two sides of D t_n = -d_n f(x_{n-tau}) at every index, so no such
   solution exists.  The equation is odd in x, so the conflict holds for both
-  parities or for neither;
+  parities or for neither.  decide_certificate runs the same arithmetic once
+  over sign bands, for every q window of a box at once;
 * the companion bound certificate reconstructs x from a bounded companion
   sequence z and certifies max |x_n| <= K + L/(1-P) with P = (1+|p|)/2.
 """
@@ -27,7 +28,7 @@ from itertools import accumulate, repeat, takewhile
 
 from .errors import HypothesisViolation, SequenceDomainError
 from .model import (VALIDATION_SAMPLE, EquationSpec, SequenceSpec, SignumMap, _Blocks, _coefficients, _residual_reach,
-                    _xpow, first_failure, staircase)
+                    _xpow, first_failure, residual_range, staircase)
 from .numerics import EPS_LIMIT, EPS_SIGN, SUFFIX_FRACTION, OddRatio
 from .solver import Trajectory
 from .windows import Window
@@ -575,7 +576,7 @@ class ContradictionCertificate:
         return self.chain_finite_nonzero and bool(self.conflicts) and all(self.conflicts)
 
 
-# The q box that CertificatePlan.decide covers: every q_n in [10 ** -3, 10 ** 3].
+# The q box that decide_certificate covers: every q_n in [10 ** -3, 10 ** 3].
 Q_EXPONENTS = (-3.0, 3.0)
 
 # A band that leaves these limits decides nothing.  A run's value is about a dozen roundings deep, so it stays
@@ -651,102 +652,81 @@ _ZERO = _Band(0, 0.0, 0.0)
 _UNKNOWN = _Band(0, 0.0, math.inf)
 
 
-@dataclass(frozen=True, eq=False)
-class CertificatePlan:
-    """What the sign-conflict certificates of one equation on q windows [start, start + size) share.
-
-    `exclusion` is check_quick_exclusion(eq), `refusal` says why it refuses
-    (None when the hypotheses hold), `certified` is the range each window
-    certifies, and `negated` gives, per parity, the slice of a window where
-    x = -q.  A plan reads no coefficient until `sides` runs.
-    """
-
-    eq: EquationSpec
-    start: int
-    size: int
-    exclusion: ConditionReport
-    refusal: str | None
-    certified: range
-    negated: dict[QuickParity, slice]
-
-    def sides(self, xs: list, parity: QuickParity, num: Callable = float,
-              power: Callable = _xpow) -> tuple[tuple[list, ...], tuple[bool, ...]]:
-        """((z, y, w, t, chain_side, forcing_side), conflicts) of x_m = xs[m - start], the other parity's entries
-        negated in place, on the non-empty certified range: over floats (sign_conflict_certificate) or sign bands
-        (`decide`), `num` converting the coefficients and `power` its signed power.  It reads p, c, b and a as
-        their staircase columns start, then d over the certified range.  The chain side is t_n - t_{n+1}, the
-        forcing side d_n f(x_{n-tau}), and a conflict two strict signs, opposite."""
-        eq, f = self.eq, self.eq.f
-        xs[self.negated[parity]] = map(operator.neg, xs[self.negated[parity]])
-        n_lo, n_hi = self.certified.start, self.certified.stop - 1
-        z, y, w, t = staircase(eq, xs, self.start, n_lo, n_hi + 4, num=num, power=power)
-        chain_side = list(map(operator.sub, t, t[1:]))  # the map stops with t[1:]
-        fx = xs[n_lo - eq.tau - self.start:]  # x is finite and non-zero: a unit power leaves each x as it is
-        if isinstance(f, SignumMap):  # +-scale, a float for a band too
-            fx = map(f.apply, fx) if num is float else map(num, map(f.apply, fx))
-        else:
-            fx = map(operator.mul, repeat(num(f.scale)), fx if f.unit else map(power, fx, repeat(f.exponent)))
-        forcing_side = list(map(operator.mul, _coefficients(eq.d, n_lo, len(self.certified), num), fx))
-        return ((z, y, w, t, chain_side, forcing_side),
-                tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side)))
-
-    def decide(self, parity: QuickParity) -> bool | None:
-        """Whether every q window inside the box 10 ** Q_EXPONENTS gives a valid certificate of this parity
-        (True), none does (False), or the bands show neither (None).
-
-        `sides` runs once over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and each coefficient an exact
-        point.  True when every z, y, w and t value is a band of strict sign and the two sides conflict at
-        every certified index.  False when, at some certified index, the chain side and the forcing side are
-        bands of one strict sign: no window's floats can cross that.  None for a refusal or an empty certified
-        range, before any coefficient is read.
-        """
-        if self.refusal is not None or not self.certified:
-            return None
-        xs = [_Band(1, *(10.0 ** u for u in Q_EXPONENTS))] * self.size
-        (*chain, chain_side, forcing_side), conflicts = self.sides(xs, parity, _Band.point, _Band.power)
-        if all(conflicts) and all(v.sign for column in chain for v in column):
-            return True
-        if any(a.sign and a.sign == b.sign for a, b in zip(chain_side, forcing_side)):
-            return False
-        return None
+def certificate_refusal(exclusion: ConditionReport) -> str | None:
+    """Why check_quick_exclusion's report `exclusion` refuses a sign-conflict certificate: its first condition
+    that does not hold, or None when they all hold."""
+    bad = next((e for e in exclusion.entries if e.satisfied is not True), None)
+    return None if bad is None else f"certificate refused: condition '{bad.condition}' fails ({bad.detail})"
 
 
-def prepare_certificate(eq: EquationSpec, start: int, size: int) -> CertificatePlan:
-    """The plan of the q windows of this start and size, which sign_conflict_certificate runs a window against
-    and `decide` runs the whole q box against: it runs check_quick_exclusion(eq), and reads no coefficient."""
-    exclusion = check_quick_exclusion(eq)
-    bad = next((e for e in exclusion.entries if e.satisfied is not True), None)  # None: all hold
+def _sides(eq: EquationSpec, xs: list, start: int, parity: QuickParity, num: Callable = float,
+           power: Callable = _xpow) -> tuple[tuple[list, ...], tuple[bool, ...]]:
+    """((z, y, w, t, chain_side, forcing_side), conflicts) of x_m = xs[m - start], the other parity's entries
+    negated in place, on the window's residual range, which must not be empty: over floats
+    (sign_conflict_certificate) or sign bands (decide_certificate), `num` converting the coefficients and `power`
+    its signed power.  It reads p, c, b and a as their staircase columns start, then d over the residual range.
+    The chain side is t_n - t_{n+1}, the forcing side d_n f(x_{n-tau}), and a conflict two strict signs, opposite."""
+    f = eq.f
+    negated = slice((start + (parity is QuickParity.EVEN_POSITIVE)) % 2, None, 2)  # x_m = -q_m, m of the other parity
+    xs[negated] = map(operator.neg, xs[negated])
     below, above = _residual_reach(eq)
-    return CertificatePlan(
-        eq, start, size, exclusion,
-        refusal=None if bad is None else f"certificate refused: condition '{bad.condition}' fails ({bad.detail})",
-        certified=range(start + below, start + size - above),  # residual_range of such a window
-        negated={parity: slice((start + (parity is QuickParity.EVEN_POSITIVE)) % 2, None, 2)
-                 for parity in QuickParity},  # x_m = -q_m at the indices m of the other parity
-    )
+    n_lo, n_hi = start + below, start + len(xs) - 1 - above
+    z, y, w, t = staircase(eq, xs, start, n_lo, n_hi + 4, num=num, power=power)
+    chain_side = list(map(operator.sub, t, t[1:]))  # the map stops with t[1:]
+    fx = xs[n_lo - eq.tau - start:]  # x is finite and non-zero: a unit power leaves each x as it is
+    if isinstance(f, SignumMap):  # +-scale, a float for a band too
+        fx = map(f.apply, fx) if num is float else map(num, map(f.apply, fx))
+    else:
+        fx = map(operator.mul, repeat(num(f.scale)), fx if f.unit else map(power, fx, repeat(f.exponent)))
+    forcing_side = list(map(operator.mul, _coefficients(eq.d, n_lo, n_hi - n_lo + 1, num), fx))
+    return ((z, y, w, t, chain_side, forcing_side),
+            tuple((a > 0.0 > b) or (a < 0.0 < b) for a, b in zip(chain_side, forcing_side)))
+
+
+def decide_certificate(eq: EquationSpec, start: int, size: int, parity: QuickParity) -> bool | None:
+    """Whether every q window [start, start + size) inside the box 10 ** Q_EXPONENTS gives a valid certificate of
+    this parity (True), none does (False), or the bands show neither (None).
+
+    `_sides` runs once over sign bands (_Band): x_m = +-(-1)^m [q_lo, q_hi], and each coefficient an exact
+    point.  True when every z, y, w and t value is a band of strict sign and the two sides conflict at every
+    certified index.  False when, at some certified index, the chain side and the forcing side are bands of one
+    strict sign: no window's floats can cross that.  None for an empty certified range, before any coefficient
+    is read.  The hypotheses are not checked here: certificate_refusal is the gate.
+    """
+    below, above = _residual_reach(eq)
+    if size <= below + above:
+        return None
+    xs = [_Band(1, *(10.0 ** u for u in Q_EXPONENTS))] * size
+    (*chain, chain_side, forcing_side), conflicts = _sides(eq, xs, start, parity, _Band.point, _Band.power)
+    if all(conflicts) and all(v.sign for column in chain for v in column):
+        return True
+    if any(a.sign and a.sign == b.sign for a, b in zip(chain_side, forcing_side)):
+        return False
+    return None
 
 
 def sign_conflict_certificate(eq: EquationSpec, q: Window, parity: QuickParity) -> ContradictionCertificate:
     """Build the sign-conflict certificate for candidate x_n = +-(-1)^n q_n.
 
     The candidate has positive terms at the indices of the given parity, and
-    its chain comes from CertificatePlan.sides.  Refused (HypothesisViolation)
+    its chain comes from `_sides`.  Refused (HypothesisViolation)
     unless the quick-exclusion hypotheses hold for the equation and q is
     finite and strictly positive on its window.  The window must reach
     delta (and tau) indices behind and four (and -tau, and -delta) ahead of
     the certified range.
     """
-    plan = prepare_certificate(eq, q.start, len(q))
-    if plan.refusal is not None:
-        raise HypothesisViolation(plan.refusal)
+    refusal = certificate_refusal(check_quick_exclusion(eq))
+    if refusal is not None:
+        raise HypothesisViolation(refusal)
     if not (all(map(math.isfinite, q.values)) and min(q.values) > 0.0):
         raise HypothesisViolation("certificate requires a strictly positive q window")
-    n_lo, n_hi = plan.certified.start, plan.certified.stop - 1
+    certified = residual_range(eq, q)
+    n_lo, n_hi = certified.start, certified.stop - 1
     if n_hi < n_lo:
         raise HypothesisViolation(
             f"q window [{q.start}, {q.end}] too short: certified range would be [{n_lo}, {n_hi}]"
         )
-    columns, conflicts = plan.sides(list(q.values), parity)
+    columns, conflicts = _sides(eq, list(q.values), q.start, parity)
     z, y, w, t = columns[:4]
     return ContradictionCertificate(
         parity=parity, n_start=n_lo, n_end=n_hi, conflicts=conflicts,

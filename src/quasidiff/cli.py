@@ -29,13 +29,14 @@ from typing import Callable
 # sign_conflict_certificate stays importable here: perfbench/tracing.py rebinds cli.sign_conflict_certificate.
 from .analysis import (
     QuickParity,
+    certificate_refusal,
     check_almost_oscillation,
     check_quick_exclusion,
     classify,
     companion_bound_certificate,
     component_sign_profile,
+    decide_certificate,
     p_tail,
-    prepare_certificate,
     sign_conflict_certificate,  # noqa: F401
 )
 from .document import _integer, _need, build_equation, build_sequence, load_document
@@ -372,18 +373,19 @@ def _condition_lines(report) -> list[str]:
 def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list[str], dict]:
     if args.windows < 1:
         raise ValueError(f"--windows must be at least 1, got {args.windows}")
-    below, above = _residual_reach(eq)
-    plan = prepare_certificate(eq, eq.n0, below + 16 + above)  # each window certifies 16 indices
+    exclusion = check_quick_exclusion(eq)
     if args.parity is not None:
         parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE
-    elif plan.exclusion.alternation_excluded:
+    elif exclusion.alternation_excluded:
         parity = QuickParity.EVEN_POSITIVE  # both parities are excluded
     else:
-        raise HypothesisViolation(f"no parity to certify: {plan.exclusion.conclusion}; "
-                                  "pass --parity to force one")
-    if plan.refusal is not None:
-        raise HypothesisViolation(plan.refusal)
-    all_valid = plan.decide(parity)  # every window of the q box is valid, or none is
+        raise HypothesisViolation(f"no parity to certify: {exclusion.conclusion}; pass --parity to force one")
+    refusal = certificate_refusal(exclusion)
+    if refusal is not None:
+        raise HypothesisViolation(refusal)
+    below, above = _residual_reach(eq)
+    # every window of the q box is valid, or none is: a window of 16 certified indices from n0 + below
+    all_valid = decide_certificate(eq, eq.n0, below + 16 + above, parity)
     if all_valid is None:
         raise HypothesisViolation(f"certificate undecided ({parity.value}): the sign bands neither prove nor "
                                   "refute a conflict for every q window in the box [1e-3, 1e3]")

@@ -27,13 +27,14 @@ from quasidiff import (
     Table,
     VerdictKind,
     Window,
+    certificate_refusal,
     check_almost_oscillation,
     check_quick_exclusion,
     check_series_divergence,
     classify,
     companion_bound_certificate,
     component_sign_profile,
-    prepare_certificate,
+    decide_certificate,
     sample_trajectory,
     sign_conflict_certificate,
 )
@@ -254,12 +255,11 @@ class TestSignConflictCertificate:
             sign_conflict_certificate(eq, Window(3, (1.0,) * 20), QuickParity.ODD_POSITIVE)
 
     def test_a_held_exclusion_report_gives_the_same_certificate(self):
-        # the plan holds the quick-exclusion report that check --certificate reads its parity from
+        # check --certificate reads its parity and its refusal from one quick-exclusion report
         rng = random.Random(5)
         for name in ("example-1", "example-3"):
             eq = qd.example_equation(name)
-            plan = prepare_certificate(eq, eq.n0, 16)
-            assert plan.exclusion == check_quick_exclusion(eq)
+            assert certificate_refusal(check_quick_exclusion(eq)) is None
             q = Window(eq.n0, tuple(10.0 ** rng.uniform(-3, 3) for _ in range(16)))
             for parity in QuickParity:
                 assert sign_conflict_certificate(eq, q, parity) == per_window_certificate(eq, q, parity)
@@ -326,7 +326,7 @@ def eager_certificate(eq, q, parity) -> dict:
 
 
 def per_window_certificate(eq, q, parity):
-    """The certificate as one window built it before plans: each check in turn, then each coefficient read as
+    """The certificate of one window, written out: each check in turn, then each coefficient read as
     its staircase column starts and d as the forcing side needs it."""
     report = check_quick_exclusion(eq)
     if not report.all_hold:
@@ -459,7 +459,7 @@ def certificate_problems(draw):
     return eq, windows, draw(st.sampled_from(QuickParity))
 
 
-class TestCertificatePlan:
+class TestDecideCertificate:
     @settings(max_examples=200, deadline=None)
     @given(certificate_problems())
     # a (to 260) and d (to 258) both end inside [251, 263]: a raises, as its staircase column comes first
@@ -471,7 +471,7 @@ class TestCertificatePlan:
               QuickParity.EVEN_POSITIVE))
     @example((like_example_3(p=Affine(-0.1, 1.0)), [Window(2, (1.0,) * 22)], QuickParity.EVEN_POSITIVE))
     @example((like_example_3(p=sample_table(2, 0.25, -200)), [Window(2, (1.0,) * 22)], QuickParity.ODD_POSITIVE))
-    def test_a_shared_plan_gives_each_window_its_one_shot_certificate(self, problem):
+    def test_each_window_gets_the_per_window_certificate(self, problem):
         # bit for bit, or the same refusal or error, in the order hypotheses, q, range, coefficients, d
         eq, windows, parity = problem
         for q in windows:
@@ -504,10 +504,14 @@ class TestCertificatePlan:
         # True: the constant windows at both ends of the box and 20 windows drawn from it are all valid; False: none is
         eq, windows, parity = problem
         start, size = windows[0].start, len(windows[0])
-        plan = prepare_certificate(eq, start, size)
         box = [Window(start, (10.0 ** u,) * size) for u in analysis.Q_EXPONENTS]
+        refusal = certificate_refusal(check_quick_exclusion(eq))
+        if refusal is not None:  # check --certificate decides nothing, and every window is refused with this text
+            assert certificate_outcome(lambda: sign_conflict_certificate(eq, box[0], parity)) == \
+                ("raises", HypothesisViolation, refusal)
+            return
         try:
-            decided = plan.decide(parity)
+            decided = decide_certificate(eq, start, size, parity)
         except Exception as exc:  # noqa: BLE001 - a coefficient read raises as a window's certificate does
             assert certificate_outcome(lambda: sign_conflict_certificate(eq, box[0], parity)) == \
                 ("raises", type(exc), str(exc))
@@ -528,18 +532,25 @@ class TestCertificatePlan:
         for beta in betas:
             eq = qd.example_equation(name) if beta is None else qd.example_equation(name, beta=beta)
             below, above = qd.model._residual_reach(eq)
-            plan = prepare_certificate(eq, eq.n0, below + 16 + above)  # as check --certificate plans
-            assert plan.refusal is None
-            assert [plan.decide(parity) for parity in QuickParity] == [decided, decided]
+            assert certificate_refusal(check_quick_exclusion(eq)) is None
+            # the window of 16 certified indices that check --certificate decides
+            assert [decide_certificate(eq, eq.n0, below + 16 + above, parity) for parity in QuickParity] == \
+                [decided, decided]
 
     def test_check_certificate_reads_each_coefficient_once_per_request(self, monkeypatch, capsys):
-        # one read of p, c, b, a and d whatever the number of windows; d_sign's at(n0) is the second d
+        # one quick-exclusion report, through the CLI's own import, and one band run that reads each of p, c, b,
+        # a and d once whatever the number of windows; the report's d_sign at(n0) is the second d
         eq = cli._cached_equation("example-3", None, None, None, None, None)
-        reads = Counter()
+        reads, reports = Counter(), []
         spy_coefficient_reads(monkeypatch, eq, lambda name, start, stop: reads.update([name]))
+        exclusion = check_quick_exclusion
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "check_quick_exclusion",
+                                lambda e, module=module: reports.append(module) or exclusion(e))
         assert cli.main(["check", "example-3", "--certificate", "--windows", "50"]) == 0
         assert "50/50 valid" in capsys.readouterr().out
         assert reads == {"p": 1, "c": 1, "b": 1, "a": 1, "d": 2}
+        assert reports == [cli]
 
 
 # ---------------------------------------------------------------------------

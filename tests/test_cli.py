@@ -742,14 +742,15 @@ def test_check_certificate_non_excluded_parity_fails(capsys):
 @pytest.mark.parametrize("delta", [2, -14, -16, -20])
 def test_check_certificate_windows_certify_16_indices(delta, monkeypatch, capsys):
     # a q window reaches as far as the residual reads x: an advanced neutral term reads 4 - delta ahead
-    plans = []
-    prepare = cli.prepare_certificate
-    monkeypatch.setattr(cli, "prepare_certificate", lambda *args: plans.append(plan := prepare(*args)) or plan)
+    certified = []
+    decide = cli.decide_certificate
+    monkeypatch.setattr(cli, "decide_certificate", lambda eq, start, size, parity: certified.append(
+        qd.residual_range(eq, qd.Window(start, (1.0,) * size))) or decide(eq, start, size, parity))
     argv = ["check", "example-3", f"--delta={delta}"]
     assert run([*argv, "--quick-exclusion"], capsys)[0] == 0
     code, out, _ = run([*argv, "--certificate", "--windows", "3"], capsys)
     assert (code, out) == (0, "sign-conflict certificates (even-positive): 3/3 valid on random positive q windows\n")
-    assert [len(plan.certified) for plan in plans] == [16]
+    assert list(map(len, certified)) == [16]
 
 
 @pytest.mark.parametrize("argv, calls, line", [
