@@ -28,6 +28,7 @@ from typing import Callable
 
 # sign_conflict_certificate stays importable here: perfbench/tracing.py rebinds cli.sign_conflict_certificate.
 from .analysis import (
+    Q_EXPONENTS,
     QuickParity,
     certificate_refusal,
     check_almost_oscillation,
@@ -55,6 +56,7 @@ from .model import (EquationSpec, _chain_reach, _residual_reach, relative_residu
 from .numerics import EPS_RESIDUAL
 from . import solver
 from .solver import (
+    Provenance,
     Trajectory,
     forward_seed_span,
     inverse_seed_span,
@@ -65,6 +67,7 @@ from .solver import (
 from .windows import Window
 
 MIN_HORIZON = 8
+Q_BOX = "[1e{:g}, 1e{:g}]".format(*Q_EXPONENTS)  # the q box that check --certificate decides
 
 
 @functools.cache
@@ -109,8 +112,8 @@ def make_parser() -> argparse.ArgumentParser:
                            "decided by one run over sign bands")
     mode.add_argument("--bound", action="store_true",
                       help="companion bound certificate on the sampled closed form")
-    p_check.add_argument("--windows", type=int, default=50,
-                         help="the N of the certificate's N/N line (at least 1)")
+    p_check.add_argument("--windows", type=int, default=None,
+                         help="the N of the certificate's N/N line (at least 1; default 50)")
     p_check.add_argument("--rng-seed", type=int, default=0, help="accepted, but changes no answer")
     p_check.add_argument("--parity", choices=["even", "odd"], default=None,
                          help="positive parity of the candidate (default: even, "
@@ -288,9 +291,13 @@ def _solve(args, eq: EquationSpec, name: str) -> Trajectory:
     return solve_forward(eq, seed, args.horizon) if forward else solve_inverse(eq, seed, args.horizon)
 
 
-def _sample_for_components(eq: EquationSpec, form, horizon: int) -> Trajectory:
+def _component_span(eq: EquationSpec, horizon: int) -> tuple[int, int]:
     below, above = _chain_reach(eq)  # z on [n0, n0 + horizon + 3]: t, and so every residual, to n0 + horizon - 1
-    return sample_trajectory(eq, form, eq.n0 - below, eq.n0 + horizon + 3 + above)
+    return eq.n0 - below, eq.n0 + horizon + 3 + above
+
+
+def _sample_for_components(eq: EquationSpec, form, horizon: int) -> Trajectory:
+    return sample_trajectory(eq, form, *_component_span(eq, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +342,10 @@ def cmd_verify(args) -> int:
               "max_rel_residual": worst, "argmax": worst_at, "pass": passed,
               "residuals": [{"n": n, "rel_residual": rel} for n, rel in zip(indices, rels)],
               } if args.out else None  # the per-index residuals are built only to be written
-    # the --csv chain reads no coefficient that the residuals did not read
-    traj = _sample_for_components(eq, x, args.horizon) if args.csv else None
+    traj = None
+    if args.csv:  # x holds the chain's span, every value finite; the chain reads no coefficient the residuals did not
+        lo, hi = _component_span(eq, args.horizon)
+        traj = Trajectory(eq, Window(lo, x.values[lo - x.start:hi + 1 - x.start]), Provenance.SAMPLED)
     return _finish(args, 0 if passed else 1, lines, report, traj)
 
 
@@ -371,8 +380,9 @@ def _condition_lines(report) -> list[str]:
 
 
 def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list[str], dict]:
-    if args.windows < 1:
-        raise ValueError(f"--windows must be at least 1, got {args.windows}")
+    windows = 50 if args.windows is None else args.windows
+    if windows < 1:
+        raise ValueError(f"--windows must be at least 1, got {windows}")
     exclusion = check_quick_exclusion(eq)
     if args.parity is not None:
         parity = QuickParity.EVEN_POSITIVE if args.parity == "even" else QuickParity.ODD_POSITIVE
@@ -384,16 +394,16 @@ def _cmd_check_certificate(args, eq: EquationSpec, name: str) -> tuple[int, list
     if refusal is not None:
         raise HypothesisViolation(refusal)
     below, above = _residual_reach(eq)
-    # every window of the q box is valid, or none is: a window of 16 certified indices from n0 + below
-    all_valid = decide_certificate(eq, eq.n0, below + 16 + above, parity)
+    certified = range(eq.n0 + below, eq.n0 + below + 16)  # the residual range of q windows from n0
+    all_valid = decide_certificate(eq, eq.n0, below + len(certified) + above, parity)  # all windows, or none
     if all_valid is None:
         raise HypothesisViolation(f"certificate undecided ({parity.value}): the sign bands neither prove nor "
-                                  "refute a conflict for every q window in the box [1e-3, 1e3]")
-    valid_count = args.windows if all_valid else 0
-    lines = [f"sign-conflict certificates ({parity.value}): "
-             f"{valid_count}/{args.windows} valid on random positive q windows"]
+                                  f"refute a conflict for every q window in the box {Q_BOX}")
+    valid_count = windows if all_valid else 0
+    lines = [f"sign-conflict certificates ({parity.value}): {valid_count}/{windows} valid: "
+             f"decided for every q_n in {Q_BOX} at n = {certified.start} .. {certified[-1]}"]
     report = {"command": "check", "check": "certificate", "equation": name, "parity": parity.value,
-              "windows": args.windows, "valid_count": valid_count, "all_valid": all_valid}
+              "windows": windows, "valid_count": valid_count, "all_valid": all_valid}
     return (0 if all_valid else 1), lines, report
 
 
@@ -416,6 +426,9 @@ def _cmd_check_bound(args, eq: EquationSpec, name: str) -> tuple[int, list[str],
 
 
 def cmd_check(args) -> int:
+    for option, value in (("--parity", args.parity), ("--windows", args.windows)):
+        if value is not None and not args.certificate:
+            raise ValueError(f"{option} applies only with --certificate")
     eq, name = _load_equation(args)
     if args.certificate:
         return _finish(args, *_cmd_check_certificate(args, eq, name))

@@ -260,8 +260,8 @@ def test_reproduce_paper_examples_script_passes():
     assert sorted(line for line in lines if line.startswith("verify ")) == [
         f"verify example-{k}: PASS" for k in range(1, 5)]
     assert [line for line in lines if line.startswith("sign-conflict certificates")] == [
-        f"sign-conflict certificates ({parity}-positive): 50/50 valid on random positive q windows"
-        for parity in ("even", "odd")]  # example-3 is the one example whose quick exclusion applies
+        f"sign-conflict certificates ({parity}-positive): 50/50 valid: decided for every q_n in [1e-3, 1e3] "
+        "at n = 4 .. 19" for parity in ("even", "odd")]  # example-3 is the one example whose quick exclusion applies
     assert lines.count("  conclusion: hypotheses hold (heuristically for series)") == 2  # examples 3 and 4
 
 

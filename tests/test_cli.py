@@ -749,8 +749,10 @@ def test_check_certificate_windows_certify_16_indices(delta, monkeypatch, capsys
     argv = ["check", "example-3", f"--delta={delta}"]
     assert run([*argv, "--quick-exclusion"], capsys)[0] == 0
     code, out, _ = run([*argv, "--certificate", "--windows", "3"], capsys)
-    assert (code, out) == (0, "sign-conflict certificates (even-positive): 3/3 valid on random positive q windows\n")
-    assert list(map(len, certified)) == [16]
+    n_lo, n_hi = map(int, out.split(" at n = ")[1].split(" .. "))
+    assert (code, out) == (0, "sign-conflict certificates (even-positive): 3/3 valid: decided for every q_n in "
+                              f"[1e-3, 1e3] at n = {n_lo} .. {n_hi}\n")
+    assert certified == [range(n_lo, n_hi + 1)] and n_hi - n_lo + 1 == 16  # the line names the decided indices
 
 
 @pytest.mark.parametrize("argv, calls, line", [
@@ -785,7 +787,8 @@ def test_check_certificate_certifies_windows_only_where_unproved(argv, calls, li
         return
     valid, windows = line.split()[1].split("/")
     assert code == (0 if valid == windows else 1)
-    assert f"sign-conflict certificates {line} on random positive q windows\n" == out
+    at = "n = 6 .. 21" if argv[0] == "example-1" else "n = 4 .. 19"  # the 16 indices the band run decides
+    assert f"sign-conflict certificates {line}: decided for every q_n in [1e-3, 1e3] at {at}\n" == out
     assert json.loads(report.read_text())["valid_count"] == int(valid)
 
 
@@ -794,6 +797,14 @@ def test_classify_takes_a_closed_form_or_a_solve_not_both(capsys):
         main(["classify", "example-3", "--solve", "--closed-form", "geometric:1,2", "--horizon", "20"])
     assert exc.value.code == 2
     assert "argument --closed-form: not allowed with argument --solve" in capsys.readouterr().err
+
+
+def test_check_parity_and_windows_need_certificate(capsys):
+    for mode in ("--quick-exclusion", "--almost-oscillation", "--bound"):
+        for extra, option in ((["--parity", "even", "--windows", "-5"], "--parity"),
+                              (["--windows", "50"], "--windows")):
+            code, out, err = run(["check", "example-3", mode, "--horizon", "1000", *extra], capsys)
+            assert (code, out, err) == (2, "", f"error: {option} applies only with --certificate\n")
 
 
 def test_classify_seed_values_need_solve(capsys):
