@@ -342,10 +342,9 @@ def cmd_verify(args) -> int:
               "max_rel_residual": worst, "argmax": worst_at, "pass": passed,
               "residuals": [{"n": n, "rel_residual": rel} for n, rel in zip(indices, rels)],
               } if args.out else None  # the per-index residuals are built only to be written
-    traj = None
-    if args.csv:  # x holds the chain's span, every value finite; the chain reads no coefficient the residuals did not
-        lo, hi = _component_span(eq, args.horizon)
-        traj = Trajectory(eq, Window(lo, x.values[lo - x.start:hi + 1 - x.start]), Provenance.SAMPLED)
+    # x holds the --csv chain's span, every value finite; the chain reads no coefficient the residuals did not read
+    lo, hi = _component_span(eq, args.horizon)
+    traj = Trajectory(eq, Window(lo, x.values[lo - x.start:hi + 1 - x.start]), Provenance.SAMPLED) if args.csv else None
     return _finish(args, 0 if passed else 1, lines, report, traj)
 
 
